@@ -1,8 +1,14 @@
-"""Clusters and the truncated log-partition-function expansion.
+"""The truncated expansion of log Xi, and clusters as its reference.
 
-A cluster is a multiset of polymers whose incompatibility graph H (one slot
-per polymer copy; same-polymer slots always adjacent) is connected.  Its
-Ursell factor is
+The library computes the expansion with ``SeriesEngine``: power series of
+restricted partition functions indexed by sets of R-vertices, and one
+Moebius step over 2-linked (connected) sets.  Counting, cumulants and both
+sampler backends go through it.
+
+Cluster enumeration stays as the reference the tests compare against and
+behind ``bipcore count --dump-clusters``.  A cluster is a multiset of
+polymers whose incompatibility graph H (one slot per polymer copy;
+same-polymer slots always adjacent) is connected.  Its Ursell factor is
 
     phi(H) = (1/|V(H)|!) * sum over spanning connected edge subsets A
              of (-1)**|A|
@@ -25,8 +31,15 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 from . import kernels
 from .errors import ClusterBudgetError, SizeCapError
-from .graph import BipartiteGraph
-from .polymers import Fugacities, Polymer, PolymerSystem, Scalar
+from .graph import BipartiteGraph, _bits
+from .polymers import (
+    Fugacities,
+    Polymer,
+    PolymerSystem,
+    Scalar,
+    _connected_sets,
+    _link_masks,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .conditions import KPCertificate
@@ -77,24 +90,25 @@ def ursell_edge_subsets(n: int, edges) -> Fraction:
     return Fraction(kernels.ursell_edge_sum(n, es), math.factorial(n))
 
 
-_dc_cache: dict[tuple[int, frozenset[tuple[int, int]]], int] = {}
+DCCache = dict[tuple[int, frozenset[tuple[int, int]]], int]
 
 
-def _dc_int(n: int, edges: frozenset[tuple[int, int]]) -> int:
+def _dc_int(n: int, edges: frozenset[tuple[int, int]], cache: DCCache) -> int:
     """Signed spanning-connected-subgraph count by deletion-contraction.
 
     Recursion on the first edge e: subsets without e live in G - e, subsets
     with e contribute -1 times the count of G / e (contraction keeps the
     graph simple: parallel edges collapse, which leaves the sum unchanged).
+    ``cache`` memoises subgraphs for the caller's lifetime.
     """
     if not edges:
         return 1 if n == 1 else 0
     key = (n, edges)
-    hit = _dc_cache.get(key)
+    hit = cache.get(key)
     if hit is not None:
         return hit
     e = min(edges)
-    without = _dc_int(n, edges - {e})
+    without = _dc_int(n, edges - {e}, cache)
     u, v = e
     mapped = set()
     for a, b in edges:
@@ -108,8 +122,8 @@ def _dc_int(n: int, edges: frozenset[tuple[int, int]]) -> int:
             b2 -= 1
         if a2 != b2:
             mapped.add((min(a2, b2), max(a2, b2)))
-    out = without - _dc_int(n - 1, frozenset(mapped))
-    _dc_cache[key] = out
+    out = without - _dc_int(n - 1, frozenset(mapped), cache)
+    cache[key] = out
     return out
 
 
@@ -117,7 +131,7 @@ def ursell_deletion_contraction(n: int, edges) -> Fraction:
     """Ursell factor by deletion-contraction; agrees with the edge-subset
     enumeration on every connected graph (tested exhaustively to 6 vertices)."""
     es = _validate_simple(n, edges)
-    return Fraction(_dc_int(n, es), math.factorial(n))
+    return Fraction(_dc_int(n, es, {}), math.factorial(n))
 
 
 def ursell(n: int, edges) -> Fraction:
@@ -135,21 +149,23 @@ def ursell(n: int, edges) -> Fraction:
         raise ValueError("ursell is defined here for connected graphs only")
     if n <= URSELL_EDGE_SUBSET_CAP:
         return Fraction(kernels.ursell_edge_sum(n, sorted(es)), math.factorial(n))
-    return Fraction(_dc_int(n, es), math.factorial(n))
+    return Fraction(_dc_int(n, es, {}), math.factorial(n))
 
 
 # ---------------------------------------------------------------------------
 # slot graphs
 
-_slot_cache: dict[tuple[tuple[int, ...], int], int] = {}
+SlotCache = dict[tuple[tuple[int, ...], int], int]
 
 
-def _slot_U(mults: tuple[int, ...], adjbits: int) -> int:
+def _slot_U(
+    mults: tuple[int, ...], adjbits: int, slot_cache: SlotCache, dc_cache: DCCache
+) -> int:
     """Signed connected-subgraph count of the slot graph: support polymer i
     blown up to a clique of mults[i] slots, cliques joined completely along
     incompatible support pairs (bit a*(a-1)/2 + b of adjbits for b < a)."""
     key = (mults, adjbits)
-    hit = _slot_cache.get(key)
+    hit = slot_cache.get(key)
     if hit is not None:
         return hit
     j = len(mults)
@@ -180,13 +196,13 @@ def _slot_U(mults: tuple[int, ...], adjbits: int) -> int:
         if k <= URSELL_EDGE_SUBSET_CAP:
             u = kernels.ursell_edge_sum(k, sorted((min(e), max(e)) for e in edges))
         elif k <= SLOT_CAP:
-            u = _dc_int(k, frozenset((min(e), max(e)) for e in edges))
+            u = _dc_int(k, frozenset((min(e), max(e)) for e in edges), dc_cache)
         else:
             raise ClusterBudgetError(
                 f"cluster with {k} slots and a non-complete incompatibility "
                 f"graph exceeds the Ursell slot cap ({SLOT_CAP})"
             )
-    _slot_cache[key] = u
+    slot_cache[key] = u
     return u
 
 
@@ -202,10 +218,6 @@ class Cluster:
     total_size: int
     ursell: Fraction
     ordering_multiplier: int
-
-    @property
-    def slots(self) -> int:
-        return sum(m for _, m in self.polymers)
 
     @property
     def coefficient(self) -> Fraction:
@@ -248,11 +260,11 @@ def _mult_vectors(sizes: Sequence[int], cap: int) -> Iterator[tuple[int, ...]]:
 
 
 class ClusterEngine:
-    """Cluster enumeration over an explicit polymer universe.
+    """Cluster enumeration over an explicit polymer universe: the reference
+    for ``SeriesEngine``.
 
     Supports restriction to a subset of the universe (bitmask over polymer
-    indices), which the approximate sampler uses for its conditional
-    partition functions.
+    indices).  Its Ursell memo tables live as long as the engine.
     """
 
     def __init__(
@@ -271,6 +283,8 @@ class ClusterEngine:
         self._adj = tuple(
             m & ~(1 << i) for i, m in enumerate(self.system.incompat_masks)
         )
+        self._slot_cache: SlotCache = {}
+        self._dc_cache: DCCache = {}
 
     def clusters(
         self,
@@ -309,7 +323,7 @@ class ClusterEngine:
                             adjbits |= 1 << bit
                         bit += 1
                 for mults in _mult_vectors(sup_sizes, budget):
-                    u = _slot_U(mults, adjbits)
+                    u = _slot_U(mults, adjbits, self._slot_cache, self._dc_cache)
                     k = sum(mults)
                     ordering = math.factorial(k)
                     for mi in mults:
@@ -368,6 +382,207 @@ class ClusterEngine:
         return math.fsum(c.contribution for c in self.clusters(m, allowed, max_clusters))
 
 
+# ---------------------------------------------------------------------------
+# the expansion engine: power series over R-vertex sets
+
+def _fsum(vals: list[Scalar]) -> Scalar:
+    """Compensated sum; complex values are summed by parts."""
+    try:
+        return math.fsum(vals)
+    except TypeError:  # complex activities
+        return complex(math.fsum(v.real for v in vals), math.fsum(v.imag for v in vals))
+
+
+class SeriesEngine:
+    """Power series of restricted partition functions, indexed by sets of
+    R-vertices (bitmasks), and the truncated expansion of log Xi built on
+    them.
+
+    With z marking polymer size, Xi_S(z) sums prod w(gamma) z**|gamma| over
+    the pairwise compatible polymer collections inside S.  ``xi`` keeps its
+    coefficients below z**m, memoised on S, by one recursion on v = min S:
+
+        Xi_S = Xi_{S-v} + sum over 2-linked gamma in S containing v of
+               w(gamma) z**|gamma| Xi_{S minus gamma minus N2(gamma)}
+
+    with N2(gamma) the R-vertices 2-linked to gamma.  The clusters whose
+    polymers cover exactly the 2-linked set T sum to
+
+        f_T = log Xi_T - sum over 2-linked T' strictly inside T of f_T',
+
+    a series starting at z**|T|.  So the expansion of log Xi_S truncated at
+    total cluster size m is
+
+        T_m(S) = sum over 2-linked T in S with |T| < m of
+                 the coefficients of f_T from z**|T| to z**(m-1),
+
+    the coefficient-extraction route of Helmuth-Perkins-Regts (arXiv
+    1806.11548, Thm 2.2), with no Ursell functions.
+
+    Cumulants of the R-vertices in A weight each polymer by
+    prod_{v in gamma and A} (1 + t_v) with t_v**2 = 0.  That weighted Xi_T
+    equals sum over B in A of t^B sum over C in B of (-1)**|C| Xi_{T-C}, so
+    it comes from the same memo; [t^A] of the resulting f_T is the cluster
+    sum of w(Gamma) prod_{v in A} Y_v(Gamma), and A empty gives the plain
+    series.
+
+    ``max_clusters`` bounds the series coefficients the engine stores (the
+    m - |T| of each f_T and those of each memoised Xi_S); ClusterBudgetError
+    is raised before that bound is passed.
+    """
+
+    def __init__(
+        self,
+        g: BipartiteGraph,
+        lam: Fugacities,
+        m: int,
+        max_clusters: int = DEFAULT_MAX_CLUSTERS,
+    ):
+        if m < 1:
+            raise ValueError("m must be at least 1")
+        self.graph = g
+        self.lam = lam
+        self.m = m
+        self.max_clusters = max_clusters
+        self._links = _link_masks(g)
+        self._xi: dict[int, list[Scalar]] = {}
+        self._stored = 0
+        self._sets: list[int] | None = None
+        self._plain: dict[int, Scalar] | None = None  # T -> kept f_T coefficients, summed
+
+    def _charge(self, n: int) -> None:
+        total = self._stored + n
+        if total > self.max_clusters:
+            raise ClusterBudgetError(
+                f"more than {self.max_clusters} series coefficients below z**{self.m}",
+                clusters_seen=total,
+            )
+        self._stored = total
+
+    def terms(self, S: int) -> list[tuple[int, int, Scalar]]:
+        """(gamma, S minus gamma minus N2(gamma), w(gamma)) for every 2-linked
+        gamma in the nonempty set S with min gamma = min S and |gamma| < m."""
+        adj_R = self.graph.adj_R
+        lam_R, one_L = self.lam.lambda_R, 1 + self.lam.lambda_L
+        links = self._links
+        out = []
+        for gamma in _connected_sets(links, (S & -S).bit_length() - 1, self.m - 1, S):
+            blocked = gamma
+            nbhd = 0
+            for v in _bits(gamma):
+                blocked |= links[v]
+                nbhd |= adj_R[v]
+            w = lam_R ** gamma.bit_count() / one_L ** nbhd.bit_count()
+            out.append((gamma, S & ~blocked, w))
+        return out
+
+    def xi(self, S: int) -> list[Scalar]:
+        """Coefficients of Xi_S(z) from z**0 to z**min(|S|, m - 1)."""
+        if S == 0:
+            return [1.0]
+        hit = self._xi.get(S)
+        if hit is not None:
+            return hit
+        terms = self.terms(S)
+        out = list(self.xi(S & (S - 1)))
+        if len(out) < self.m:
+            out.append(0.0)
+        for gamma, rest, w in terms:
+            k0 = gamma.bit_count()
+            for k, c in enumerate(self.xi(rest)[: len(out) - k0]):
+                out[k0 + k] += w * c
+        self._charge(len(out))
+        self._xi[S] = out
+        return out
+
+    def connected_sets(self) -> list[int]:
+        """Every 2-linked T with |T| < m, by ascending size."""
+        if self._sets is None:
+            sets = []
+            for root in range(self.graph.n_R):
+                above = -1 << root  # root is the minimum vertex
+                for T in _connected_sets(self._links, root, self.m - 1, above):
+                    self._charge(self.m - T.bit_count())
+                    sets.append(T)
+            sets.sort(key=int.bit_count)
+            self._sets = sets
+        return self._sets
+
+    def _log_coefficients(self, T: int, A: list[int]) -> list[Scalar]:
+        """[t^A] of log of the (1 + t_v)-weighted Xi_T, z**0 to z**(m-1).
+
+        Algebra elements are lists indexed by subsets B of A (bit i of B for
+        the vertex A[i]); products are subset convolutions."""
+        d = 1 << len(A)
+        rows = []
+        for C in range(d):
+            removed = 0
+            for i in _bits(C):
+                removed |= 1 << A[i]
+            rows.append(self.xi(T & ~removed))
+        deg = len(rows[0]) - 1
+        G = [[row[k] if k < len(row) else 0.0 for row in rows] for k in range(deg + 1)]
+        # in place: G[k][B] becomes sum over C in B of (-1)**|C| Xi_{T-C}[k]
+        for i in range(len(A)):
+            bit = 1 << i
+            for Gk in G:
+                for B in range(d):
+                    if B & bit:
+                        Gk[B] = Gk[B ^ bit] - Gk[B]
+        # log G by k F_k = k G_k - sum_{j<k} j F_j G_{k-j}, with G_0 = 1
+        F: list[list[Scalar]] = [[0.0] * d]
+        for k in range(1, self.m):
+            acc = [k * x for x in G[k]] if k <= deg else [0.0] * d
+            for j in range(max(1, k - deg), k):
+                Fj, Gkj = F[j], G[k - j]
+                for B in range(d):
+                    C = B
+                    s = Fj[B] * Gkj[0]
+                    while C:
+                        C = (C - 1) & B
+                        s += Fj[C] * Gkj[B ^ C]
+                    acc[B] -= j * s
+            F.append([x / k for x in acc])
+        return [Fk[d - 1] for Fk in F]
+
+    def _cluster_series(self, A: int) -> dict[int, list[Scalar]]:
+        """For each 2-linked T containing A with |T| < m, [t^A] of f_T from
+        z**|T| to z**(m-1)."""
+        links = self._links
+        a_verts = list(_bits(A))
+        table: dict[int, list[Scalar]] = {}
+        for T in self.connected_sets():
+            if T & A != A:
+                continue
+            t = T.bit_count()
+            f = self._log_coefficients(T, a_verts)
+            # proper 2-linked subsets of T; only those containing A are in table
+            roots = [(a_verts[0], T)] if A else [(v, T & (-1 << v)) for v in _bits(T)]
+            for root, allowed in roots:
+                for sub in _connected_sets(links, root, t - 1, allowed):
+                    h = table.get(sub)
+                    if h is not None:
+                        lo = self.m - len(h)
+                        f[lo:] = [a - c for a, c in zip(f[lo:], h)]
+            table[T] = f[t:]
+        return table
+
+    def log_xi(self, S: int | None = None) -> Scalar:
+        """T_m(S), the expansion of log Xi_S truncated at total size m
+        (S = all of R by default)."""
+        if S is None:
+            S = (1 << self.graph.n_R) - 1
+        if self._plain is None:
+            self._plain = {T: _fsum(f) for T, f in self._cluster_series(0).items()}
+        return _fsum([f for T, f in self._plain.items() if T & ~S == 0])
+
+    def cumulant(self, A: int) -> tuple[Scalar, int]:
+        """The cluster sum of w(Gamma) prod_{v in A} Y_v(Gamma) over total
+        sizes below m, with the number of 2-linked sets it adds up."""
+        table = self._cluster_series(A)
+        return _fsum([c for f in table.values() for c in f]), len(table)
+
+
 @dataclass(frozen=True)
 class ExpansionEstimate:
     """Truncated expansion value with its certificate-backed tail bound.
@@ -380,7 +595,7 @@ class ExpansionEstimate:
     m: int
     eta: float | None
     error_bound: float | None
-    cluster_count: int
+    cluster_count: int  # the 2-linked sets summed
 
     @property
     def bounded(self) -> bool:
@@ -410,19 +625,9 @@ def truncated_expansion(
     The tail bound is populated only when a valid convergence certificate is
     supplied; without one the estimate is returned unbounded.
     """
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    vals: list[Scalar] = []
-    count = 0
-    for c in enumerate_clusters(g, lam, m, max_clusters=max_clusters):
-        vals.append(c.contribution)
-        count += 1
-    if vals and isinstance(vals[0], complex):
-        value: Scalar = complex(
-            math.fsum(v.real for v in vals), math.fsum(v.imag for v in vals)
-        )
-    else:
-        value = math.fsum(vals)  # type: ignore[arg-type]
+    engine = SeriesEngine(g, lam, m, max_clusters)
+    count = len(engine.connected_sets())
+    value = engine.log_xi()
     eta = None
     bound = None
     if certificate is not None and certificate.valid:

@@ -6,7 +6,9 @@ For A a set of R-vertices, the cumulant has the convergent expansion
 
 with Y_v the number of polymer slots containing v.  Truncating at total size
 m leaves a tail below sup_{t >= m} t^|A| e^(-eta t) under a convergence
-certificate at rate eta.  Cumulants decay like e^(-eta * MST(A) / 2) with an
+certificate at rate eta.  The truncated sum comes from the expansion engine
+(``clusters.SeriesEngine``) as a mixed derivative of log Xi, with no cluster
+enumeration.  Cumulants decay like e^(-eta * MST(A) / 2) with an
 explicit constant; through the partition-lattice identity
 
     mu_A = sum over set partitions pi of A of prod_{S in pi} kappa(S)
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .clusters import DEFAULT_MAX_CLUSTERS, Cluster, ClusterEngine
+from .clusters import DEFAULT_MAX_CLUSTERS, SeriesEngine
 from .conditions import KPCertificate, certify_kp
 from .errors import CertificationError, SizeCapError
 from .graph import BipartiteGraph, Vertex, graph_distance, steiner_tree_size
@@ -183,7 +185,7 @@ class CumulantQuery:
     value: float
     tail_bound: float
     eta: float
-    cluster_count: int
+    cluster_count: int  # the 2-linked sets summed
 
 
 def _normalize_R_set(g: BipartiteGraph, A) -> tuple[int, ...]:
@@ -212,9 +214,12 @@ def _tail_sup(a: int, eta: float, m: int) -> float:
 
 
 @lru_cache(maxsize=4)
-def _cluster_table(g: BipartiteGraph, lam: Fugacities, m: int, max_clusters: int) -> tuple[Cluster, ...]:
-    engine = ClusterEngine(g, lam, max_size=max(m - 1, 1))
-    return tuple(engine.clusters(m, max_clusters=max_clusters))
+def _cluster_table(g: BipartiteGraph, lam: Fugacities, m: int, max_clusters: int) -> SeriesEngine:
+    """One expansion engine per (graph, activities, m), shared by the
+    queries; its restricted-Xi memo serves every vertex set."""
+    engine = SeriesEngine(g, lam, m, max_clusters)
+    engine.connected_sets()  # a budget error surfaces here, uncached
+    return engine
 
 
 @lru_cache(maxsize=16)
@@ -241,22 +246,14 @@ def truncated_cumulant(
         raise ValueError("m must be at least 1")
     verts = _normalize_R_set(g, A)
     cert = _shared_certificate(g, lam, eta, k_max)
-    vals = []
-    count = 0
-    for c in _cluster_table(g, lam, m, max_clusters):
-        count += 1
-        y = 1
-        for v in verts:
-            y *= c.y_count(v)
-            if y == 0:
-                break
-        if y:
-            vals.append(c.contribution * y)
+    value, count = _cluster_table(g, lam, m, max_clusters).cumulant(
+        sum(1 << v for v in verts)
+    )
     tail = _tail_sup(len(verts), cert.eta, m) if cert.valid else math.inf
     return CumulantQuery(
         vertices=verts,
         m=m,
-        value=math.fsum(vals),
+        value=value,
         tail_bound=tail,
         eta=cert.eta,
         cluster_count=count,

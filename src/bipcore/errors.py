@@ -28,10 +28,13 @@ class NotTwoLinkedError(BipcoreError, ValueError):
 
 
 class ClusterBudgetError(BipcoreError):
-    """Raised when cluster enumeration exceeds its resource budget.
+    """Raised when the expansion exceeds its resource budget: the series
+    coefficients the expansion engine would store, or the clusters a
+    reference enumeration would produce, pass ``max_clusters``.
 
-    The enumeration never truncates silently; callers may catch this and
-    retry with a smaller truncation depth.
+    The expansion never truncates silently; callers may catch this and
+    retry with a smaller truncation depth.  ``clusters_seen`` is the count
+    that passed the budget.
     """
 
     def __init__(self, message: str, clusters_seen: int = 0):

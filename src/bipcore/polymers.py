@@ -310,9 +310,9 @@ class PolymerSystem:
     """Explicit list of polymers with incompatibility bitmasks.
 
     Supports exact evaluation of the polymer partition function restricted
-    to any subset of the universe (memoized), enumeration of compatible
-    collections, and per-vertex membership masks.  Used by the exact
-    sampler backend, the exact collection oracle, and cluster enumeration.
+    to any subset of the universe (memoized) and enumeration of compatible
+    collections.  Used by the exact collection oracle and by the reference
+    cluster enumeration.
     """
 
     def __init__(
@@ -333,7 +333,6 @@ class PolymerSystem:
         for i, p in enumerate(self.polymers):
             for v in p.vertices:
                 member[v] |= 1 << i
-        self.member_masks = tuple(member)
         incomp = []
         for p in self.polymers:
             reach = p.mask
@@ -348,9 +347,6 @@ class PolymerSystem:
 
     def __len__(self) -> int:
         return len(self.polymers)
-
-    def containing_mask(self, v: int) -> int:
-        return self.member_masks[v]
 
     def xi(self, avail: int | None = None) -> Scalar:
         """Partition function of the polymer model restricted to the

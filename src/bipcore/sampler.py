@@ -1,13 +1,17 @@
 """Approximate sampling from the polymer measure and the hard-core measure.
 
 A polymer configuration is built one R-vertex at a time (ascending index).
-At vertex v the candidates are the still-allowed polymers containing v; the
-chance of picking gamma is proportional to w_gamma * Xi(P'_gamma) and of
-picking none proportional to Xi(P'_empty), where P'_gamma drops polymers
-incompatible with gamma and P'_empty drops polymers containing v.  This is
-the exact conditional factorization of the measure nu; the restricted
-partition functions come from either an exact backend (memoized recursion,
-small R sides) or a truncated-expansion backend (certified instances).
+The state is the set S of R-vertices still free: every vertex below the
+current one has left it.  At a vertex v in S the candidates are the 2-linked
+gamma in S with min gamma = v; the chance of picking gamma is proportional
+to w(gamma) * Xi_{S minus gamma minus N2(gamma)} and of picking none to
+Xi_{S-v}, with N2(gamma) the R-vertices 2-linked to gamma.  These are the
+terms of the expansion engine's recursion for Xi_S (``clusters.SeriesEngine``),
+so this is the exact conditional factorization of the polymer measure nu
+(Jenssen-Keevash-Perkins, arXiv 1807.04804).  The restricted partition
+functions come from the same engine, either summed untruncated (exact
+backend, small R sides) or as the truncated expansion T_m(S) (certified
+instances).
 
 A configuration extends to an independent set by occupying its polymers'
 vertices and then each unblocked L-vertex independently with probability
@@ -16,6 +20,7 @@ lambda_L / (1 + lambda_L).
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -23,12 +28,12 @@ from typing import Iterator, Literal
 
 import numpy as np
 
-from .clusters import DEFAULT_MAX_CLUSTERS, ClusterEngine
+from .clusters import DEFAULT_MAX_CLUSTERS, SeriesEngine
 from .conditions import KPCertificate, certify_kp
 from .counting import choose_m
 from .errors import CertificationError, SizeCapError
 from .graph import BipartiteGraph, Vertex, _bits
-from .polymers import Fugacities, Polymer, PolymerSystem
+from .polymers import Fugacities, Polymer, _build_polymer
 
 EXACT_BACKEND_CAP = 20  # R-side size for the exact restricted-Xi backend
 TRUNCATION_DEPTH_CAP = 24
@@ -54,12 +59,14 @@ class PolymerConfig:
 class IndependentSetSampler:
     """Reusable sampling engine for one (graph, activities, epsilon) triple.
 
-    Conditional distributions are cached per (vertex, allowed-mask) state,
-    so repeated draws are cheap.  backend="exact" computes restricted
-    partition functions exactly and needs no certificate; "truncated" uses
-    exp of the truncated expansion with a per-step error budget
-    epsilon / (2 n_R) and requires a valid certificate; "auto" picks exact
-    for n_R <= 20, truncated otherwise.
+    Conditional distributions are cached per state, the set of R-vertices
+    still free, so repeated draws are cheap.  backend="exact" computes
+    restricted partition functions exactly and needs no certificate;
+    "truncated" uses exp of the truncated expansion at depth m_step, chosen
+    for a per-step error budget epsilon / (2 n_R) but capped at
+    TRUNCATION_DEPTH_CAP, and requires a valid certificate; "auto" picks
+    exact for n_R <= 20, truncated otherwise.  ``max_clusters`` bounds the
+    series coefficients the expansion engine stores.
     """
 
     def __init__(
@@ -83,15 +90,14 @@ class IndependentSetSampler:
         self.epsilon = epsilon
         self.backend: Backend = backend
         self.certificate: KPCertificate | None = None
-        self._max_clusters = max_clusters
         if backend == "exact":
             if g.n_R > EXACT_BACKEND_CAP:
                 raise SizeCapError(
                     f"exact sampling backend capped at {EXACT_BACKEND_CAP} R-vertices"
                 )
-            self.system = PolymerSystem(g, lam)
-            self._engine = None
             self.m_step = None
+            # Xi_S has degree |S|: depth n_R + 1 keeps every coefficient
+            self._engine = SeriesEngine(g, lam, g.n_R + 1, max_clusters)
         elif backend == "truncated":
             cert = certify_kp(g, lam, eta=eta, k_max=k_max)
             if not cert.valid:
@@ -104,39 +110,36 @@ class IndependentSetSampler:
             self.m_step = min(
                 choose_m(g.n_R, step_budget, cert.eta), TRUNCATION_DEPTH_CAP
             )
-            self._engine = ClusterEngine(g, lam, max_size=max(self.m_step - 1, 1))
-            self.system = self._engine.system
+            self._engine = SeriesEngine(g, lam, self.m_step, max_clusters)
+            self._engine.connected_sets()  # a budget error surfaces here
         else:
             raise ValueError(f"unknown backend {backend!r}")
-        self._conditional_cache: dict[tuple[int, int], tuple[list[int], list[float]]] = {}
+        self._conditional_cache: dict[int, tuple[list[tuple[Polymer, int]], list[float]]] = {}
 
     # -- restricted partition functions ------------------------------------
 
-    def _log_xi(self, allowed: int) -> float:
+    def _log_xi(self, S: int) -> float:
         if self.backend == "exact":
-            return math.log(self.system.xi(allowed))
-        return self._engine.truncated_log_xi(
-            self.m_step, allowed=allowed, max_clusters=self._max_clusters
-        )
+            return math.log(math.fsum(self._engine.xi(S)))
+        return self._engine.log_xi(S)
 
-    def _conditional(self, v: int, avail: int) -> tuple[list[int], list[float]]:
-        """Candidate polymer indices at vertex v plus cumulative probabilities;
-        the final slot is the no-polymer outcome."""
-        key = (v, avail)
-        hit = self._conditional_cache.get(key)
+    def _conditional(self, state: int) -> tuple[list[tuple[Polymer, int]], list[float]]:
+        """Candidates at v = min state, each a polymer with the state it
+        leaves, plus cumulative probabilities; the final slot is the
+        no-polymer outcome."""
+        hit = self._conditional_cache.get(state)
         if hit is not None:
             return hit
-        member = self.system.member_masks[v] & avail
-        incompat = self.system.incompat_masks
-        log_none = self._log_xi(avail & ~member)
-        idxs = list(_bits(member))
+        g, lam = self.graph, self.lam
+        log_none = self._log_xi(state & (state - 1))
+        candidates = []
         raw = []
-        for i in idxs:
-            w = self.system.polymers[i].weight
-            if w == 0.0:
-                raw.append(0.0)
-            else:
-                raw.append(w * math.exp(self._log_xi(avail & ~incompat[i]) - log_none))
+        # lexicographic in the vertex tuple, the order all_polymers lists
+        for gamma, rest, w in sorted(
+            self._engine.terms(state), key=lambda t: tuple(_bits(t[0]))
+        ):
+            candidates.append((_build_polymer(g, gamma, tuple(_bits(gamma)), lam), rest))
+            raw.append(0.0 if w == 0.0 else w * math.exp(self._log_xi(rest) - log_none))
         total = 1.0 + math.fsum(raw)
         cum = []
         acc = 0.0
@@ -144,8 +147,8 @@ class IndependentSetSampler:
             acc += r / total
             cum.append(acc)
         cum.append(1.0)
-        out = (idxs, cum)
-        self._conditional_cache[key] = out
+        out = (candidates, cum)
+        self._conditional_cache[state] = out
         return out
 
     # -- sampling -----------------------------------------------------------
@@ -153,47 +156,27 @@ class IndependentSetSampler:
     def sample_config(
         self, rng: np.random.Generator, trace: list[tuple[int, int]] | None = None
     ) -> PolymerConfig:
+        """One polymer configuration; ``trace`` receives (v, state) at every
+        vertex, the state being the mask of R-vertices still free."""
         g = self.graph
-        avail = self.system.full_mask
-        chosen: list[int] = []
-        occupied = 0
+        state = (1 << g.n_R) - 1
+        chosen: list[Polymer] = []
         for v in range(g.n_R):
             if trace is not None:
-                trace.append((v, avail))
-            if (occupied >> v) & 1:
-                continue  # already inside a chosen polymer
-            if avail & self.system.member_masks[v] == 0:
-                continue  # vacant with certainty, no randomness consumed
-            idxs, cum = self._conditional(v, avail)
-            u = rng.random()
-            pick = len(idxs)  # default: none
-            for j, c in enumerate(cum[:-1]):
-                if u < c:
-                    pick = j
-                    break
-            if pick == len(idxs):
-                avail &= ~self.system.member_masks[v]
+                trace.append((v, state))
+            if not (state >> v) & 1:
+                continue  # covered or blocked by a chosen polymer
+            candidates, cum = self._conditional(state)
+            pick = bisect.bisect_right(cum, rng.random(), 0, len(candidates))
+            if pick == len(candidates):
+                state &= ~(1 << v)
             else:
-                i = idxs[pick]
-                chosen.append(i)
-                occupied |= self.system.polymers[i].mask
-                avail &= ~self.system.incompat_masks[i]
-        polys = tuple(self.system.polymers[i] for i in sorted(chosen))
-        return PolymerConfig(chosen=polys, decided_vertices=frozenset(range(g.n_R)))
+                polymer, state = candidates[pick]
+                chosen.append(polymer)
+        return PolymerConfig(chosen=tuple(chosen), decided_vertices=frozenset(range(g.n_R)))
 
     def extend(self, config: PolymerConfig, rng: np.random.Generator) -> frozenset[Vertex]:
-        g = self.graph
-        occupied_R = 0
-        for p in config.chosen:
-            occupied_R |= p.mask
-        out: set[Vertex] = {("R", v) for v in _bits(occupied_R)}
-        p_in = self.lam.lambda_L / (1.0 + self.lam.lambda_L)
-        for u in range(g.n_L):
-            if g.adj_L[u] & occupied_R:
-                continue  # blocked by an occupied neighbor
-            if rng.random() < p_in:
-                out.add(("L", u))
-        return frozenset(out)
+        return _extend(self.graph, self.lam, config, rng)
 
     def sample(self, rng: np.random.Generator) -> frozenset[Vertex]:
         return self.extend(self.sample_config(rng), rng)
@@ -203,6 +186,24 @@ class IndependentSetSampler:
         rng = np.random.Generator(np.random.Philox(seed))
         for _ in range(n):
             yield self.sample(rng)
+
+
+def _extend(
+    g: BipartiteGraph, lam: Fugacities, config: PolymerConfig, rng: np.random.Generator
+) -> frozenset[Vertex]:
+    """Occupy the configuration's polymers, then each unblocked L-vertex
+    independently with probability lambda_L / (1 + lambda_L)."""
+    occupied_R = 0
+    for p in config.chosen:
+        occupied_R |= p.mask
+    out: set[Vertex] = {("R", v) for v in _bits(occupied_R)}
+    p_in = lam.lambda_L / (1.0 + lam.lambda_L)
+    for u in range(g.n_L):
+        if g.adj_L[u] & occupied_R:
+            continue  # blocked by an occupied neighbor
+        if rng.random() < p_in:
+            out.add(("L", u))
+    return frozenset(out)
 
 
 @lru_cache(maxsize=8)
@@ -232,18 +233,7 @@ def extend_to_independent_set(
     independently with probability lambda_L / (1 + lambda_L)."""
     if not lam.is_real:
         raise ValueError("sampling needs real activities")
-    occupied_R = 0
-    for p in config.chosen:
-        occupied_R |= p.mask
-    out: set[Vertex] = {("R", v) for v in _bits(occupied_R)}
-    rng = np.random.Generator(np.random.Philox(rng_seed))
-    p_in = lam.lambda_L / (1.0 + lam.lambda_L)
-    for u in range(g.n_L):
-        if g.adj_L[u] & occupied_R:
-            continue
-        if rng.random() < p_in:
-            out.add(("L", u))
-    return frozenset(out)
+    return _extend(g, lam, config, np.random.Generator(np.random.Philox(rng_seed)))
 
 
 def sample_independent_set(
@@ -253,8 +243,11 @@ def sample_independent_set(
     rng_seed: int,
     backend: Backend = "auto",
 ) -> frozenset[Vertex]:
-    """One draw whose distribution is within total-variation epsilon of the
-    hard-core measure (exactly the measure in the exact backend)."""
+    """One draw from the hard-core measure: exact in the exact backend, and
+    within total-variation epsilon of it in the truncated backend only while
+    TRUNCATION_DEPTH_CAP (24) does not bind, i.e. while the depth the per-step
+    budget epsilon / (2 n_R) asks for is at most 24.  Otherwise the draw is
+    uncertified: even_cycle(44) at epsilon = 0.05 asks for m = 99."""
     sampler = _shared_sampler(g, lam, epsilon, backend)
     rng = np.random.Generator(np.random.Philox(rng_seed))
     return sampler.sample(rng)

@@ -108,6 +108,17 @@ def test_degradation_flag_under_budget():
     assert abs(res.log_Z_estimate - bc.exact_log_Z(g, lam)) <= res.error_bound
 
 
+def test_even_cycle_10_reaches_the_requested_depth():
+    # asks for m = 29, where cluster enumeration used to exhaust memory;
+    # lambda_R is 0.9 of the main condition's limit for degrees (2, 2)
+    g = bc.even_cycle(10)
+    lam = Fugacities(1.0, 0.9 * 2.0 / 24.0)
+    res = approx_log_Z(g, lam, epsilon=0.3)
+    assert not res.degraded
+    assert res.m_used == choose_m(g.n_R, 0.3, res.certificate.eta) == 29
+    assert abs(res.log_Z_estimate - bc.exact_log_Z(g, lam)) <= res.error_bound
+
+
 def test_json_fields_exact():
     g = bc.complete_bipartite(1, 1)
     res = approx_log_Z(g, Fugacities(10.0, 0.1), epsilon=0.1)

@@ -111,7 +111,7 @@ def test_trace_masks_shrink_monotonically():
         sampler.sample_config(rng, trace=trace)
         assert [v for v, _ in trace] == list(range(g.n_R))
         masks = [mask for _, mask in trace]
-        assert masks[0] == sampler.system.full_mask
+        assert masks[0] == (1 << g.n_R) - 1
         for a, b in zip(masks, masks[1:]):
             assert b & ~a == 0  # the allowed set only loses polymers
 
@@ -279,3 +279,22 @@ def test_auto_backend_resolution():
     assert s.certificate is not None and s.certificate.valid
     draw = next(iter(s.draws(1, seed=0)))
     assert is_independent(wide, draw)
+
+
+def test_truncated_backend_draws_past_the_exact_cap():
+    # n_R = 22: auto routes to the truncated backend, whose conditionals
+    # used to exhaust memory before the first draw
+    g = bc.even_cycle(44)
+    s = IndependentSetSampler(g, Fugacities(20.0, 0.1))
+    assert s.backend == "truncated"
+    draw = next(iter(s.draws(1, seed=4)))
+    assert is_independent(g, draw)
+
+
+def test_exact_backend_on_a_dense_polymer_universe():
+    # about 3,000 polymers: the polymer-mask recursion used to pass the
+    # default recursion limit
+    g = bc.random_biregular(3, 3, 12, seed=100)
+    s = IndependentSetSampler(g, Fugacities(50.0, 0.1), backend="exact")
+    for draw in s.draws(3, seed=5):
+        assert is_independent(g, draw)

@@ -1,0 +1,117 @@
+"""The expansion engine over R-vertex sets, against the cluster reference."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import bipcore as bc
+from bipcore import ClusterBudgetError, ClusterEngine, Fugacities, SeriesEngine
+from bipcore import clusters, kernels
+
+from conftest import random_bipartite
+
+
+def _close(a, b) -> bool:
+    return abs(a - b) <= 1e-12 * max(1.0, abs(b))
+
+
+def _polymers_inside(engine: ClusterEngine, S: int) -> int:
+    """Polymer-index mask of the reference universe's polymers inside S."""
+    out = 0
+    for i, p in enumerate(engine.system.polymers):
+        if p.mask & ~S == 0:
+            out |= 1 << i
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.booleans())
+def test_series_log_xi_matches_cluster_sum(seed, m, complex_mode):
+    rng = np.random.Generator(np.random.Philox(seed))
+    g = random_bipartite(rng, 4, 5, 0.5)
+    lam_L, lam_R = float(rng.uniform(0.2, 5.0)), float(rng.uniform(0.05, 2.0))
+    if complex_mode:
+        lam = Fugacities(complex(lam_L, float(rng.uniform(-2, 2))),
+                         complex(lam_R, float(rng.uniform(-1, 1))))
+    else:
+        lam = Fugacities(lam_L, lam_R)
+    series = SeriesEngine(g, lam, m)
+    ref = ClusterEngine(g, lam, max_size=max(m - 1, 1))
+    full = (1 << g.n_R) - 1
+    assert _close(series.log_xi(), ref.truncated_log_xi(m))
+    for S in [full, *(int(rng.integers(0, full + 1)) for _ in range(3))]:
+        want = ref.truncated_log_xi(m, allowed=_polymers_inside(ref, S))
+        assert _close(series.log_xi(S), want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+def test_series_cumulant_matches_cluster_formula(seed, m):
+    rng = np.random.Generator(np.random.Philox(seed))
+    g = random_bipartite(rng, 4, 5, 0.5)
+    lam = Fugacities(float(rng.uniform(0.2, 5.0)), float(rng.uniform(0.05, 2.0)))
+    series = SeriesEngine(g, lam, m)
+    table = list(ClusterEngine(g, lam, max_size=max(m - 1, 1)).clusters(m))
+    for _ in range(3):
+        k = int(rng.integers(1, min(3, g.n_R) + 1))
+        A = [int(v) for v in rng.choice(g.n_R, k, replace=False)]
+        want = math.fsum(
+            c.contribution * math.prod(c.y_count(v) for v in A) for c in table
+        )
+        got, count = series.cumulant(sum(1 << v for v in A))
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+        assert count == sum(1 for T in series.connected_sets() if all(T >> v & 1 for v in A))
+
+
+def test_untruncated_xi_is_exact():
+    g = bc.random_biregular(2, 4, 8, seed=1)
+    lam = Fugacities(3.0, 0.4)
+    engine = SeriesEngine(g, lam, g.n_R + 1)
+    xi = engine.xi((1 << g.n_R) - 1)
+    assert len(xi) == g.n_R + 1
+    assert math.fsum(xi) == pytest.approx(bc.exact_Xi(g, lam), rel=1e-13)
+
+
+def test_budget_counts_stored_coefficients():
+    # K_{3,6}: all 63 nonempty R-sets are 2-linked; at m = 87 their f_T hold
+    # sum(87 - |T|) = 5289 coefficients, past a budget of 2000
+    g = bc.complete_bipartite(3, 6)
+    lam = Fugacities(200.0, 0.05)
+    with pytest.raises(ClusterBudgetError) as exc:
+        SeriesEngine(g, lam, 87, max_clusters=2_000).connected_sets()
+    assert exc.value.clusters_seen > 2_000
+    engine = SeriesEngine(g, lam, 87, max_clusters=5_289)
+    assert len(engine.connected_sets()) == 63
+
+
+def test_reference_caches_live_with_their_engine():
+    g = bc.complete_bipartite(3, 3)
+    assert len(list(bc.enumerate_clusters(g, Fugacities(1.0, 1.0), 6))) > 0
+    bc.ursell_deletion_contraction(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
+    for name, value in vars(clusters).items():
+        if not name.startswith("__") and isinstance(value, (dict, list, set)):
+            assert not value, f"clusters.{name} keeps {len(value)} entries"
+
+
+def test_library_paths_need_no_cluster_enumeration(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("cluster enumeration reached from a library path")
+
+    monkeypatch.setattr(kernels, "ursell_edge_sum", boom)
+    monkeypatch.setattr(ClusterEngine, "clusters", boom)
+    g = bc.even_cycle(10)
+    lam = Fugacities(9.0, 0.07)
+    res = bc.approx_log_Z(g, lam, epsilon=0.05)
+    assert abs(res.log_Z_estimate - bc.exact_log_Z(g, lam)) <= res.error_bound
+    q = bc.truncated_cumulant(g, lam, [0, 1], m=7)
+    assert q.cluster_count > 0
+    rows = bc.decay_experiment(g, lam, [("cumulant", [0, 2]), ("pair", ("R", 0), ("R", 1))], m=6)
+    assert all(r.satisfied for r in rows)
+    for backend in ("exact", "truncated"):
+        sampler = bc.IndependentSetSampler(g, lam, backend=backend)
+        assert len(list(sampler.draws(5, seed=1))) == 5
