@@ -244,6 +244,12 @@ def cmd_sample(args) -> int:
         k_max=args.k_max,
         max_clusters=args.max_clusters,
     )
+    if sampler.degraded:
+        print(
+            f"warning: truncation depth capped at m={sampler.m_step} "
+            f"(requested m={sampler.m_requested}); the requested accuracy is not certified",
+            file=sys.stderr,
+        )
     lines = []
     size_total = 0
     r_total = 0

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,7 +200,9 @@ def zero_probe(
     Refuses (CertificationError) when the region fails the zero-freeness
     condition: probing an uncertified region would be vacuous.  A zero (or
     any suspiciously small |Z|) would indicate an implementation or
-    configuration bug, never a counterexample.
+    configuration bug, never a counterexample.  The points are evaluated
+    serially; ``threads`` is accepted for compatibility, and neither the
+    report nor the cost depends on it.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -213,16 +214,7 @@ def zero_probe(
             f"(lhs={cond.lhs:.6g} > rhs={cond.rhs:.6g}); probe refused"
         )
     pts = region_points(region, samples, seed)
-
-    def evaluate(pt: tuple[complex, complex]) -> complex:
-        lam = Fugacities(pt[0], pt[1])
-        return exact_Z_complex(g, lam)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(evaluate, pts))
-    else:
-        values = [evaluate(pt) for pt in pts]
+    values = [exact_Z_complex(g, Fugacities(aL, aR)) for aL, aR in pts]
     min_abs = math.inf
     argmin = pts[0]
     zeros = 0

@@ -1,12 +1,13 @@
 """Pure-Python reference kernels.
 
-These mirror the compiled extension operation for operation (same pivot
-choice, same floating-point evaluation order), so both backends return
-bit-identical values.  The compiled module is preferred at import time when
-available; see the package __init__.
+``is_sum_real`` and ``is_sum_complex`` are the weighted independent-set
+recursion the tests check the exact oracle's side-subset sums against;
+``ursell_edge_sum`` serves the Ursell reference in ``clusters`` (tests and
+``count --dump-clusters``).  ``BACKEND`` names the implementation in
+benchmark records.
 """
 
-BACKEND_NAME = "python"
+BACKEND = "python"
 
 
 def is_sum_real(adj, weights, free):

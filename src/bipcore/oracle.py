@@ -1,20 +1,20 @@
 """Exact brute-force reference computations.
 
 Everything here is evaluated without series truncation: partition functions
-by recursion over independent sets, the polymer partition function by
-summing over subsets of R, distributions by full enumeration, and joint
-cumulants from exact moments via the partition lattice.  Size caps keep the
-runtimes sane; these routines exist to validate the approximate pipeline,
-not to scale.
+by summing over the subsets of each component's smaller side, the polymer
+partition function by summing over subsets of R, distributions by full
+enumeration, and joint cumulants from exact moments via the partition
+lattice.  Size caps keep the runtimes sane; these routines exist to validate
+the approximate pipeline, not to scale.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 
-from . import kernels
 from .errors import SizeCapError
 from .graph import BipartiteGraph, Vertex, _bits
 from .polymers import Fugacities, PolymerSystem, Scalar, _link_masks
@@ -24,12 +24,17 @@ EXACT_COMPLEX_CAP = 24  # largest connected component, complex activities
 DISTRIBUTION_CAP = 14  # total vertices for full-distribution enumeration
 XI_SUBSET_CAP = 20  # R-side size for the subset-sum polymer oracle
 CUMULANT_SET_CAP = 8
-LOG_WEIGHT_LIMIT = 700.0  # keeps every independent-set sum below overflow
+LOG_WEIGHT_LIMIT = 700.0  # keeps every partition-function sum below overflow
+
+# A component's side-subset profile: whether its smaller side X is the L
+# side, and the triples (|S|, |Y| - |N(S)|, count) over the subsets S of X,
+# with Y the other side.  Then Z = sum count * x**|S| * (1 + y)**(|Y|-|N(S)|)
+# for x, y the activities of X and Y.
+_SideProfile = tuple[bool, tuple[tuple[int, int, int], ...]]
 
 
-def _component_masks(g: BipartiteGraph) -> list[int]:
-    adj = g.global_adjacency()
-    todo = (1 << g.n_vertices) - 1
+def _component_masks(adj: tuple[int, ...], todo: int) -> list[int]:
+    """Connected components of the subgraph induced on the mask ``todo``."""
     out = []
     while todo:
         comp = todo & -todo
@@ -45,8 +50,51 @@ def _component_masks(g: BipartiteGraph) -> list[int]:
     return out
 
 
-def _weights(g: BipartiteGraph, lam: Fugacities) -> list[Scalar]:
-    return [lam.lambda_L] * g.n_L + [lam.lambda_R] * g.n_R
+def _side_profile(adj: tuple[int, ...], n_L: int, comp: int) -> _SideProfile:
+    """Side-subset profile of the component ``comp`` (global ids), built by
+    doubling the list of neighborhoods N(S) one vertex of X at a time."""
+    left = comp & ((1 << n_L) - 1)
+    right = comp & ~left
+    x_is_L = left.bit_count() <= right.bit_count()
+    X, Y = (left, right) if x_is_L else (right, left)
+    nb = [0]
+    for v in _bits(X):
+        a = adj[v] & Y
+        nb += [s | a for s in nb]
+    # the index of N(S) in nb has the bits of S
+    hist = Counter(zip(map(int.bit_count, range(len(nb))), map(int.bit_count, nb)))
+    n_Y = Y.bit_count()
+    return x_is_L, tuple((a, n_Y - b, c) for (a, b), c in hist.items())
+
+
+@lru_cache(maxsize=8)
+def _graph_profile(g: BipartiteGraph) -> tuple[int, tuple[_SideProfile, ...]]:
+    """Size of the largest component, and the profile of every component.
+
+    Raises SizeCapError, before building any profile, when a component
+    exceeds the real cap; callers with a smaller cap check the size.
+    """
+    adj = g.global_adjacency()
+    comps = _component_masks(adj, (1 << g.n_vertices) - 1)
+    largest = max((c.bit_count() for c in comps), default=0)
+    if largest > EXACT_REAL_CAP:
+        raise SizeCapError(
+            f"component with {largest} vertices exceeds the exact cap ({EXACT_REAL_CAP})"
+        )
+    return largest, tuple(_side_profile(adj, g.n_L, c) for c in comps)
+
+
+def _terms(profile: _SideProfile, lam: Fugacities) -> list[Scalar]:
+    x_is_L, hist = profile
+    x, y = (lam.lambda_L, lam.lambda_R) if x_is_L else (lam.lambda_R, lam.lambda_L)
+    y1 = 1 + y
+    return [c * x**a * y1**e for a, e, c in hist]
+
+
+def _log_z(profile: _SideProfile, lam: Fugacities) -> float:
+    """log Z of one component, real activities: every term is nonnegative
+    and the empty set contributes (1 + y)**|Y| >= 1."""
+    return math.log(math.fsum(_terms(profile, lam)))
 
 
 def _check_magnitude(g: BipartiteGraph, lam: Fugacities) -> None:
@@ -58,42 +106,18 @@ def _check_magnitude(g: BipartiteGraph, lam: Fugacities) -> None:
         )
 
 
-def _localize(adj: tuple[int, ...], comp: int) -> tuple[list[int], list[int]]:
-    """Relabel a component's vertices to 0..k-1; returns (gids, local adj)."""
-    gids = list(_bits(comp))
-    pos = {gid: i for i, gid in enumerate(gids)}
-    local = []
-    for gid in gids:
-        m = 0
-        nb = adj[gid] & comp
-        for other in _bits(nb):
-            m |= 1 << pos[other]
-        local.append(m)
-    return gids, local
-
-
 def exact_log_Z(g: BipartiteGraph, lam: Fugacities) -> float:
     """log of the exact partition function, real activities.
 
     Factorizes over connected components; each component is capped at 30
-    vertices.  Every summand is positive, so the log is always defined.
+    vertices and costs 2**(its smaller side).  Every summand is positive,
+    so the log is always defined.
     """
     if not lam.is_real:
         raise ValueError("exact_log_Z takes real activities; see exact_Z_complex")
     _check_magnitude(g, lam)
-    adj = g.global_adjacency()
-    weights = _weights(g, lam)
-    total = 0.0
-    for comp in _component_masks(g):
-        k = comp.bit_count()
-        if k > EXACT_REAL_CAP:
-            raise SizeCapError(
-                f"component with {k} vertices exceeds the exact cap ({EXACT_REAL_CAP})"
-            )
-        gids, local = _localize(adj, comp)
-        w = [weights[gid] for gid in gids]
-        total += math.log(kernels.is_sum_real(local, w, (1 << k) - 1))
-    return total
+    _, profiles = _graph_profile(g)
+    return math.fsum(_log_z(p, lam) for p in profiles)
 
 
 def exact_Z(g: BipartiteGraph, lam: Fugacities) -> float:
@@ -104,22 +128,21 @@ def exact_Z(g: BipartiteGraph, lam: Fugacities) -> float:
 def exact_Z_complex(g: BipartiteGraph, lam: Fugacities) -> complex:
     """Exact partition function for complex (or real) activities.
 
-    Factorizes over connected components, each capped at 24 vertices.
+    Factorizes over connected components, each capped at 24 vertices.  The
+    graph's side-subset profiles are memoised, so a call at new activities
+    costs one small polynomial evaluation per component.
     """
     _check_magnitude(g, lam)
-    adj = g.global_adjacency()
-    weights = [complex(w) for w in _weights(g, lam)]
+    largest, profiles = _graph_profile(g)
+    if largest > EXACT_COMPLEX_CAP:
+        raise SizeCapError(
+            f"component with {largest} vertices exceeds the complex exact cap "
+            f"({EXACT_COMPLEX_CAP})"
+        )
     out = 1.0 + 0.0j
-    for comp in _component_masks(g):
-        k = comp.bit_count()
-        if k > EXACT_COMPLEX_CAP:
-            raise SizeCapError(
-                f"component with {k} vertices exceeds the complex exact cap "
-                f"({EXACT_COMPLEX_CAP})"
-            )
-        gids, local = _localize(adj, comp)
-        w = [weights[gid] for gid in gids]
-        out *= kernels.is_sum_complex(local, w, (1 << k) - 1)
+    for p in profiles:
+        terms = _terms(p, lam)
+        out *= complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
     return out
 
 
@@ -176,57 +199,38 @@ def exact_Xi(g: BipartiteGraph, lam: Fugacities) -> Scalar:
 # ---------------------------------------------------------------------------
 # occupation probabilities and distributions
 
-def _closed_mask(g: BipartiteGraph, gids: list[int], adj: tuple[int, ...]) -> int:
-    m = 0
-    for gid in gids:
-        m |= 1 << gid
-        m |= adj[gid]
-    return m
-
-
 def exact_occupancy(g: BipartiteGraph, lam: Fugacities, vertices) -> float:
     """Probability that every vertex in ``vertices`` is occupied.
 
     Real activities.  Returns 0 when the set is not independent.  Computed
-    as a ratio of constrained to unconstrained independent-set sums, so the
+    as the activity product times the partition function of the graph minus
+    the closed neighborhood of the set, over the partition function, so the
     usual component cap applies.
     """
     if not lam.is_real:
         raise ValueError("occupation probabilities need real activities")
     _check_magnitude(g, lam)
-    vset = set(vertices)
-    gids = sorted(g.global_id(v) for v in vset)
+    gids = sorted(g.global_id(v) for v in set(vertices))
     adj = g.global_adjacency()
     target = 0
     for gid in gids:
         target |= 1 << gid
-    for gid in gids:
-        if adj[gid] & target:
-            return 0.0
-    weights = _weights(g, lam)
+    if any(adj[gid] & target for gid in gids):
+        return 0.0
     factor = 1.0
     for gid in gids:
-        factor *= weights[gid]
+        factor *= lam.lambda_L if gid < g.n_L else lam.lambda_R
     if factor == 0.0:
         return 0.0
-    blocked = _closed_mask(g, gids, adj)
-    log_num = math.log(factor)
-    log_den = 0.0
-    for comp in _component_masks(g):
-        k = comp.bit_count()
-        if k > EXACT_REAL_CAP:
-            raise SizeCapError(
-                f"component with {k} vertices exceeds the exact cap ({EXACT_REAL_CAP})"
-            )
-        cg, local = _localize(adj, comp)
-        w = [weights[gid] for gid in cg]
-        full = (1 << k) - 1
-        free = 0
-        for i, gid in enumerate(cg):
-            if not (blocked >> gid) & 1:
-                free |= 1 << i
-        log_den += math.log(kernels.is_sum_real(local, w, full))
-        log_num += math.log(kernels.is_sum_real(local, w, free))
+    _, profiles = _graph_profile(g)
+    blocked = target
+    for gid in gids:
+        blocked |= adj[gid]
+    free = ((1 << g.n_vertices) - 1) & ~blocked
+    log_num = math.log(factor) + math.fsum(
+        _log_z(_side_profile(adj, g.n_L, c), lam) for c in _component_masks(adj, free)
+    )
+    log_den = math.fsum(_log_z(p, lam) for p in profiles)
     return math.exp(log_num - log_den)
 
 

@@ -65,8 +65,11 @@ class IndependentSetSampler:
     "truncated" uses exp of the truncated expansion at depth m_step, chosen
     for a per-step error budget epsilon / (2 n_R) but capped at
     TRUNCATION_DEPTH_CAP, and requires a valid certificate; "auto" picks
-    exact for n_R <= 20, truncated otherwise.  ``max_clusters`` bounds the
-    series coefficients the expansion engine stores.
+    exact for n_R <= 20, truncated otherwise.  ``m_requested`` is the depth
+    the budget asks for (None for the exact backend) and ``degraded`` flags
+    m_step < m_requested, when the draws are not certified within epsilon.
+    ``max_clusters`` bounds the series coefficients the expansion engine
+    stores.
     """
 
     def __init__(
@@ -95,7 +98,7 @@ class IndependentSetSampler:
                 raise SizeCapError(
                     f"exact sampling backend capped at {EXACT_BACKEND_CAP} R-vertices"
                 )
-            self.m_step = None
+            self.m_requested = self.m_step = None
             # Xi_S has degree |S|: depth n_R + 1 keeps every coefficient
             self._engine = SeriesEngine(g, lam, g.n_R + 1, max_clusters)
         elif backend == "truncated":
@@ -107,13 +110,13 @@ class IndependentSetSampler:
                 )
             self.certificate = cert
             step_budget = epsilon / (2.0 * g.n_R)
-            self.m_step = min(
-                choose_m(g.n_R, step_budget, cert.eta), TRUNCATION_DEPTH_CAP
-            )
+            self.m_requested = choose_m(g.n_R, step_budget, cert.eta)
+            self.m_step = min(self.m_requested, TRUNCATION_DEPTH_CAP)
             self._engine = SeriesEngine(g, lam, self.m_step, max_clusters)
             self._engine.connected_sets()  # a budget error surfaces here
         else:
             raise ValueError(f"unknown backend {backend!r}")
+        self.degraded = self.m_step is not None and self.m_step < self.m_requested
         self._conditional_cache: dict[int, tuple[list[tuple[Polymer, int]], list[float]]] = {}
 
     # -- restricted partition functions ------------------------------------
@@ -247,7 +250,8 @@ def sample_independent_set(
     within total-variation epsilon of it in the truncated backend only while
     TRUNCATION_DEPTH_CAP (24) does not bind, i.e. while the depth the per-step
     budget epsilon / (2 n_R) asks for is at most 24.  Otherwise the draw is
-    uncertified: even_cycle(44) at epsilon = 0.05 asks for m = 99."""
+    uncertified and the sampler is flagged ``degraded``: even_cycle(44) at
+    epsilon = 0.05 asks for m = 99."""
     sampler = _shared_sampler(g, lam, epsilon, backend)
     rng = np.random.Generator(np.random.Philox(rng_seed))
     return sampler.sample(rng)

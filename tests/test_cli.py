@@ -272,6 +272,22 @@ def test_sample_deterministic(edge_file, capsys):
     assert out1 == out2
 
 
+def test_sample_warns_when_the_depth_cap_binds(cycle_file, capsys):
+    # C_8 at eps=0.05 asks for m=65, above the truncated backend's cap
+    argv = ("sample", cycle_file, "--lambda-l", "10", "--lambda-r", "0.05",
+            "--draws", "2")
+    code, out, err = run(capsys, *argv, "--backend", "truncated")
+    assert code == 0
+    assert "warning: truncation depth capped at m=24 (requested m=65)" in err
+    summary = json.loads(out.strip().splitlines()[-1])
+    assert sorted(summary) == [
+        "backend", "draws", "epsilon", "mean_R_occupied", "mean_size", "seed",
+    ]
+    code, _, err = run(capsys, *argv, "--backend", "exact")
+    assert code == 0
+    assert err == ""
+
+
 def test_sample_uncertified_truncated_exits_2(edge_file, capsys):
     code, _, _ = run(
         capsys, "sample", edge_file, "--lambda-l", "1", "--lambda-r", "1",

@@ -1,135 +1,25 @@
-"""Parity between the compiled and pure-Python kernel backends.
-
-Both implement the same recursions in the same floating-point evaluation
-order, so results must be bit-identical, not merely close.
-"""
+"""The pure-Python reference kernels."""
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
-import numpy as np
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-import bipcore
 from bipcore import kernels
-from bipcore.kernels import pykernels
-
-from conftest import random_bipartite
-
-try:
-    from bipcore.kernels import _ckernels
-except ImportError:
-    _ckernels = None
-
-needs_compiled = pytest.mark.skipif(
-    _ckernels is None, reason="compiled kernel extension not built"
-)
-
-
-def _to_global(g):
-    adj = list(g.global_adjacency())
-    return adj
 
 
 def test_backend_is_reported():
-    assert kernels.BACKEND in ("compiled", "python")
+    assert kernels.BACKEND == "python"
 
 
 def test_is_sum_real_tiny():
     # single vertex, weight 2: 1 + 2
-    assert pykernels.is_sum_real([0], [2.0], 1) == 3.0
+    assert kernels.is_sum_real([0], [2.0], 1) == 3.0
     # edge with weights a, b: 1 + a + b
-    assert pykernels.is_sum_real([2, 1], [2.0, 5.0], 3) == 8.0
+    assert kernels.is_sum_real([2, 1], [2.0, 5.0], 3) == 8.0
     # free=0 means the empty set only
-    assert pykernels.is_sum_real([2, 1], [2.0, 5.0], 0) == 1.0
+    assert kernels.is_sum_real([2, 1], [2.0, 5.0], 0) == 1.0
 
 
 def test_is_sum_complex_matches_real_on_real_inputs():
     adj = [2, 1]
-    zr = pykernels.is_sum_real(adj, [2.0, 5.0], 3)
-    zc = pykernels.is_sum_complex(adj, [2.0 + 0j, 5.0 + 0j], 3)
+    zr = kernels.is_sum_real(adj, [2.0, 5.0], 3)
+    zc = kernels.is_sum_complex(adj, [2.0 + 0j, 5.0 + 0j], 3)
     assert zc == complex(zr)
-
-
-@needs_compiled
-@settings(max_examples=80, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_real_backends_bit_identical(seed):
-    rng = np.random.Generator(np.random.Philox(seed))
-    g = random_bipartite(rng, 5, 5, 0.5)
-    adj = _to_global(g)
-    w = [float(rng.uniform(0.01, 8.0)) for _ in range(g.n_vertices)]
-    free = (1 << g.n_vertices) - 1
-    a = pykernels.is_sum_real(adj, w, free)
-    b = _ckernels.is_sum_real(adj, w, free)
-    assert a == b  # bit-identical, same evaluation order
-
-
-@needs_compiled
-@settings(max_examples=80, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_complex_backends_bit_identical(seed):
-    rng = np.random.Generator(np.random.Philox(seed))
-    g = random_bipartite(rng, 5, 5, 0.5)
-    adj = _to_global(g)
-    w = [
-        complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        for _ in range(g.n_vertices)
-    ]
-    free = (1 << g.n_vertices) - 1
-    a = pykernels.is_sum_complex(adj, w, free)
-    b = _ckernels.is_sum_complex(adj, w, free)
-    assert a == b
-
-
-@needs_compiled
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_ursell_edge_sum_backends_identical(seed):
-    rng = np.random.Generator(np.random.Philox(seed))
-    n = int(rng.integers(1, 6))
-    edges = [
-        (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.6
-    ]
-    a = pykernels.ursell_edge_sum(n, edges)
-    b = _ckernels.ursell_edge_sum(n, edges)
-    assert a == b
-    assert isinstance(a, int) and isinstance(b, int)
-
-
-def _child_backend(pure: bool) -> str:
-    """The backend a fresh interpreter reports, with or without BIPCORE_PURE.
-
-    The child inherits this process's environment, with the directory of the
-    bipcore under test first on PYTHONPATH, so it imports the same package.
-    """
-    env = {k: v for k, v in os.environ.items() if k != "BIPCORE_PURE"}
-    if pure:
-        env["BIPCORE_PURE"] = "1"
-    src = str(Path(bipcore.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
-    )
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from bipcore import kernels; print(kernels.BACKEND)"],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
-    assert out.returncode == 0, out.stderr
-    return out.stdout.strip()
-
-
-def test_pure_python_env_override():
-    assert _child_backend(pure=True) == "python"
-    # Without the override the child picks the compiled extension whenever
-    # this process could import it, so the assertion above is not vacuous.
-    expected = "python" if _ckernels is None else "compiled"
-    assert _child_backend(pure=False) == expected

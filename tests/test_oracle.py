@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bipcore as bc
-from bipcore import BipartiteGraph, Fugacities, SizeCapError
-from bipcore.polymers import two_linked_adjacency
+from bipcore import BipartiteGraph, Fugacities, SizeCapError, kernels
+from bipcore.counting import region_points
+from bipcore.polymers import ComplexRegion, two_linked_adjacency
 
 from conftest import random_bipartite, random_fugacities
 
@@ -92,6 +93,91 @@ def test_component_factorization_avoids_cap():
     g = BipartiteGraph(20, 20, [(i, i) for i in range(20)])
     lam = Fugacities(1.0, 1.0)
     assert bc.exact_log_Z(g, lam) == pytest.approx(20 * math.log(3.0), rel=1e-12)
+
+
+def _recursion_Z(g: BipartiteGraph, lam: Fugacities, free: int | None = None):
+    """Independent-set sum over ``free`` (default: every vertex) by the
+    reference recursion, which the side-subset sums must reproduce."""
+    adj = list(g.global_adjacency())
+    weights = [lam.lambda_L] * g.n_L + [lam.lambda_R] * g.n_R
+    if free is None:
+        free = (1 << g.n_vertices) - 1
+    kernel = kernels.is_sum_real if lam.is_real else kernels.is_sum_complex
+    return kernel(adj, weights, free)
+
+
+def _union(pieces: list[BipartiteGraph]) -> BipartiteGraph:
+    n_L = n_R = 0
+    edges = []
+    for p in pieces:
+        edges += [(u + n_L, v + n_R) for u, v in p.edges]
+        n_L += p.n_L
+        n_R += p.n_R
+    return BipartiteGraph(n_L, n_R, edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+def test_side_subset_sums_match_the_recursion(seed, flip, zero_R):
+    rng = np.random.Generator(np.random.Philox(seed))
+    # a star whose center blocks its whole component, random pieces whose
+    # smaller side is either side, and isolated vertices on both sides
+    pieces = [bc.star_center_L(3)]
+    pieces += [
+        random_bipartite(rng, 6, 6, float(rng.uniform(0.2, 0.8)))
+        for _ in range(int(rng.integers(1, 4)))
+    ]
+    pieces.append(BipartiteGraph(int(rng.integers(0, 3)), int(rng.integers(0, 3)), []))
+    g = _union(pieces)
+    if flip:  # the star's center, and each piece's smaller side, change sides
+        g = BipartiteGraph(g.n_R, g.n_L, [(v, u) for u, v in g.edges])
+    lam = Fugacities(
+        float(rng.uniform(0.05, 5.0)), 0.0 if zero_R else float(rng.uniform(0.05, 5.0))
+    )
+
+    log_z = bc.exact_log_Z(g, lam)
+    assert log_z == pytest.approx(math.log(_recursion_Z(g, lam)), rel=1e-12, abs=1e-12)
+
+    center = ("R", 0) if flip else ("L", 0)
+    verts = list(g.vertices())
+    sets = [[center], [center, verts[int(rng.integers(len(verts)))]]]
+    sets += [
+        [verts[int(i)] for i in rng.choice(len(verts), k, replace=False)]
+        for k in (1, 2, 3)
+    ]
+    adj = g.global_adjacency()
+    for A in sets:
+        gids = {g.global_id(v) for v in A}
+        closed = 0
+        for gid in gids:
+            closed |= 1 << gid | adj[gid]
+        if any(adj[gid] >> other & 1 for gid in gids for other in gids):
+            want = 0.0
+        else:
+            factor = math.prod(lam.lambda_L if gid < g.n_L else lam.lambda_R for gid in gids)
+            free = ((1 << g.n_vertices) - 1) & ~closed
+            want = factor * _recursion_Z(g, lam, free) / _recursion_Z(g, lam)
+        assert bc.exact_occupancy(g, lam, A) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    for lam_L, lam_R in region_points(ComplexRegion(10.0, 0.05), 4, seed):
+        lc = Fugacities(lam_L, lam_R)
+        want = _recursion_Z(g, lc)
+        assert abs(bc.exact_Z_complex(g, lc) - want) <= 1e-12 * abs(want)
+
+
+def test_oracle_never_runs_the_recursion(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("independent-set recursion reached from the oracle")
+
+    monkeypatch.setattr(kernels, "is_sum_real", boom)
+    monkeypatch.setattr(kernels, "is_sum_complex", boom)
+    g = bc.even_cycle(12)
+    lam = Fugacities(2.0, 0.5)
+    log_z = bc.exact_log_Z(g, lam)
+    assert log_z == pytest.approx(6 * math.log(3.0) + math.log(bc.exact_Xi(g, lam)), rel=1e-12)
+    zc = bc.exact_Z_complex(g, Fugacities(complex(2.0), complex(0.5)))
+    assert zc == pytest.approx(math.exp(log_z), rel=1e-12)
+    assert 0.0 < bc.exact_occupancy(g, lam, [("L", 0), ("R", 3)]) < 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -287,6 +287,8 @@ def test_truncated_backend_draws_past_the_exact_cap():
     g = bc.even_cycle(44)
     s = IndependentSetSampler(g, Fugacities(20.0, 0.1))
     assert s.backend == "truncated"
+    # the per-step budget 0.05 / 44 at eta = 0.1 asks for m = 99 > 24
+    assert (s.m_requested, s.m_step, s.degraded) == (99, 24, True)
     draw = next(iter(s.draws(1, seed=4)))
     assert is_independent(g, draw)
 
@@ -296,5 +298,6 @@ def test_exact_backend_on_a_dense_polymer_universe():
     # default recursion limit
     g = bc.random_biregular(3, 3, 12, seed=100)
     s = IndependentSetSampler(g, Fugacities(50.0, 0.1), backend="exact")
+    assert (s.m_requested, s.m_step, s.degraded) == (None, None, False)
     for draw in s.draws(3, seed=5):
         assert is_independent(g, draw)
