@@ -20,12 +20,12 @@ from typing import Sequence
 
 from . import graph as graphmod
 from . import oracle
-from .clusters import DEFAULT_MAX_CLUSTERS, enumerate_clusters
+from .clusters import DEFAULT_MAX_CLUSTERS, SeriesEngine
 from .conditions import certify_kp, check_corollary, check_main_condition
 from .counting import approx_log_Z, zero_probe
 from .cumulants import decay_experiment, decay_rows_to_csv
 from .errors import BipcoreError, CertificationError
-from .graph import BipartiteGraph, Vertex, degree_profile, load_graph
+from .graph import BipartiteGraph, Vertex, _bits, degree_profile, load_graph
 from .polymers import ComplexRegion, Fugacities
 from .sampler import IndependentSetSampler
 
@@ -106,7 +106,7 @@ def cmd_check(args) -> int:
     lam = _fugacities(args)
     profile = degree_profile(g)
     cond = check_main_condition(profile, lam)
-    cert = certify_kp(g, lam, eta=args.eta, k_max=args.k_max, threads=args.threads)
+    cert = certify_kp(g, lam, eta=args.eta, k_max=args.k_max)
     doc = {
         "n_L": g.n_L,
         "n_R": g.n_R,
@@ -163,19 +163,13 @@ def cmd_count(args) -> int:
             m=args.m,
             k_max=args.k_max,
             max_clusters=args.max_clusters,
-            threads=args.threads,
         )
     except CertificationError as exc:
         raise CertificationError(f"{exc}; try `exact`") from None
     if args.dump_clusters:
-        for c in enumerate_clusters(g, lam, res.m_used, max_clusters=args.max_clusters):
-            mults = ",".join(str(m) for _, m in c.polymers)
-            sizes = ",".join(str(len(p.vertices)) for p, _ in c.polymers)
-            print(
-                f"mults={mults} sizes={sizes} phi={c.ursell} "
-                f"weight={c.contribution!r}",
-                file=sys.stderr,
-            )
+        engine = SeriesEngine(g, lam, res.m_used, args.max_clusters)
+        for T, value in engine.set_contributions().items():
+            print(f"set={','.join(map(str, _bits(T)))} value={value!r}", file=sys.stderr)
     if res.degraded:
         print(
             f"warning: cluster budget forced truncation depth down to m={res.m_used}; "
@@ -314,9 +308,7 @@ def cmd_decay(args) -> int:
 def cmd_zeros(args) -> int:
     g = _load(args.graph)
     region = ComplexRegion(args.bound_l, args.bound_r)
-    report = zero_probe(
-        g, region, samples=args.samples, seed=args.seed, threads=args.threads
-    )
+    report = zero_probe(g, region, samples=args.samples, seed=args.seed)
     if args.json:
         _write_out(json.dumps(report.to_json_dict(), sort_keys=True) + "\n", args.out)
     else:
@@ -362,7 +354,6 @@ def _add_common(p: _Parser, graph_arg: bool = True) -> None:
         p.add_argument("graph", help="graph file (header 'n_L n_R', one edge per line)")
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
     p.add_argument("--out", default=None, help="write output to this file")
-    p.add_argument("--threads", type=int, default=1)
 
 
 def build_parser() -> _Parser:
@@ -386,7 +377,7 @@ def build_parser() -> _Parser:
     p.add_argument("--k-max", type=int, default=6)
     p.add_argument("--max-clusters", type=int, default=DEFAULT_MAX_CLUSTERS)
     p.add_argument("--dump-clusters", action="store_true",
-                   help="print one line per cluster to standard error")
+                   help="print the summed clusters of each 2-linked set to standard error")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("exact", help="brute-force partition function / marginals")

@@ -5,10 +5,10 @@ restricted partition functions indexed by sets of R-vertices, and one
 Moebius step over 2-linked (connected) sets.  Counting, cumulants and both
 sampler backends go through it.
 
-Cluster enumeration stays as the reference the tests compare against and
-behind ``bipcore count --dump-clusters``.  A cluster is a multiset of
-polymers whose incompatibility graph H (one slot per polymer copy;
-same-polymer slots always adjacent) is connected.  Its Ursell factor is
+Cluster enumeration stays as the reference the tests compare against.  A
+cluster is a multiset of polymers whose incompatibility graph H (one slot
+per polymer copy; same-polymer slots always adjacent) is connected.  Its
+Ursell factor is
 
     phi(H) = (1/|V(H)|!) * sum over spanning connected edge subsets A
              of (-1)**|A|
@@ -31,13 +31,14 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 from . import kernels
 from .errors import ClusterBudgetError, SizeCapError
-from .graph import BipartiteGraph, _bits
+from .graph import BipartiteGraph, _bits, _components
 from .polymers import (
     Fugacities,
     Polymer,
     PolymerSystem,
     Scalar,
     _connected_sets,
+    _fsum,
     _link_masks,
 )
 
@@ -63,25 +64,12 @@ def _validate_simple(n: int, edges) -> frozenset[tuple[int, int]]:
 
 
 def _connected(n: int, edges: frozenset[tuple[int, int]]) -> bool:
-    if n == 1:
-        return True
     adj = [0] * n
     for u, v in edges:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    comp = 1
-    frontier = 1
     full = (1 << n) - 1
-    while frontier:
-        nxt = 0
-        m = frontier
-        while m:
-            low = m & -m
-            m ^= low
-            nxt |= adj[low.bit_length() - 1]
-        frontier = nxt & ~comp
-        comp |= frontier
-    return comp == full
+    return next(_components(adj, full), 0) == full
 
 
 def ursell_edge_subsets(n: int, edges) -> Fraction:
@@ -371,27 +359,11 @@ class ClusterEngine:
         max_clusters: int = DEFAULT_MAX_CLUSTERS,
     ) -> Scalar:
         """Sum of cluster contributions of total size < m (compensated)."""
-        if isinstance(self.lam.lambda_L, complex):
-            re: list[float] = []
-            im: list[float] = []
-            for c in self.clusters(m, allowed, max_clusters):
-                val = c.contribution
-                re.append(val.real)
-                im.append(val.imag)
-            return complex(math.fsum(re), math.fsum(im))
-        return math.fsum(c.contribution for c in self.clusters(m, allowed, max_clusters))
+        return _fsum([c.contribution for c in self.clusters(m, allowed, max_clusters)])
 
 
 # ---------------------------------------------------------------------------
 # the expansion engine: power series over R-vertex sets
-
-def _fsum(vals: list[Scalar]) -> Scalar:
-    """Compensated sum; complex values are summed by parts."""
-    try:
-        return math.fsum(vals)
-    except TypeError:  # complex activities
-        return complex(math.fsum(v.real for v in vals), math.fsum(v.imag for v in vals))
-
 
 class SeriesEngine:
     """Power series of restricted partition functions, indexed by sets of
@@ -448,7 +420,7 @@ class SeriesEngine:
         self._xi: dict[int, list[Scalar]] = {}
         self._stored = 0
         self._sets: list[int] | None = None
-        self._plain: dict[int, Scalar] | None = None  # T -> kept f_T coefficients, summed
+        self._plain: dict[int, Scalar] | None = None
 
     def _charge(self, n: int) -> None:
         total = self._stored + n
@@ -567,14 +539,20 @@ class SeriesEngine:
             table[T] = f[t:]
         return table
 
+    def set_contributions(self) -> dict[int, Scalar]:
+        """For each 2-linked T with |T| < m, the summed contribution of the
+        clusters whose polymers cover exactly T: the kept coefficients of
+        f_T, z**|T| to z**(m-1)."""
+        if self._plain is None:
+            self._plain = {T: _fsum(f) for T, f in self._cluster_series(0).items()}
+        return self._plain
+
     def log_xi(self, S: int | None = None) -> Scalar:
         """T_m(S), the expansion of log Xi_S truncated at total size m
         (S = all of R by default)."""
         if S is None:
             S = (1 << self.graph.n_R) - 1
-        if self._plain is None:
-            self._plain = {T: _fsum(f) for T, f in self._cluster_series(0).items()}
-        return _fsum([f for T, f in self._plain.items() if T & ~S == 0])
+        return _fsum([f for T, f in self.set_contributions().items() if T & ~S == 0])
 
     def cumulant(self, A: int) -> tuple[Scalar, int]:
         """The cluster sum of w(Gamma) prod_{v in A} Y_v(Gamma) over total

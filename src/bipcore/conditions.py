@@ -18,7 +18,6 @@ arithmetic with moduli gives a zero-free region for complex activities.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Literal
 
@@ -156,7 +155,6 @@ def certify_kp(
     lam: Fugacities,
     eta: float = ANALYTIC_ETA,
     k_max: int = 6,
-    threads: int = 1,
 ) -> KPCertificate:
     """Try to certify expansion convergence at rate eta.
 
@@ -189,13 +187,7 @@ def certify_kp(
                     "vertex sums bounded at eta <= 0.1"
                 ),
             )
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            sums = list(
-                pool.map(lambda v: kp_vertex_sum(g, v, lam, eta, k_max), range(g.n_R))
-            )
-    else:
-        sums = [kp_vertex_sum(g, v, lam, eta, k_max) for v in range(g.n_R)]
+    sums = [kp_vertex_sum(g, v, lam, eta, k_max) for v in range(g.n_R)]
     per_vertex = tuple(sums)
     if any(s.partial > s.bound for s in sums):
         mode: CertificateMode = "failed"

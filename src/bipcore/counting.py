@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clusters import DEFAULT_MAX_CLUSTERS, ExpansionEstimate, truncated_expansion
-from .conditions import KPCertificate, certify_kp, check_complex_region, in_region
+from .conditions import KPCertificate, certify_kp, check_complex_region
 from .errors import CertificationError, ClusterBudgetError
 from .graph import BipartiteGraph, degree_profile
 from .polymers import ComplexRegion, Fugacities
@@ -81,7 +81,6 @@ def approx_log_Z(
     m: int | None = None,
     k_max: int = 6,
     max_clusters: int = DEFAULT_MAX_CLUSTERS,
-    threads: int = 1,
 ) -> CountResult:
     """Certified approximation of log Z.
 
@@ -96,7 +95,7 @@ def approx_log_Z(
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     t0 = time.perf_counter()
-    cert = certify_kp(g, lam, eta=eta, k_max=k_max, threads=threads)
+    cert = certify_kp(g, lam, eta=eta, k_max=k_max)
     if not cert.valid:
         raise CertificationError(
             f"convergence certification {cert.mode}; refusing to emit an "

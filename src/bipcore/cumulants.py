@@ -23,47 +23,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .clusters import DEFAULT_MAX_CLUSTERS, SeriesEngine
 from .conditions import KPCertificate, certify_kp
-from .errors import CertificationError, SizeCapError
+from .errors import CertificationError
 from .graph import BipartiteGraph, Vertex, graph_distance, steiner_tree_size
 from .polymers import Fugacities
 from . import oracle
+from .oracle import SET_PARTITION_CAP, set_partitions  # the cap is re-exported
 
-SET_PARTITION_CAP = 8  # Bell(8) = 4140 partitions
 SERIES_TERM_FLOOR = 1e-15
 
 
 # ---------------------------------------------------------------------------
-# set partitions and moment/cumulant conversions
-
-def set_partitions(items: Sequence) -> Iterator[tuple[tuple, ...]]:
-    """All set partitions of ``items``, each exactly once, via restricted
-    growth strings.  Blocks and the partition itself keep input order."""
-    items = tuple(items)
-    n = len(items)
-    if n > SET_PARTITION_CAP:
-        raise SizeCapError(f"set partitions capped at {SET_PARTITION_CAP} elements")
-    if n == 0:
-        yield ()
-        return
-    rgs = [0] * n
-
-    def rec(i: int, maxval: int) -> Iterator[tuple[tuple, ...]]:
-        if i == n:
-            blocks: dict[int, list] = {}
-            for item, b in zip(items, rgs):
-                blocks.setdefault(b, []).append(item)
-            yield tuple(tuple(blocks[b]) for b in sorted(blocks))
-            return
-        for b in range(maxval + 2):
-            rgs[i] = b
-            yield from rec(i + 1, max(maxval, b))
-
-    yield from rec(1, 0)
-
+# moment/cumulant conversions on the partition lattice
 
 def _block_value(table: Mapping, block: tuple) -> float:
     key = frozenset(block)
@@ -75,25 +49,15 @@ def _block_value(table: Mapping, block: tuple) -> float:
 def moments_from_cumulants(kappa: Mapping, A: Sequence) -> float:
     """mu_A = sum over set partitions pi of A of prod_{S in pi} kappa(S).
     ``kappa`` maps frozensets (all nonempty subsets of A) to values."""
-    total = 0.0
-    for part in set_partitions(tuple(A)):
-        term = 1.0
-        for block in part:
-            term *= _block_value(kappa, block)
-        total += term
-    return total
+    return oracle._lattice_sum(set_partitions(A), lambda S: _block_value(kappa, S))
 
 
 def cumulants_from_moments(mu: Mapping, A: Sequence) -> float:
     """kappa(A) = sum over partitions pi of (-1)^(|pi|-1) (|pi|-1)! prod mu_S;
     the inverse of moments_from_cumulants on the partition lattice."""
-    total = 0.0
-    for part in set_partitions(tuple(A)):
-        term = (-1.0) ** (len(part) - 1) * math.factorial(len(part) - 1)
-        for block in part:
-            term *= _block_value(mu, block)
-        total += term
-    return total
+    return oracle._lattice_sum(
+        set_partitions(A), lambda S: _block_value(mu, S), moebius=True
+    )
 
 
 def straddling_partition_sum(kappa: Mapping, A: Sequence, B: Sequence) -> float:
@@ -104,15 +68,12 @@ def straddling_partition_sum(kappa: Mapping, A: Sequence, B: Sequence) -> float:
     b_set = frozenset(B)
     if a_set & b_set:
         raise ValueError("the two sets must be disjoint")
-    total = 0.0
-    for part in set_partitions(tuple(A) + tuple(B)):
-        if not any(set(block) & a_set and set(block) & b_set for block in part):
-            continue
-        term = 1.0
-        for block in part:
-            term *= _block_value(kappa, block)
-        total += term
-    return total
+    straddling = (
+        part
+        for part in set_partitions(tuple(A) + tuple(B))
+        if any(set(block) & a_set and set(block) & b_set for block in part)
+    )
+    return oracle._lattice_sum(straddling, lambda S: _block_value(kappa, S))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Literal
+from typing import Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -130,6 +130,21 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _components(adj: Sequence[int], mask: int) -> Iterator[int]:
+    """Connected components of the subgraph that the adjacency bitmasks
+    ``adj`` induce on ``mask``, as masks, by ascending lowest vertex."""
+    while mask:
+        comp = frontier = mask & -mask
+        while frontier:
+            nxt = 0
+            for v in _bits(frontier):
+                nxt |= adj[v]
+            frontier = nxt & mask & ~comp
+            comp |= frontier
+        yield comp
+        mask &= ~comp
 
 
 @dataclass(frozen=True)
@@ -318,22 +333,10 @@ def steiner_tree_size(g: BipartiteGraph, terminals: Iterable[Vertex]) -> float:
 
 
 def connected_components(g: BipartiteGraph) -> list[frozenset[Vertex]]:
-    adj = g.global_adjacency()
-    todo = (1 << g.n_vertices) - 1
-    out = []
-    while todo:
-        start = todo & -todo
-        comp = start
-        frontier = start
-        while frontier:
-            nxt = 0
-            for v in _bits(frontier):
-                nxt |= adj[v]
-            frontier = nxt & todo & ~comp
-            comp |= frontier
-        todo &= ~comp
-        out.append(frozenset(g.vertex_of(v) for v in _bits(comp)))
-    return out
+    return [
+        frozenset(g.vertex_of(v) for v in _bits(comp))
+        for comp in _components(g.global_adjacency(), (1 << g.n_vertices) - 1)
+    ]
 
 
 # ---------------------------------------------------------------------------

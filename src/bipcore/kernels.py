@@ -1,10 +1,10 @@
 """Pure-Python reference kernels.
 
-``is_sum_real`` and ``is_sum_complex`` are the weighted independent-set
-recursion the tests check the exact oracle's side-subset sums against;
-``ursell_edge_sum`` serves the Ursell reference in ``clusters`` (tests and
-``count --dump-clusters``).  ``BACKEND`` names the implementation in
-benchmark records.
+``is_sum_real`` (also bound as ``is_sum_complex``) is the weighted
+independent-set recursion the tests check the exact oracle's side-subset
+sums against; ``ursell_edge_sum`` serves the Ursell reference in
+``clusters``, which the tests compare the expansion engine with.
+``BACKEND`` names the implementation in benchmark records.
 """
 
 BACKEND = "python"
@@ -13,7 +13,8 @@ BACKEND = "python"
 def is_sum_real(adj, weights, free):
     """Weighted independent-set sum over the vertices set in ``free``.
 
-    adj[v] is the neighbor bitmask of v, weights[v] its activity.  Returns
+    adj[v] is the neighbor bitmask of v, weights[v] its activity (real or
+    complex).  Returns
     sum over independent subsets S of free of prod(weights[v] for v in S),
     the empty set contributing 1.  Isolated-in-free vertices are folded in
     as (1 + w) factors, so edgeless regions cost linear time.
@@ -30,18 +31,7 @@ def is_sum_real(adj, weights, free):
     )
 
 
-def is_sum_complex(adj, weights, free):
-    """Complex-activity variant of is_sum_real."""
-    if free == 0:
-        return 1.0 + 0.0j
-    low = free & -free
-    v = low.bit_length() - 1
-    rest = free & (free - 1)
-    if adj[v] & rest == 0:
-        return (1.0 + weights[v]) * is_sum_complex(adj, weights, rest)
-    return is_sum_complex(adj, weights, rest) + weights[v] * is_sum_complex(
-        adj, weights, rest & ~adj[v]
-    )
+is_sum_complex = is_sum_real
 
 
 def ursell_edge_sum(n, edges):

@@ -13,17 +13,17 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import SizeCapError
-from .graph import BipartiteGraph, Vertex, _bits
-from .polymers import Fugacities, PolymerSystem, Scalar, _link_masks
+from .graph import BipartiteGraph, Vertex, _bits, _components
+from .polymers import Fugacities, PolymerSystem, Scalar, _fsum, _link_masks
 
 EXACT_REAL_CAP = 30  # largest connected component, real activities
 EXACT_COMPLEX_CAP = 24  # largest connected component, complex activities
 DISTRIBUTION_CAP = 14  # total vertices for full-distribution enumeration
 XI_SUBSET_CAP = 20  # R-side size for the subset-sum polymer oracle
-CUMULANT_SET_CAP = 8
+SET_PARTITION_CAP = 8  # Bell(8) = 4140 partitions
 LOG_WEIGHT_LIMIT = 700.0  # keeps every partition-function sum below overflow
 
 # A component's side-subset profile: whether its smaller side X is the L
@@ -31,23 +31,6 @@ LOG_WEIGHT_LIMIT = 700.0  # keeps every partition-function sum below overflow
 # with Y the other side.  Then Z = sum count * x**|S| * (1 + y)**(|Y|-|N(S)|)
 # for x, y the activities of X and Y.
 _SideProfile = tuple[bool, tuple[tuple[int, int, int], ...]]
-
-
-def _component_masks(adj: tuple[int, ...], todo: int) -> list[int]:
-    """Connected components of the subgraph induced on the mask ``todo``."""
-    out = []
-    while todo:
-        comp = todo & -todo
-        frontier = comp
-        while frontier:
-            nxt = 0
-            for v in _bits(frontier):
-                nxt |= adj[v]
-            frontier = nxt & todo & ~comp
-            comp |= frontier
-        todo &= ~comp
-        out.append(comp)
-    return out
 
 
 def _side_profile(adj: tuple[int, ...], n_L: int, comp: int) -> _SideProfile:
@@ -75,7 +58,7 @@ def _graph_profile(g: BipartiteGraph) -> tuple[int, tuple[_SideProfile, ...]]:
     exceeds the real cap; callers with a smaller cap check the size.
     """
     adj = g.global_adjacency()
-    comps = _component_masks(adj, (1 << g.n_vertices) - 1)
+    comps = list(_components(adj, (1 << g.n_vertices) - 1))
     largest = max((c.bit_count() for c in comps), default=0)
     if largest > EXACT_REAL_CAP:
         raise SizeCapError(
@@ -141,8 +124,7 @@ def exact_Z_complex(g: BipartiteGraph, lam: Fugacities) -> complex:
         )
     out = 1.0 + 0.0j
     for p in profiles:
-        terms = _terms(p, lam)
-        out *= complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+        out *= _fsum(_terms(p, lam))
     return out
 
 
@@ -174,26 +156,11 @@ def exact_Xi(g: BipartiteGraph, lam: Fugacities) -> Scalar:
 
     def subset_weight(s: int) -> Scalar:
         out: Scalar = 1.0
-        rest = s
-        while rest:
-            comp = rest & -rest
-            frontier = comp
-            while frontier:
-                nxt = 0
-                for v in _bits(frontier):
-                    nxt |= links[v]
-                frontier = nxt & rest & ~comp
-                comp |= frontier
+        for comp in _components(links, s):
             out *= component_weight(comp)
-            rest &= ~comp
         return out
 
-    vals = [subset_weight(s) for s in range(1 << g.n_R)]
-    if isinstance(lam_R, complex) or isinstance(one_plus_L, complex):
-        return complex(
-            math.fsum(v.real for v in vals), math.fsum(v.imag for v in vals)
-        )
-    return math.fsum(vals)
+    return _fsum([subset_weight(s) for s in range(1 << g.n_R)])
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +195,7 @@ def exact_occupancy(g: BipartiteGraph, lam: Fugacities, vertices) -> float:
         blocked |= adj[gid]
     free = ((1 << g.n_vertices) - 1) & ~blocked
     log_num = math.log(factor) + math.fsum(
-        _log_z(_side_profile(adj, g.n_L, c), lam) for c in _component_masks(adj, free)
+        _log_z(_side_profile(adj, g.n_L, c), lam) for c in _components(adj, free)
     )
     log_den = math.fsum(_log_z(p, lam) for p in profiles)
     return math.exp(log_num - log_den)
@@ -304,17 +271,21 @@ def exact_nu(
 
 
 # ---------------------------------------------------------------------------
-# exact joint cumulants of occupation indicators
+# the partition lattice, and exact joint cumulants of occupation indicators
 
-def _set_partitions(items: tuple):
-    """All set partitions, via restricted growth strings."""
+def set_partitions(items: Sequence) -> Iterator[tuple[tuple, ...]]:
+    """All set partitions of ``items``, each exactly once, via restricted
+    growth strings.  Blocks and the partition itself keep input order."""
+    items = tuple(items)
     n = len(items)
+    if n > SET_PARTITION_CAP:
+        raise SizeCapError(f"set partitions capped at {SET_PARTITION_CAP} elements")
     if n == 0:
         yield ()
         return
     rgs = [0] * n
 
-    def rec(i: int, maxval: int):
+    def rec(i: int, maxval: int) -> Iterator[tuple[tuple, ...]]:
         if i == n:
             blocks: dict[int, list] = {}
             for item, b in zip(items, rgs):
@@ -328,6 +299,24 @@ def _set_partitions(items: tuple):
     yield from rec(1, 0)
 
 
+def _lattice_sum(
+    parts: Iterable[tuple[tuple, ...]],
+    block_value: Callable[[tuple], float],
+    moebius: bool = False,
+) -> float:
+    """Sum over the partitions pi in ``parts`` of prod_{S in pi} block_value(S),
+    each term weighted by the Moebius function (-1)**(|pi|-1) (|pi|-1)! of the
+    partition lattice when ``moebius`` is set (moments to cumulants)."""
+    total = 0.0
+    for part in parts:
+        k = len(part)
+        term = (-1.0) ** (k - 1) * math.factorial(k - 1) if moebius else 1.0
+        for block in part:
+            term *= block_value(block)
+        total += term
+    return total
+
+
 def exact_cumulant(g: BipartiteGraph, lam: Fugacities, vertices) -> float:
     """Joint cumulant of the occupation indicators of ``vertices`` (a
     sequence of (side, index) pairs, repeats allowed), from exact joint
@@ -335,19 +324,11 @@ def exact_cumulant(g: BipartiteGraph, lam: Fugacities, vertices) -> float:
     verts = tuple(vertices)
     if not verts:
         raise ValueError("cumulant of an empty family is undefined")
-    if len(verts) > CUMULANT_SET_CAP:
-        raise SizeCapError(f"exact_cumulant capped at {CUMULANT_SET_CAP} variables")
-
-    def moment(block: tuple[Vertex, ...]) -> float:
-        return exact_occupancy(g, lam, set(block))
-
-    total = 0.0
-    for part in _set_partitions(tuple(range(len(verts)))):
-        term = (-1.0) ** (len(part) - 1) * math.factorial(len(part) - 1)
-        for block in part:
-            term *= moment(tuple(verts[i] for i in block))
-        total += term
-    return total
+    return _lattice_sum(
+        set_partitions(range(len(verts))),
+        lambda block: exact_occupancy(g, lam, {verts[i] for i in block}),
+        moebius=True,
+    )
 
 
 def exact_covariance(g: BipartiteGraph, lam: Fugacities, u: Vertex, v: Vertex) -> float:
@@ -380,16 +361,6 @@ def brute_force_steiner(g: BipartiteGraph, terminals) -> float:
         k = vmask.bit_count()
         if k - 1 >= best:
             continue
-        # connected induced check
-        start = vmask & -vmask
-        comp = start
-        frontier = start
-        while frontier:
-            nxt = 0
-            for x in _bits(frontier):
-                nxt |= adj[x]
-            frontier = nxt & vmask & ~comp
-            comp |= frontier
-        if comp == vmask:
+        if next(_components(adj, vmask)) == vmask:
             best = min(best, k - 1)
     return best

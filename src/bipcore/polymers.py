@@ -17,11 +17,19 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .errors import NotTwoLinkedError, SizeCapError
-from .graph import BipartiteGraph, _bits, degree_profile
+from .graph import BipartiteGraph, _bits, _components, degree_profile
 
 DEFAULT_MAX_POLYMERS = 200_000
 
 Scalar = float | complex
+
+
+def _fsum(vals: list[Scalar]) -> Scalar:
+    """Compensated sum; complex values are summed by parts."""
+    try:
+        return math.fsum(vals)
+    except TypeError:  # complex values
+        return complex(math.fsum(v.real for v in vals), math.fsum(v.imag for v in vals))
 
 
 @dataclass(frozen=True)
@@ -115,16 +123,7 @@ def two_linked_adjacency(g: BipartiteGraph) -> dict[int, frozenset[int]]:
 
 
 def _is_two_linked(mask: int, links: Sequence[int]) -> bool:
-    low = mask & -mask
-    comp = low
-    frontier = low
-    while frontier:
-        nxt = 0
-        for v in _bits(frontier):
-            nxt |= links[v]
-        frontier = nxt & mask & ~comp
-        comp |= frontier
-    return comp == mask
+    return next(_components(links, mask), 0) == mask
 
 
 def _neighborhood_mask(g: BipartiteGraph, rmask: int) -> int:

@@ -170,15 +170,39 @@ def test_count_refusal_json_error(edge_file, capsys):
     assert "try `exact`" in doc["error"]["message"]
 
 
+def _dumped_values(err):
+    lines = [l for l in err.splitlines() if l]
+    assert all(l.startswith("set=") and " value=" in l for l in lines)
+    return [float(l.rpartition("value=")[2]) for l in lines]
+
+
 def test_count_dump_clusters(edge_file, capsys):
     code, _, err = run(
         capsys, "count", edge_file, "--lambda-l", "10", "--lambda-r", "0.1",
         "--eps", "0.1", "--m", "3", "--dump-clusters",
     )
     assert code == 0
-    lines = [l for l in err.splitlines() if l]
-    assert len(lines) == 2  # single polymer at multiplicities 1 and 2
-    assert all(l.startswith("mults=") and "phi=" in l for l in lines)
+    values = _dumped_values(err)
+    assert len(values) == 1  # K_{1,1} has one 2-linked set, {0}
+    lam = bc.Fugacities(10.0, 0.1)
+    assert math.fsum(values) == bc.truncated_expansion(bc.complete_bipartite(1, 1), lam, 3).value
+
+
+def test_count_dump_clusters_on_a_ten_cycle(tmp_path, capsys):
+    # the five R-vertices of C_10 are 2-linked in a 5-cycle: 20 arcs and the
+    # whole set, all below m = 29
+    p = tmp_path / "c10.txt"
+    p.write_text(graph_to_text(bc.even_cycle(10)))
+    code, out, err = run(
+        capsys, "count", str(p), "--lambda-l", "1", "--lambda-r", "0.075",
+        "--eps", "0.3", "--dump-clusters",
+    )
+    assert code == 0
+    assert "m=29" in out
+    values = _dumped_values(err)
+    assert len(values) == 21
+    lam = bc.Fugacities(1.0, 0.075)
+    assert math.fsum(values) == bc.truncated_expansion(bc.even_cycle(10), lam, 29).value
 
 
 # ---------------------------------------------------------------------------

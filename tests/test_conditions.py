@@ -157,14 +157,6 @@ def test_certificate_empirical_route_larger_eta():
     assert cert.per_vertex is not None and len(cert.per_vertex) == 1
 
 
-def test_certificate_threads_agree():
-    g = bc.random_biregular(2, 4, 8, seed=2)
-    lam = Fugacities(30.0, 0.05)
-    a = certify_kp(g, lam, eta=0.25, threads=1)
-    b = certify_kp(g, lam, eta=0.25, threads=4)
-    assert a.mode == b.mode and a.margin == b.margin
-
-
 def test_certificate_edgeless_graph():
     g = bc.BipartiteGraph(2, 2, [])
     cert = certify_kp(g, Fugacities(1.0, 0.05))

@@ -316,6 +316,18 @@ def test_cumulant_order_3_known_identity(rng):
     assert bc.exact_cumulant(g, lam, A) == pytest.approx(want, rel=1e-11, abs=1e-14)
 
 
+def test_cumulant_with_repeated_vertices():
+    # an indicator has X**2 = X, so repeats give the Bernoulli cumulants
+    g = bc.even_cycle(6)
+    lam = Fugacities(1.5, 0.7)
+    for v in [("L", 0), ("R", 1)]:
+        mu = bc.exact_marginal(g, lam, v)
+        assert bc.exact_cumulant(g, lam, [v, v]) == pytest.approx(mu * (1 - mu), rel=1e-12)
+        assert bc.exact_cumulant(g, lam, [v, v, v]) == pytest.approx(
+            mu * (1 - mu) * (1 - 2 * mu), rel=1e-11
+        )
+
+
 def test_cumulant_caps_and_validation():
     g = bc.even_cycle(6)
     lam = Fugacities(1.0, 1.0)
