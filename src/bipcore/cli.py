@@ -106,7 +106,7 @@ def cmd_check(args) -> int:
     lam = _fugacities(args)
     profile = degree_profile(g)
     cond = check_main_condition(profile, lam)
-    cert = certify_kp(g, lam, eta=args.eta, k_max=args.k_max)
+    cert = certify_kp(g, lam, eta=args.eta)
     doc = {
         "n_L": g.n_L,
         "n_R": g.n_R,
@@ -161,7 +161,6 @@ def cmd_count(args) -> int:
             epsilon=args.eps,
             eta=args.eta,
             m=args.m,
-            k_max=args.k_max,
             max_clusters=args.max_clusters,
         )
     except CertificationError as exc:
@@ -235,7 +234,6 @@ def cmd_sample(args) -> int:
         epsilon=args.eps,
         backend=args.backend,
         eta=args.eta,
-        k_max=args.k_max,
         max_clusters=args.max_clusters,
     )
     if sampler.degraded:
@@ -298,7 +296,6 @@ def cmd_decay(args) -> int:
         queries,
         m=args.m,
         eta=args.eta,
-        k_max=args.k_max,
         max_clusters=args.max_clusters,
     )
     _write_out(decay_rows_to_csv(rows), args.out)
@@ -364,7 +361,6 @@ def build_parser() -> _Parser:
     _add_common(p)
     _add_activity_flags(p)
     p.add_argument("--eta", type=float, default=0.1)
-    p.add_argument("--k-max", type=int, default=6)
     p.add_argument("--corollary", type=int, choices=(1, 2, 3), default=None)
     p.set_defaults(func=cmd_check)
 
@@ -374,7 +370,6 @@ def build_parser() -> _Parser:
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--eta", type=float, default=0.1)
     p.add_argument("--m", type=int, default=None, help="override truncation depth")
-    p.add_argument("--k-max", type=int, default=6)
     p.add_argument("--max-clusters", type=int, default=DEFAULT_MAX_CLUSTERS)
     p.add_argument("--dump-clusters", action="store_true",
                    help="print the summed clusters of each 2-linked set to standard error")
@@ -392,7 +387,6 @@ def build_parser() -> _Parser:
     _add_activity_flags(p)
     p.add_argument("--eps", type=float, default=0.05)
     p.add_argument("--eta", type=float, default=0.1)
-    p.add_argument("--k-max", type=int, default=6)
     p.add_argument("--max-clusters", type=int, default=DEFAULT_MAX_CLUSTERS)
     p.add_argument("--draws", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
@@ -410,7 +404,6 @@ def build_parser() -> _Parser:
                    help="two vertex sets, e.g. R:0,R:1|R:4 (repeatable)")
     p.add_argument("--m", type=int, default=8)
     p.add_argument("--eta", type=float, default=0.1)
-    p.add_argument("--k-max", type=int, default=6)
     p.add_argument("--max-clusters", type=int, default=DEFAULT_MAX_CLUSTERS)
     p.set_defaults(func=cmd_decay)
 

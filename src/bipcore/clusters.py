@@ -400,7 +400,8 @@ class SeriesEngine:
 
     ``max_clusters`` bounds the series coefficients the engine stores (the
     m - |T| of each f_T and those of each memoised Xi_S); ClusterBudgetError
-    is raised before that bound is passed.
+    is raised before that bound is passed.  A cumulant query succeeds exactly
+    when it would on a fresh engine, whatever queries came before it.
     """
 
     def __init__(
@@ -556,8 +557,22 @@ class SeriesEngine:
 
     def cumulant(self, A: int) -> tuple[Scalar, int]:
         """The cluster sum of w(Gamma) prod_{v in A} Y_v(Gamma) over total
-        sizes below m, with the number of 2-linked sets it adds up."""
-        table = self._cluster_series(A)
+        sizes below m, with the number of 2-linked sets it adds up.
+
+        Earlier queries' series stay memoised.  When they leave this query
+        too little room, the memo is dropped and the query runs again on an
+        empty one, so it is charged what a fresh engine would store: a memo
+        holds every series its entries were built from, so success on a
+        full memo implies success on an empty one."""
+        warm = bool(self._xi)
+        try:
+            table = self._cluster_series(A)
+        except ClusterBudgetError:
+            if not warm:
+                raise
+            self._xi.clear()
+            self._stored = sum(self.m - T.bit_count() for T in self._sets or ())
+            table = self._cluster_series(A)
         return _fsum([c for f in table.values() for c in f]), len(table)
 
 

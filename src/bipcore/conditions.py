@@ -6,13 +6,45 @@ The main imbalance condition for the graph class with L-degrees at most
     6 * max_deg_L * max_deg_R * lambda_R
         <= (1 + lambda_L) ** (min_deg_R / max_deg_L).
 
-When it holds, every vertex sum
+A certificate at rate eta > 0 asserts, with d = max_deg_R (max_deg_L - 1),
+that for every R-vertex v
 
-    sum over polymers containing v of |w| * e**((1/2 + eta) |gamma|)
+    (KP_v)  sum over polymers gamma containing v of
+                |w(gamma)| * e**((1/2 + eta) |gamma|)  <=  1 / (2 (d + 1)).
 
-is bounded by 1 / (2 (max_deg_R (max_deg_L - 1) + 1)) at eta = 0.1, which
-certifies a truncation error of n_R * e**(-m * eta) at depth m.  The same
-arithmetic with moduli gives a zero-free region for complex activities.
+The per-vertex route proves (KP_v) at any eta > 0 as
+
+    P_v(eta) + tail(eta) <= 1 / (2 (d + 1)),
+
+with P_v the exact sum over the 2-linked sets of at most KP_DEPTH = 6
+R-vertices containing v, and tail(eta) a bound on the larger ones: at most
+(e d)**(k-1) / k**1.5 polymers of size k contain v, each with |w| <= wb**k
+where wb = |lambda_R| / |1 + lambda_L|**(min_deg_R / max_deg_L), so with
+q = d * wb * e**(3/2 + eta) < 1
+
+    tail(eta) = q**7 / (e d 7**1.5 (1 - q))
+
+(and 0 when d = 0, since then every polymer is a singleton).
+
+From (KP_v) to the truncation bound: a polymer is incompatible with gamma
+exactly when it contains a vertex of gamma or one 2-linked to it, at most
+|gamma| (d + 1) vertices.  Summing (KP_v) over them gives the Kotecky-Preiss
+condition with a(gamma) = |gamma| / 2 and decay e**(eta |gamma|):
+
+    sum over gamma' incompatible with gamma of
+        |w(gamma')| e**(a(gamma') + eta |gamma'|)  <=  a(gamma).
+
+Kotecky-Preiss then bounds the clusters Gamma incompatible with gamma by
+sum |phi(Gamma) w(Gamma)| e**(eta ||Gamma||) <= a(gamma).  A cluster is
+incompatible with {v} for every vertex v of its polymers, so the clusters of
+total size ||Gamma|| >= m sum to at most n_R * a({v}) * e**(-m eta), and the
+truncation error at depth m is below n_R * e**(-m * eta).
+
+The analytic route covers only eta <= 0.1: the main condition bounds every
+(KP_v) at eta = 0.1 with no enumeration, and the sums increase with eta, so
+smaller rates inherit the certificate; above 0.1 only the per-vertex route
+certifies.  The same arithmetic with moduli gives a zero-free region for
+complex activities.
 """
 
 from __future__ import annotations
@@ -22,11 +54,24 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .errors import StructuralMismatchError
-from .graph import BipartiteGraph, DegreeProfile, degree_profile
-from .polymers import ComplexRegion, Fugacities, KPVertexSum, kp_vertex_sum
+from .graph import BipartiteGraph, DegreeProfile, _bits, degree_profile
+from .polymers import (
+    ComplexRegion,
+    Fugacities,
+    KPVertexSum,
+    _connected_sets,
+    _kp_tail_bound,
+    _kp_term,
+    _link_masks,
+)
+
+# certify_kp does not call it; kept importable here because the benchmark
+# harness times bipcore.conditions.kp_vertex_sum by that name
+from .polymers import kp_vertex_sum  # noqa: F401
 
 BOUNDARY_REL_TOL = 1e-12
 ANALYTIC_ETA = 0.1
+KP_DEPTH = 6  # the per-vertex route sums 2-linked sets up to this size exactly
 SERIES_RATIO_LIMIT = 0.832  # sum_{k>=1} s^k / k^(3/2) < e/2 for s up to here
 
 
@@ -154,14 +199,16 @@ def certify_kp(
     g: BipartiteGraph,
     lam: Fugacities,
     eta: float = ANALYTIC_ETA,
-    k_max: int = 6,
 ) -> KPCertificate:
     """Try to certify expansion convergence at rate eta.
 
     The analytic route applies for real activities and eta <= 0.1: if the
     main condition holds, the certificate follows with no enumeration (the
     vertex sums are monotone in eta, so any smaller eta inherits it).
-    Otherwise per-vertex sums up to k_max plus geometric tails are checked.
+    Otherwise the per-vertex sums up to size KP_DEPTH plus geometric tails
+    are checked.  Each 2-linked set is enumerated once, from its minimum
+    vertex, and its term goes to every vertex it contains; ``per_vertex``
+    equals ``kp_vertex_sum(g, v, lam, eta, KP_DEPTH)`` for each v.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
@@ -187,8 +234,19 @@ def certify_kp(
                     "vertex sums bounded at eta <= 0.1"
                 ),
             )
-    sums = [kp_vertex_sum(g, v, lam, eta, k_max) for v in range(g.n_R)]
-    per_vertex = tuple(sums)
+    links = _link_masks(g)
+    terms: list[list[float]] = [[] for _ in range(g.n_R)]
+    for root in range(g.n_R):
+        for gamma in _connected_sets(links, root, KP_DEPTH, -1 << root):
+            t = _kp_term(g, gamma, lam, eta)
+            for v in _bits(gamma):
+                terms[v].append(t)
+    tail, bound = _kp_tail_bound(prof, lam, eta, KP_DEPTH)
+    # fsum is correctly rounded, so the order of a vertex's terms is immaterial
+    sums = tuple(
+        KPVertexSum(v, math.fsum(ts), tail, bound, KP_DEPTH, eta)
+        for v, ts in enumerate(terms)
+    )
     if any(s.partial > s.bound for s in sums):
         mode: CertificateMode = "failed"
         margin = max(s.partial / s.bound for s in sums)
@@ -205,8 +263,8 @@ def certify_kp(
         eta=eta,
         mode=mode,
         margin=margin,
-        per_vertex=per_vertex,
-        provenance=f"per-vertex sums up to size {k_max} plus geometric tails",
+        per_vertex=sums,
+        provenance=f"per-vertex sums up to size {KP_DEPTH} plus geometric tails",
     )
 
 

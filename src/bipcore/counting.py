@@ -79,7 +79,6 @@ def approx_log_Z(
     epsilon: float,
     eta: float = 0.1,
     m: int | None = None,
-    k_max: int = 6,
     max_clusters: int = DEFAULT_MAX_CLUSTERS,
 ) -> CountResult:
     """Certified approximation of log Z.
@@ -95,7 +94,7 @@ def approx_log_Z(
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     t0 = time.perf_counter()
-    cert = certify_kp(g, lam, eta=eta, k_max=k_max)
+    cert = certify_kp(g, lam, eta=eta)
     if not cert.valid:
         raise CertificationError(
             f"convergence certification {cert.mode}; refusing to emit an "

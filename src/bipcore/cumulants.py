@@ -177,15 +177,16 @@ def _tail_sup(a: int, eta: float, m: int) -> float:
 @lru_cache(maxsize=4)
 def _cluster_table(g: BipartiteGraph, lam: Fugacities, m: int, max_clusters: int) -> SeriesEngine:
     """One expansion engine per (graph, activities, m), shared by the
-    queries; its restricted-Xi memo serves every vertex set."""
+    queries; its restricted-Xi memo serves every vertex set, and a query's
+    outcome does not depend on the queries before it."""
     engine = SeriesEngine(g, lam, m, max_clusters)
     engine.connected_sets()  # a budget error surfaces here, uncached
     return engine
 
 
 @lru_cache(maxsize=16)
-def _shared_certificate(g: BipartiteGraph, lam: Fugacities, eta: float, k_max: int) -> KPCertificate:
-    return certify_kp(g, lam, eta=eta, k_max=k_max)
+def _shared_certificate(g: BipartiteGraph, lam: Fugacities, eta: float) -> KPCertificate:
+    return certify_kp(g, lam, eta=eta)
 
 
 def truncated_cumulant(
@@ -194,7 +195,6 @@ def truncated_cumulant(
     A,
     m: int,
     eta: float = 0.1,
-    k_max: int = 6,
     max_clusters: int = DEFAULT_MAX_CLUSTERS,
 ) -> CumulantQuery:
     """Partial sum of the cluster formula for kappa(A) over clusters of total
@@ -206,7 +206,7 @@ def truncated_cumulant(
     if m < 1:
         raise ValueError("m must be at least 1")
     verts = _normalize_R_set(g, A)
-    cert = _shared_certificate(g, lam, eta, k_max)
+    cert = _shared_certificate(g, lam, eta)
     value, count = _cluster_table(g, lam, m, max_clusters).cumulant(
         sum(1 << v for v in verts)
     )
@@ -257,7 +257,8 @@ def _set_pair_bound(
     partition identity gives straddling_constant(n) times that.  Sets
     touching L reduce to the R-side case by inclusion-exclusion over
     neighborhoods, costing a 2^(|N(A_L)|+|N(B_L)|) factor, a distance loss
-    of 2 (absorbed as e^1 for eta <= 1), and enlarged set sizes.
+    of 2 (a factor e^eta, since e^(-eta (D-2)/2) = e^eta e^(-eta D/2)), and
+    enlarged set sizes.
     """
     a_L = [v for v in A if v[0] == "L"]
     b_L = [v for v in B if v[0] == "L"]
@@ -276,7 +277,7 @@ def _set_pair_bound(
         2.0 ** (len(nA) + len(nB))
         * straddling_constant(n_hat)
         * cumulant_decay_constant(n_hat, eta)
-        * math.exp(1.0 - eta * dist / 2.0)
+        * math.exp(-eta * (dist - 2.0) / 2.0)
     )
 
 
@@ -286,7 +287,6 @@ def decay_experiment(
     queries: Sequence[tuple],
     m: int = 8,
     eta: float = 0.1,
-    k_max: int = 6,
     max_clusters: int = DEFAULT_MAX_CLUSTERS,
 ) -> list[DecayRow]:
     """Measured correlations/cumulants against their proved decay bounds.
@@ -300,7 +300,7 @@ def decay_experiment(
     valid convergence certificate: the bounds are only proved at rate eta.
     The mu side is exact (oracle), so the usual oracle size caps apply.
     """
-    cert = _shared_certificate(g, lam, eta, k_max)
+    cert = _shared_certificate(g, lam, eta)
     if not cert.valid:
         raise CertificationError(
             f"convergence certification {cert.mode}; decay bounds need a "
@@ -325,7 +325,7 @@ def decay_experiment(
         elif kind == "cumulant":
             verts = _normalize_R_set(g, query[1])
             mst = steiner_tree_size(g, [("R", i) for i in verts])
-            q = truncated_cumulant(g, lam, verts, m, eta, k_max, max_clusters)
+            q = truncated_cumulant(g, lam, verts, m, eta, max_clusters)
             value = abs(q.value)
             dist = mst
             bound = cumulant_decay_constant(len(verts), cert.eta) * math.exp(

@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .errors import NotTwoLinkedError, SizeCapError
-from .graph import BipartiteGraph, _bits, _components, degree_profile
+from .graph import BipartiteGraph, DegreeProfile, _bits, _components, degree_profile
 
 DEFAULT_MAX_POLYMERS = 200_000
 
@@ -153,9 +153,14 @@ def make_polymer(g: BipartiteGraph, vertices, lam: Fugacities) -> Polymer:
     return _build_polymer(g, mask, verts, lam)
 
 
-def _build_polymer(g: BipartiteGraph, mask: int, verts: tuple[int, ...], lam: Fugacities) -> Polymer:
+def _weight(g: BipartiteGraph, mask: int, lam: Fugacities) -> tuple[int, Scalar]:
+    """|N(gamma)| and w(gamma) for the R-vertex set ``mask``."""
     nb = _neighborhood_mask(g, mask).bit_count()
-    w = lam.lambda_R ** len(verts) / (1 + lam.lambda_L) ** nb
+    return nb, lam.lambda_R ** mask.bit_count() / (1 + lam.lambda_L) ** nb
+
+
+def _build_polymer(g: BipartiteGraph, mask: int, verts: tuple[int, ...], lam: Fugacities) -> Polymer:
+    nb, w = _weight(g, mask, lam)
     return Polymer(verts, mask, nb, w)
 
 
@@ -270,35 +275,46 @@ class KPVertexSum:
         return self.total / self.bound
 
 
+def _kp_term(g: BipartiteGraph, mask: int, lam: Fugacities, eta: float) -> float:
+    """|w(gamma)| * e**((1/2 + eta)|gamma|): what gamma adds to the sum of
+    each of its vertices."""
+    return abs(_weight(g, mask, lam)[1]) * math.exp((0.5 + eta) * mask.bit_count())
+
+
+def _kp_tail_bound(prof: DegreeProfile, lam: Fugacities, eta: float, k_max: int) -> tuple[float, float]:
+    """The vertex-independent parts of a vertex sum: the tail bound beyond
+    size k_max and the right-hand side 1 / (2 (d + 1))."""
+    d = max(prof.delta_R_max * (prof.delta_L_max - 1), 0)
+    bound = 1.0 / (2.0 * (d + 1))
+    if d == 0:
+        return 0.0, bound  # all polymers are singletons, already in the partial sum
+    # per-size envelope: count <= (e d)**(k-1) / k**1.5, |w| <= wb**k
+    wb = abs(lam.lambda_R) / abs(1 + lam.lambda_L) ** (
+        prof.delta_R_min / prof.delta_L_max
+    )
+    q = d * wb * math.exp(1.5 + eta)
+    if q >= 1.0:
+        return math.inf, bound
+    tail = q ** (k_max + 1) / (math.e * d * (k_max + 1) ** 1.5 * (1.0 - q))
+    return tail, bound
+
+
 def kp_vertex_sum(
     g: BipartiteGraph, v: int, lam: Fugacities, eta: float, k_max: int
 ) -> KPVertexSum:
+    """One vertex's sum, enumerating only the polymers that contain v."""
     if eta <= 0:
         raise ValueError("eta must be positive")
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    prof = degree_profile(g)
+    if not 0 <= v < g.n_R:
+        raise ValueError(f"no R-vertex {v}")
+    links = _link_masks(g)
     partial = math.fsum(
-        abs(p.weight) * math.exp((0.5 + eta) * p.size)
-        for p in enumerate_polymers(g, lam, v, k_max)
+        _kp_term(g, mask, lam, eta)
+        for mask in _connected_sets(links, v, k_max, (1 << g.n_R) - 1)
     )
-    d = max(prof.delta_R_max * (prof.delta_L_max - 1), 0)
-    bound = 1.0 / (2.0 * (d + 1))
-    if d == 0:
-        tail = 0.0  # all polymers are singletons, already in the partial sum
-    else:
-        # per-size envelope: count <= (e d)**(k-1) / k**1.5, |w| <= wb**k
-        wb = abs(lam.lambda_R) / abs(1 + lam.lambda_L) ** (
-            prof.delta_R_min / prof.delta_L_max
-        )
-        q = d * wb * math.exp(1.5 + eta)
-        if q >= 1.0:
-            tail = math.inf
-        else:
-            tail = (
-                q ** (k_max + 1)
-                / (math.e * d * (k_max + 1) ** 1.5 * (1.0 - q))
-            )
+    tail, bound = _kp_tail_bound(degree_profile(g), lam, eta, k_max)
     return KPVertexSum(v, partial, tail, bound, k_max, eta)
 
 

@@ -79,7 +79,6 @@ class IndependentSetSampler:
         epsilon: float = 0.05,
         backend: Backend = "auto",
         eta: float = 0.1,
-        k_max: int = 6,
         max_clusters: int = DEFAULT_MAX_CLUSTERS,
     ):
         if not lam.is_real:
@@ -102,7 +101,7 @@ class IndependentSetSampler:
             # Xi_S has degree |S|: depth n_R + 1 keeps every coefficient
             self._engine = SeriesEngine(g, lam, g.n_R + 1, max_clusters)
         elif backend == "truncated":
-            cert = certify_kp(g, lam, eta=eta, k_max=k_max)
+            cert = certify_kp(g, lam, eta=eta)
             if not cert.valid:
                 raise CertificationError(
                     f"convergence certification {cert.mode}; the truncated "

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import bipcore as bc
 from bipcore import (
@@ -16,11 +18,17 @@ from bipcore import (
     check_complex_region,
     check_corollary,
     check_main_condition,
+    conditions,
     in_region,
+    kp_vertex_sum,
+    polymer_weight,
+    polymers,
 )
 from bipcore.conditions import SERIES_RATIO_LIMIT
+from bipcore.graph import _bits
 
 from conftest import random_bipartite
+from test_polymers import _brute_polymer_masks
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +192,64 @@ def test_analytic_implies_empirical_on_instances(rng):
             assert s.satisfied
         checked += 1
     assert checked >= 5
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.floats(0.0, 3.0, exclude_min=True, allow_nan=False),
+)
+def test_per_vertex_sums_match_brute_force(seed, complex_mode, eta):
+    # each vertex's partial sum is the correctly rounded sum over every
+    # 2-linked set of at most 6 R-vertices containing it, found by brute force
+    rng = np.random.Generator(np.random.Philox(seed))
+    g = random_bipartite(rng, 4, 7, 0.5)
+    if complex_mode:
+        r, th = rng.uniform(0.5, 4.0), rng.uniform(0.0, 2.0 * math.pi)
+        lam = Fugacities(
+            complex(r * math.cos(th) - 1.0, r * math.sin(th)),
+            complex(*rng.uniform(-2.0, 2.0, 2)),
+        )
+    else:
+        lam = Fugacities(float(rng.uniform(0.05, 5.0)), float(rng.uniform(0.0, 2.0)))
+    cert = certify_kp(g, lam, eta)
+    assume(cert.per_vertex is not None)  # not the analytic route
+    masks = _brute_polymer_masks(g, 6)
+    for v in range(g.n_R):
+        want = math.fsum(
+            abs(polymer_weight(g, list(_bits(mask)), lam))
+            * math.exp((0.5 + eta) * mask.bit_count())
+            for mask in masks
+            if mask >> v & 1
+        )
+        assert cert.per_vertex[v].partial == want
+    assert cert.per_vertex == tuple(
+        kp_vertex_sum(g, v, lam, eta, 6) for v in range(g.n_R)
+    )
+
+
+def test_certificate_visits_each_two_linked_set_once(monkeypatch):
+    real = polymers._connected_sets
+    visited: list[int] = []
+
+    def counting(*args):
+        for mask in real(*args):
+            visited.append(mask)
+            yield mask
+
+    def no_polymer(*args):
+        raise AssertionError("the certificate built a Polymer")
+
+    monkeypatch.setattr(polymers, "_connected_sets", counting)
+    monkeypatch.setattr(conditions, "_connected_sets", counting, raising=False)
+    monkeypatch.setattr(polymers, "_build_polymer", no_polymer)
+    # 8 R-vertices: some 2-linked sets exceed the depth of 6
+    g = bc.random_biregular(3, 3, 8, seed=0)
+    cert = certify_kp(g, Fugacities(1.0, 1.0), eta=0.5)
+    assert cert.per_vertex is not None
+    assert sorted(visited) == sorted(_brute_polymer_masks(g, 6))
+    assert any(m.bit_count() > 6 for m in _brute_polymer_masks(g, g.n_R))
 
 
 def test_series_constant_threshold():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import bipcore as bc
 from bipcore import (
     CertificationError,
+    ClusterBudgetError,
     Fugacities,
     SizeCapError,
     bell_number,
@@ -25,6 +26,7 @@ from bipcore import (
     straddling_partition_sum,
     truncated_cumulant,
 )
+from bipcore import cumulants
 from bipcore.cumulants import DecayRow
 
 
@@ -336,3 +338,45 @@ def test_csv_matches_experiment():
     assert body[1] == "cumulant"
     assert float(body[3]) == abs(rows[0].value)
     assert float(body[4]) == rows[0].bound
+
+
+def test_cumulant_budget_does_not_depend_on_earlier_queries():
+    # the cached engine keeps its memo between queries; each query must still
+    # succeed or fail exactly as it does on a fresh engine
+    g, lam, m, budget = bc.even_cycle(16), Fugacities(10.0, 0.05), 8, 750
+    queries = ([1, 2], [3, 4, 5], [2, 6], [0, 7, 3], [0])
+
+    def outcome(A):
+        try:
+            return truncated_cumulant(g, lam, A, m, max_clusters=budget)
+        except ClusterBudgetError:
+            return ClusterBudgetError
+
+    fresh = []
+    for A in queries:
+        cumulants._cluster_table.cache_clear()
+        fresh.append(outcome(A))
+    assert fresh[-1] is not ClusterBudgetError  # the last query fits alone
+    cumulants._cluster_table.cache_clear()
+    try:
+        for A, want in zip(queries, fresh):
+            assert outcome(A) == want  # equal dataclasses: bit for bit
+            assert cumulants._cluster_table(g, lam, m, budget)._stored <= budget
+    finally:
+        cumulants._cluster_table.cache_clear()
+
+
+@pytest.mark.parametrize("eta", [0.1, 1.0, 2.0])
+def test_set_pair_bound_charges_the_distance_loss_at_rate_eta(eta):
+    # L:0 and R:2 of C_8 are at distance 3; reducing L:0 to its two
+    # R-neighbours loses 2 of it, which costs e^(eta), not e^1
+    g, lam = bc.even_cycle(8), Fugacities(10.0, 0.001)
+    (row,) = decay_experiment(g, lam, [("pair", ("L", 0), ("R", 2))], eta=eta)
+    assert row.distance_or_mst == 3
+    derived = (
+        2.0**2
+        * straddling_constant(3)
+        * cumulant_decay_constant(3, eta)
+        * math.exp(-eta * (3 - 2) / 2.0)
+    )
+    assert row.bound >= derived
