@@ -340,10 +340,6 @@ def cmd_gen(args) -> int:
 def _add_activity_flags(p: _Parser) -> None:
     p.add_argument("--lambda-l", type=float, default=None, help="left activity (real)")
     p.add_argument("--lambda-r", type=float, default=None, help="right activity (real)")
-    p.add_argument("--lambda-l-re", type=float, default=None)
-    p.add_argument("--lambda-l-im", type=float, default=None)
-    p.add_argument("--lambda-r-re", type=float, default=None)
-    p.add_argument("--lambda-r-im", type=float, default=None)
 
 
 def _add_common(p: _Parser, graph_arg: bool = True) -> None:
@@ -378,6 +374,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("exact", help="brute-force partition function / marginals")
     _add_common(p)
     _add_activity_flags(p)
+    # only exact evaluates complex activities; every other command rejects them
+    for flag in ("--lambda-l-re", "--lambda-l-im", "--lambda-r-re", "--lambda-r-im"):
+        p.add_argument(flag, type=float, default=None)
     p.add_argument("--marginal", action="append", default=None, metavar="SIDE:I",
                    help="occupation probability of a vertex (repeatable)")
     p.set_defaults(func=cmd_exact)

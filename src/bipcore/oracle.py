@@ -10,6 +10,7 @@ the approximate pipeline, not to scale.
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections import Counter
 from functools import lru_cache
@@ -17,20 +18,19 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import SizeCapError
 from .graph import BipartiteGraph, Vertex, _bits, _components
-from .polymers import Fugacities, PolymerSystem, Scalar, _fsum, _link_masks
+from .polymers import Fugacities, Scalar, _fsum, _link_masks
 
-EXACT_REAL_CAP = 30  # largest connected component, real activities
-EXACT_COMPLEX_CAP = 24  # largest connected component, complex activities
+SIDE_CAP = 20  # smaller side of a connected component: 2**20 subsets
 DISTRIBUTION_CAP = 14  # total vertices for full-distribution enumeration
 XI_SUBSET_CAP = 20  # R-side size for the subset-sum polymer oracle
 SET_PARTITION_CAP = 8  # Bell(8) = 4140 partitions
-LOG_WEIGHT_LIMIT = 700.0  # keeps every partition-function sum below overflow
 
 # A component's side-subset profile: whether its smaller side X is the L
-# side, and the triples (|S|, |Y| - |N(S)|, count) over the subsets S of X,
-# with Y the other side.  Then Z = sum count * x**|S| * (1 + y)**(|Y|-|N(S)|)
-# for x, y the activities of X and Y.
-_SideProfile = tuple[bool, tuple[tuple[int, int, int], ...]]
+# side, the size of the other side Y, and the triples (|S|, |N(S)|, count)
+# over the subsets S of X.  With x, y the activities of X and Y,
+# Z = sum count * x**|S| * (1 + y)**(|Y| - |N(S)|); real log Z takes the
+# factor (1 + y)**|Y| out of the sum, so it never overflows there.
+_SideProfile = tuple[bool, int, tuple[tuple[int, int, int], ...]]
 
 
 def _side_profile(adj: tuple[int, ...], n_L: int, comp: int) -> _SideProfile:
@@ -46,121 +46,130 @@ def _side_profile(adj: tuple[int, ...], n_L: int, comp: int) -> _SideProfile:
         nb += [s | a for s in nb]
     # the index of N(S) in nb has the bits of S
     hist = Counter(zip(map(int.bit_count, range(len(nb))), map(int.bit_count, nb)))
-    n_Y = Y.bit_count()
-    return x_is_L, tuple((a, n_Y - b, c) for (a, b), c in hist.items())
+    return x_is_L, Y.bit_count(), tuple((a, b, c) for (a, b), c in hist.items())
 
 
 @lru_cache(maxsize=8)
-def _graph_profile(g: BipartiteGraph) -> tuple[int, tuple[_SideProfile, ...]]:
-    """Size of the largest component, and the profile of every component.
-
-    Raises SizeCapError, before building any profile, when a component
-    exceeds the real cap; callers with a smaller cap check the size.
-    """
+def _graph_profile(g: BipartiteGraph) -> tuple[_SideProfile, ...]:
+    """The profile of every component.  Raises SizeCapError, before building
+    any profile, when a component's smaller side exceeds SIDE_CAP."""
     adj = g.global_adjacency()
     comps = list(_components(adj, (1 << g.n_vertices) - 1))
-    largest = max((c.bit_count() for c in comps), default=0)
-    if largest > EXACT_REAL_CAP:
+    left = (1 << g.n_L) - 1
+    side = max((min((c & left).bit_count(), (c & ~left).bit_count()) for c in comps), default=0)
+    if side > SIDE_CAP:
         raise SizeCapError(
-            f"component with {largest} vertices exceeds the exact cap ({EXACT_REAL_CAP})"
+            f"component whose smaller side has {side} vertices exceeds the exact cap ({SIDE_CAP})"
         )
-    return largest, tuple(_side_profile(adj, g.n_L, c) for c in comps)
+    return tuple(_side_profile(adj, g.n_L, c) for c in comps)
 
 
-def _terms(profile: _SideProfile, lam: Fugacities) -> list[Scalar]:
-    x_is_L, hist = profile
-    x, y = (lam.lambda_L, lam.lambda_R) if x_is_L else (lam.lambda_R, lam.lambda_L)
-    y1 = 1 + y
-    return [c * x**a * y1**e for a, e, c in hist]
+def _activities(profile: _SideProfile, lam: Fugacities) -> tuple[Scalar, Scalar]:
+    """The activities x of the component's smaller side X and y of Y."""
+    return (lam.lambda_L, lam.lambda_R) if profile[0] else (lam.lambda_R, lam.lambda_L)
 
 
 def _log_z(profile: _SideProfile, lam: Fugacities) -> float:
-    """log Z of one component, real activities: every term is nonnegative
-    and the empty set contributes (1 + y)**|Y| >= 1."""
-    return math.log(math.fsum(_terms(profile, lam)))
-
-
-def _check_magnitude(g: BipartiteGraph, lam: Fugacities) -> None:
-    total = g.n_L * math.log1p(abs(lam.lambda_L)) + g.n_R * math.log1p(abs(lam.lambda_R))
-    if total > LOG_WEIGHT_LIMIT:
-        raise SizeCapError(
-            "activities too large for exact float evaluation "
-            f"(sum of log(1+|activity|) = {total:.1f} > {LOG_WEIGHT_LIMIT})"
-        )
+    """log Z of one component, real activities, as |Y| log(1 + y) plus the
+    log of sum count * x**|S| * r**|N(S)| with r = 1/(1 + y) <= 1.  Every
+    term is nonnegative and the empty set contributes 1, so the log is
+    defined; SizeCapError when x**|S| or the sum overflows a float."""
+    _, n_Y, hist = profile
+    x, y = _activities(profile, lam)
+    r = 1 / (1 + y)
+    try:
+        total = math.fsum([c * x**a * r**b for a, b, c in hist])
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):  # inf, or inf * 0 when r**|N(S)| underflows
+        raise SizeCapError("activities too large for exact float evaluation")
+    return n_Y * math.log1p(y) + math.log(total)
 
 
 def exact_log_Z(g: BipartiteGraph, lam: Fugacities) -> float:
     """log of the exact partition function, real activities.
 
-    Factorizes over connected components; each component is capped at 30
-    vertices and costs 2**(its smaller side).  Every summand is positive,
-    so the log is always defined.
+    Factorizes over connected components; each costs 2**(its smaller side),
+    capped at SIDE_CAP = 20.  Every summand is positive, so the log is always
+    defined, and the factor (1 + y)**|Y| stays in log form.
     """
     if not lam.is_real:
         raise ValueError("exact_log_Z takes real activities; see exact_Z_complex")
-    _check_magnitude(g, lam)
-    _, profiles = _graph_profile(g)
-    return math.fsum(_log_z(p, lam) for p in profiles)
+    return math.fsum(_log_z(p, lam) for p in _graph_profile(g))
 
 
 def exact_Z(g: BipartiteGraph, lam: Fugacities) -> float:
-    """Exact partition function, real activities."""
-    return math.exp(exact_log_Z(g, lam))
+    """Exact partition function, real activities; SizeCapError when it
+    overflows a float."""
+    log_z = exact_log_Z(g, lam)
+    try:
+        return math.exp(log_z)
+    except OverflowError:
+        raise SizeCapError(f"Z overflows a float (log Z = {log_z:.1f})") from None
 
 
 def exact_Z_complex(g: BipartiteGraph, lam: Fugacities) -> complex:
     """Exact partition function for complex (or real) activities.
 
-    Factorizes over connected components, each capped at 24 vertices.  The
-    graph's side-subset profiles are memoised, so a call at new activities
-    costs one small polynomial evaluation per component.
+    Factorizes over connected components, with the same cap as exact_log_Z.
+    The graph's side-subset profiles are memoised, so a call at new
+    activities costs one small polynomial evaluation per component.  Raises
+    SizeCapError when Z does not fit a complex float.
     """
-    _check_magnitude(g, lam)
-    largest, profiles = _graph_profile(g)
-    if largest > EXACT_COMPLEX_CAP:
-        raise SizeCapError(
-            f"component with {largest} vertices exceeds the complex exact cap "
-            f"({EXACT_COMPLEX_CAP})"
-        )
     out = 1.0 + 0.0j
-    for p in profiles:
-        out *= _fsum(_terms(p, lam))
+    try:
+        for p in _graph_profile(g):
+            x, y = _activities(p, lam)
+            y1, n_Y = 1 + y, p[1]
+            out *= _fsum([c * x**a * y1 ** (n_Y - b) for a, b, c in p[2]])
+    except (OverflowError, ValueError):  # a power, or fsum meeting inf - inf
+        out = complex(math.inf)
+    if not cmath.isfinite(out):
+        raise SizeCapError("Z overflows a complex float")
     return out
 
 
 # ---------------------------------------------------------------------------
 # polymer-side partition function
 
-def exact_Xi(g: BipartiteGraph, lam: Fugacities) -> Scalar:
-    """Polymer partition function by direct summation over subsets of R.
-
-    Each subset S contributes the product of the weights of its 2-linked
-    components; the empty set contributes 1.  This does not go through the
-    cluster expansion or the restricted-universe recursion, so it serves as
-    an independent check of both.  Capped at 20 R-vertices.
+def _r_subsets(g: BipartiteGraph, lam: Fugacities) -> Iterator[tuple[list[int], Scalar]]:
+    """Every subset U of R as its 2-linked components (masks) and its weight,
+    the product of the component weights; the empty set has weight 1.  A
+    compatible polymer collection is exactly the set of 2-linked components
+    of its union, so these are the collections too.  Capped at 20 R-vertices.
     """
     if g.n_R > XI_SUBSET_CAP:
         raise SizeCapError(
-            f"exact_Xi enumerates 2**n_R subsets; n_R capped at {XI_SUBSET_CAP}"
+            f"the exact polymer oracle enumerates 2**n_R subsets; n_R capped at {XI_SUBSET_CAP}"
         )
     links = _link_masks(g)
     lam_R = lam.lambda_R
-    one_plus_L = 1 + lam.lambda_L
+    r = 1 / (1 + lam.lambda_L)  # |r| < 1 for real activities: no overflow
 
     @lru_cache(maxsize=None)
     def component_weight(mask: int) -> Scalar:
         nb = 0
         for v in _bits(mask):
             nb |= g.adj_R[v]
-        return lam_R ** mask.bit_count() / one_plus_L ** nb.bit_count()
+        return lam_R ** mask.bit_count() * r ** nb.bit_count()
 
-    def subset_weight(s: int) -> Scalar:
-        out: Scalar = 1.0
-        for comp in _components(links, s):
-            out *= component_weight(comp)
-        return out
+    for s in range(1 << g.n_R):
+        comps = list(_components(links, s))
+        w: Scalar = 1.0
+        for comp in comps:
+            w *= component_weight(comp)
+        yield comps, w
 
-    return _fsum([subset_weight(s) for s in range(1 << g.n_R)])
+
+def exact_Xi(g: BipartiteGraph, lam: Fugacities) -> Scalar:
+    """Polymer partition function by direct summation over subsets of R.
+
+    Each subset contributes the product of the weights of its 2-linked
+    components.  This does not go through the cluster expansion or the
+    restricted-universe recursion, so it serves as an independent check of
+    both.  Capped at 20 R-vertices.
+    """
+    return _fsum([w for _, w in _r_subsets(g, lam)])
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +185,6 @@ def exact_occupancy(g: BipartiteGraph, lam: Fugacities, vertices) -> float:
     """
     if not lam.is_real:
         raise ValueError("occupation probabilities need real activities")
-    _check_magnitude(g, lam)
     gids = sorted(g.global_id(v) for v in set(vertices))
     adj = g.global_adjacency()
     target = 0
@@ -189,7 +197,7 @@ def exact_occupancy(g: BipartiteGraph, lam: Fugacities, vertices) -> float:
         factor *= lam.lambda_L if gid < g.n_L else lam.lambda_R
     if factor == 0.0:
         return 0.0
-    _, profiles = _graph_profile(g)
+    profiles = _graph_profile(g)
     blocked = target
     for gid in gids:
         blocked |= adj[gid]
@@ -250,24 +258,16 @@ def exact_distribution(g: BipartiteGraph, lam: Fugacities) -> dict[frozenset[Ver
     return {k: v / total for k, v in out.items()}
 
 
-def exact_nu(
-    g: BipartiteGraph, lam: Fugacities, max_polymers: int = 200_000
-) -> dict[frozenset[tuple[int, ...]], float]:
+def exact_nu(g: BipartiteGraph, lam: Fugacities) -> dict[frozenset[tuple[int, ...]], float]:
     """Exact polymer-configuration measure: each pairwise compatible
     collection of polymers, keyed by the frozenset of vertex tuples, with
-    probability proportional to the product of polymer weights."""
+    probability proportional to the product of polymer weights.  Zero-weight
+    collections (lambda_R = 0) keep their key.  Capped at 20 R-vertices."""
     if not lam.is_real:
         raise ValueError("the configuration measure needs real activities")
-    if g.n_R > XI_SUBSET_CAP:
-        raise SizeCapError(f"exact_nu capped at {XI_SUBSET_CAP} R-vertices")
-    system = PolymerSystem(g, lam, max_polymers=max_polymers)
-    out: dict[frozenset[tuple[int, ...]], float] = {}
-    total = 0.0
-    for idxs, w in system.collections():
-        key = frozenset(system.polymers[i].vertices for i in idxs)
-        out[key] = out.get(key, 0.0) + w
-        total += w
-    return {k: v / total for k, v in out.items()}
+    nu = {frozenset(tuple(_bits(c)) for c in comps): w for comps, w in _r_subsets(g, lam)}
+    total = math.fsum(nu.values())
+    return {k: w / total for k, w in nu.items()}
 
 
 # ---------------------------------------------------------------------------

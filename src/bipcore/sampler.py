@@ -23,7 +23,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Literal
 
 import numpy as np
@@ -208,13 +207,6 @@ def _extend(
     return frozenset(out)
 
 
-@lru_cache(maxsize=8)
-def _shared_sampler(
-    g: BipartiteGraph, lam: Fugacities, epsilon: float, backend: Backend
-) -> IndependentSetSampler:
-    return IndependentSetSampler(g, lam, epsilon, backend)
-
-
 def sample_polymer_config(
     g: BipartiteGraph,
     lam: Fugacities,
@@ -222,8 +214,9 @@ def sample_polymer_config(
     rng_seed: int,
     backend: Backend = "auto",
 ) -> PolymerConfig:
-    """One polymer configuration, deterministic in the seed."""
-    sampler = _shared_sampler(g, lam, epsilon, backend)
+    """One polymer configuration, deterministic in the seed.  Builds a
+    sampler for this one draw; reuse an IndependentSetSampler for many."""
+    sampler = IndependentSetSampler(g, lam, epsilon, backend)
     rng = np.random.Generator(np.random.Philox(rng_seed))
     return sampler.sample_config(rng)
 
@@ -250,7 +243,8 @@ def sample_independent_set(
     TRUNCATION_DEPTH_CAP (24) does not bind, i.e. while the depth the per-step
     budget epsilon / (2 n_R) asks for is at most 24.  Otherwise the draw is
     uncertified and the sampler is flagged ``degraded``: even_cycle(44) at
-    epsilon = 0.05 asks for m = 99."""
-    sampler = _shared_sampler(g, lam, epsilon, backend)
+    epsilon = 0.05 asks for m = 99.  Builds a sampler for this one draw;
+    reuse an IndependentSetSampler for many."""
+    sampler = IndependentSetSampler(g, lam, epsilon, backend)
     rng = np.random.Generator(np.random.Philox(rng_seed))
     return sampler.sample(rng)

@@ -243,6 +243,16 @@ def test_exact_complex_point(edge_file, capsys):
     assert doc["abs_Z"] == pytest.approx(10.9)
 
 
+@pytest.mark.parametrize("command", ["check", "count", "sample", "decay"])
+def test_complex_activity_flags_only_on_exact(command, cycle_file, capsys):
+    # these commands reject complex activities on every path, so the flags
+    # are not registered and a usage error names the flag
+    for flag in ("--lambda-l-re", "--lambda-l-im", "--lambda-r-re", "--lambda-r-im"):
+        code, _, err = run(capsys, command, cycle_file, flag, "1")
+        assert code == 1
+        assert err.startswith("error: ") and flag in err
+
+
 def test_exact_rejects_mixed_activity_flags(edge_file, capsys):
     code, _, _ = run(
         capsys, "exact", edge_file, "--lambda-l", "1", "--lambda-r", "1",

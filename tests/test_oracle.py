@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from hypothesis import strategies as st
 import bipcore as bc
 from bipcore import BipartiteGraph, Fugacities, SizeCapError, kernels
 from bipcore.counting import region_points
-from bipcore.polymers import ComplexRegion, two_linked_adjacency
+from bipcore.polymers import ComplexRegion, PolymerSystem, two_linked_adjacency
 
 from conftest import random_bipartite, random_fugacities
 
@@ -75,17 +78,35 @@ def test_exact_xi_k12():
 
 
 def test_size_caps():
+    # the cap is on each component's smaller side, checked before any
+    # profile is built, and it serves real and complex activities alike
+    k21 = bc.complete_bipartite(21, 21)
     with pytest.raises(SizeCapError):
-        bc.exact_log_Z(bc.complete_bipartite(1, 30), Fugacities(1.0, 1.0))
+        bc.exact_log_Z(k21, Fugacities(1.0, 1.0))
     with pytest.raises(SizeCapError):
-        bc.exact_Z_complex(
-            bc.complete_bipartite(1, 24), Fugacities(complex(1), complex(1))
+        bc.exact_Z_complex(k21, Fugacities(complex(1), complex(1)))
+    # many vertices on the larger side, large activities: no refusal, and
+    # log Z = log((1 + lam_L)**a + (1 + lam_R)**b - 1)
+    for a, b, lam in [(1, 30, Fugacities(1.0, 1.0)), (3, 200, Fugacities(50.0, 2.0))]:
+        closed = math.log((1 + lam.lambda_L) ** a + (1 + lam.lambda_R) ** b - 1)
+        assert bc.exact_log_Z(bc.complete_bipartite(a, b), lam) == pytest.approx(
+            closed, rel=1e-13
         )
     with pytest.raises(SizeCapError):
         bc.exact_Xi(bc.complete_bipartite(1, 21), Fugacities(1.0, 1.0))
+    # Xi = 1 + 0.1 / 51**200: the polymer weight underflows, it does not overflow
+    assert bc.exact_Xi(bc.complete_bipartite(200, 1), Fugacities(50.0, 0.1)) == 1.0
     with pytest.raises(SizeCapError):
-        # magnitude guard: activities too large for float evaluation
+        # activities too large for float evaluation: x**15 overflows
         bc.exact_log_Z(bc.complete_bipartite(15, 15), Fugacities(1e30, 1e30))
+    with pytest.raises(SizeCapError):
+        # 2 * x overflows while r**|N(S)| underflows: inf * 0 is nan, not a value
+        bc.exact_log_Z(bc.complete_bipartite(2, 400), Fugacities(1e308, 1e300))
+    # log Z = 200 log 51 + log(1 + tiny) > 709: Z itself overflows a float
+    big = bc.complete_bipartite(3, 200)
+    assert bc.exact_log_Z(big, Fugacities(50.0, 50.0)) > 709
+    with pytest.raises(SizeCapError):
+        bc.exact_Z(big, Fugacities(50.0, 50.0))
 
 
 def test_component_factorization_avoids_cap():
@@ -180,6 +201,55 @@ def test_oracle_never_runs_the_recursion(monkeypatch):
     assert 0.0 < bc.exact_occupancy(g, lam, [("L", 0), ("R", 3)]) < 1.0
 
 
+def test_complex_point_where_one_plus_lambda_R_vanishes():
+    # 1 + lambda_R = 0 leaves only the terms with N(S) = R in the profile of
+    # a component whose smaller side is L
+    g = _union([bc.star_center_L(3), bc.complete_bipartite(2, 3)])
+    lam = Fugacities(complex(0.5, 1.0), complex(-1.0))
+    want = _recursion_Z(g, lam)
+    assert abs(want) > 1.0
+    assert abs(bc.exact_Z_complex(g, lam) - want) <= 1e-12 * abs(want)
+
+
+def test_oracle_in_the_paper_regime():
+    # n_L = 100 >> n_R = 20 with 2-linked R-vertices: one 2**20 profile
+    g = bc.random_biregular(2, 10, 100, seed=0)
+    lam = Fugacities(3.0, 0.5)
+    log_z = bc.exact_log_Z(g, lam)
+    log_xi = log_z - g.n_L * math.log1p(lam.lambda_L)
+    for eta in (2.0, 3.5):
+        res = bc.approx_log_Z(g, lam, 0.01, eta=eta)
+        assert not res.degraded
+        miss = abs(res.log_Z_estimate - log_z)
+        assert miss <= res.error_bound + 1e-12 * abs(log_z)
+        # log Xi is about 1e-5: dropping the series would miss by all of it
+        assert miss <= 1e-3 * abs(log_xi)
+    # n_L = 200 at lambda_L = 50: log Z is about 786, beyond a float's Z
+    wide = bc.random_biregular(2, 20, 200, seed=3)
+    assert (wide.n_L, wide.n_R) == (200, 20)
+    assert math.isfinite(bc.exact_log_Z(wide, Fugacities(50.0, 0.1)))
+    with pytest.raises(SizeCapError):
+        bc.exact_Z_complex(wide, Fugacities(complex(50.0), complex(0.1)))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_side_cap_profile_stays_under_100_mb():
+    # the largest profile the cap admits (2**20 subsets) in a fresh process,
+    # so the peak RSS it adds is not hidden by an earlier test's peak
+    code = (
+        "import resource, bipcore as bc\n"
+        "g = bc.random_biregular(2, 14, 140, seed=0)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "bc.exact_log_Z(g, bc.Fugacities(1.0, 1.0))\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bc.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert int(out.stdout) < 100 * 1024
+
+
 # ---------------------------------------------------------------------------
 # occupancy and distributions
 
@@ -265,6 +335,24 @@ def test_nu_matches_distribution_pushforward(rng):
         assert set(grouped) == set(nu)
         for k in nu:
             assert nu[k] == pytest.approx(grouped[k], rel=1e-10, abs=1e-15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_nu_matches_the_polymer_collections(seed, zero_R):
+    # each R-subset is the union of exactly one compatible collection
+    rng = np.random.Generator(np.random.Philox(seed))
+    g = random_bipartite(rng, 5, 6, float(rng.uniform(0.2, 0.8)))
+    lam = Fugacities(float(rng.uniform(0.05, 5.0)), 0.0 if zero_R else float(rng.uniform(0.05, 5.0)))
+    system = PolymerSystem(g, lam)
+    want: dict[frozenset, float] = {}
+    for idxs, w in system.collections():
+        want[frozenset(system.polymers[i].vertices for i in idxs)] = w
+    total = math.fsum(want.values())
+    nu = bc.exact_nu(g, lam)
+    assert set(nu) == set(want)
+    for key, w in want.items():
+        assert abs(nu[key] - w / total) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -174,6 +176,25 @@ def test_module_level_functions_deterministic():
     y = sample_independent_set(g, lam, 0.05, rng_seed=42)
     assert x == y
     assert is_independent(g, x)
+
+
+def test_one_draw_functions_keep_no_sampler(monkeypatch):
+    # each call builds its own sampler, and nothing in the module keeps it
+    built = []
+    init = IndependentSetSampler.__init__
+
+    def tracking_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(IndependentSetSampler, "__init__", tracking_init)
+    g = bc.even_cycle(6)
+    lam = Fugacities(2.0, 0.5)
+    sample_polymer_config(g, lam, 0.05, rng_seed=1)
+    sample_independent_set(g, lam, 0.05, rng_seed=1)
+    gc.collect()
+    assert len(built) == 2
+    assert all(ref() is None for ref in built)
 
 
 # ---------------------------------------------------------------------------
