@@ -20,7 +20,7 @@ from typing import Sequence
 
 from . import graph as graphmod
 from . import oracle
-from .clusters import DEFAULT_MAX_CLUSTERS, SeriesEngine
+from .clusters import SeriesEngine
 from .conditions import certify_kp, check_corollary, check_main_condition
 from .counting import approx_log_Z, zero_probe
 from .cumulants import decay_experiment, decay_rows_to_csv
@@ -155,18 +155,11 @@ def cmd_count(args) -> int:
     g = _load(args.graph)
     lam = _fugacities(args)
     try:
-        res = approx_log_Z(
-            g,
-            lam,
-            epsilon=args.eps,
-            eta=args.eta,
-            m=args.m,
-            max_clusters=args.max_clusters,
-        )
+        res = approx_log_Z(g, lam, epsilon=args.eps, eta=args.eta, m=args.m)
     except CertificationError as exc:
         raise CertificationError(f"{exc}; try `exact`") from None
     if args.dump_clusters:
-        engine = SeriesEngine(g, lam, res.m_used, args.max_clusters)
+        engine = SeriesEngine(g, lam, res.m_used)
         for T, value in engine.set_contributions().items():
             print(f"set={','.join(map(str, _bits(T)))} value={value!r}", file=sys.stderr)
     if res.degraded:
@@ -228,14 +221,7 @@ def cmd_exact(args) -> int:
 def cmd_sample(args) -> int:
     g = _load(args.graph)
     lam = _fugacities(args)
-    sampler = IndependentSetSampler(
-        g,
-        lam,
-        epsilon=args.eps,
-        backend=args.backend,
-        eta=args.eta,
-        max_clusters=args.max_clusters,
-    )
+    sampler = IndependentSetSampler(g, lam, epsilon=args.eps, backend=args.backend, eta=args.eta)
     if sampler.degraded:
         print(
             f"warning: truncation depth capped at m={sampler.m_step} "
@@ -290,14 +276,7 @@ def cmd_decay(args) -> int:
         queries.append(("set_pair", tuple(A), tuple(B)))
     if not queries:
         raise _UsageError("give at least one --pair/--cumulant/--set-pair query")
-    rows = decay_experiment(
-        g,
-        lam,
-        queries,
-        m=args.m,
-        eta=args.eta,
-        max_clusters=args.max_clusters,
-    )
+    rows = decay_experiment(g, lam, queries, m=args.m, eta=args.eta)
     _write_out(decay_rows_to_csv(rows), args.out)
     return 0
 
@@ -366,7 +345,6 @@ def build_parser() -> _Parser:
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--eta", type=float, default=0.1)
     p.add_argument("--m", type=int, default=None, help="override truncation depth")
-    p.add_argument("--max-clusters", type=int, default=DEFAULT_MAX_CLUSTERS)
     p.add_argument("--dump-clusters", action="store_true",
                    help="print the summed clusters of each 2-linked set to standard error")
     p.set_defaults(func=cmd_count)
@@ -386,7 +364,6 @@ def build_parser() -> _Parser:
     _add_activity_flags(p)
     p.add_argument("--eps", type=float, default=0.05)
     p.add_argument("--eta", type=float, default=0.1)
-    p.add_argument("--max-clusters", type=int, default=DEFAULT_MAX_CLUSTERS)
     p.add_argument("--draws", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--backend", choices=("auto", "exact", "truncated"), default="auto")
@@ -403,7 +380,6 @@ def build_parser() -> _Parser:
                    help="two vertex sets, e.g. R:0,R:1|R:4 (repeatable)")
     p.add_argument("--m", type=int, default=8)
     p.add_argument("--eta", type=float, default=0.1)
-    p.add_argument("--max-clusters", type=int, default=DEFAULT_MAX_CLUSTERS)
     p.set_defaults(func=cmd_decay)
 
     p = sub.add_parser("zeros", help="probe |Z| over a complex zero-free region")

@@ -48,7 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover
 URSELL_VERTEX_CAP = 12
 URSELL_EDGE_SUBSET_CAP = 6
 SLOT_CAP = 14
-DEFAULT_MAX_CLUSTERS = 500_000
+MAX_COEFFICIENTS = 500_000  # series coefficients one SeriesEngine may store
 
 
 def _validate_simple(n: int, edges) -> frozenset[tuple[int, int]]:
@@ -278,7 +278,7 @@ class ClusterEngine:
         self,
         m: int,
         allowed: int | None = None,
-        max_clusters: int = DEFAULT_MAX_CLUSTERS,
+        max_clusters: int = MAX_COEFFICIENTS,
     ) -> Iterator[Cluster]:
         """All clusters of total size < m over the allowed polymers, each
         exactly once, deterministic order.  Raises ClusterBudgetError when
@@ -356,7 +356,7 @@ class ClusterEngine:
         self,
         m: int,
         allowed: int | None = None,
-        max_clusters: int = DEFAULT_MAX_CLUSTERS,
+        max_clusters: int = MAX_COEFFICIENTS,
     ) -> Scalar:
         """Sum of cluster contributions of total size < m (compensated)."""
         return _fsum([c.contribution for c in self.clusters(m, allowed, max_clusters)])
@@ -398,25 +398,20 @@ class SeriesEngine:
     sum of w(Gamma) prod_{v in A} Y_v(Gamma), and A empty gives the plain
     series.
 
-    ``max_clusters`` bounds the series coefficients the engine stores (the
-    m - |T| of each f_T and those of each memoised Xi_S); ClusterBudgetError
-    is raised before that bound is passed.  A cumulant query succeeds exactly
-    when it would on a fresh engine, whatever queries came before it.
+    ``MAX_COEFFICIENTS``, read at construction, bounds the series
+    coefficients the engine stores (the m - |T| of each f_T and those of
+    each memoised Xi_S); ClusterBudgetError is raised before that bound is
+    passed.  A cumulant query succeeds exactly when it would on a fresh
+    engine, whatever queries came before it.
     """
 
-    def __init__(
-        self,
-        g: BipartiteGraph,
-        lam: Fugacities,
-        m: int,
-        max_clusters: int = DEFAULT_MAX_CLUSTERS,
-    ):
+    def __init__(self, g: BipartiteGraph, lam: Fugacities, m: int):
         if m < 1:
             raise ValueError("m must be at least 1")
         self.graph = g
         self.lam = lam
         self.m = m
-        self.max_clusters = max_clusters
+        self._budget = MAX_COEFFICIENTS
         self._links = _link_masks(g)
         self._xi: dict[int, list[Scalar]] = {}
         self._stored = 0
@@ -425,9 +420,9 @@ class SeriesEngine:
 
     def _charge(self, n: int) -> None:
         total = self._stored + n
-        if total > self.max_clusters:
+        if total > self._budget:
             raise ClusterBudgetError(
-                f"more than {self.max_clusters} series coefficients below z**{self.m}",
+                f"more than {self._budget} series coefficients below z**{self.m}",
                 clusters_seen=total,
             )
         self._stored = total
@@ -599,7 +594,7 @@ def enumerate_clusters(
     g: BipartiteGraph,
     lam: Fugacities,
     m: int,
-    max_clusters: int = DEFAULT_MAX_CLUSTERS,
+    max_clusters: int = MAX_COEFFICIENTS,
 ) -> Iterator[Cluster]:
     """All clusters of the full polymer model with total size < m."""
     engine = ClusterEngine(g, lam, max_size=max(m - 1, 0))
@@ -611,14 +606,15 @@ def truncated_expansion(
     lam: Fugacities,
     m: int,
     certificate: "KPCertificate | None" = None,
-    max_clusters: int = DEFAULT_MAX_CLUSTERS,
 ) -> ExpansionEstimate:
     """Truncated cluster expansion of log Xi at depth m.
 
     The tail bound is populated only when a valid convergence certificate is
-    supplied; without one the estimate is returned unbounded.
+    supplied; without one the estimate is returned unbounded.  Raises
+    ClusterBudgetError when the depth needs more than MAX_COEFFICIENTS
+    series coefficients.
     """
-    engine = SeriesEngine(g, lam, m, max_clusters)
+    engine = SeriesEngine(g, lam, m)
     count = len(engine.connected_sets())
     value = engine.log_xi()
     eta = None

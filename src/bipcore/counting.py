@@ -12,10 +12,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
-from .clusters import DEFAULT_MAX_CLUSTERS, ExpansionEstimate, truncated_expansion
+from .clusters import ExpansionEstimate, truncated_expansion
 from .conditions import KPCertificate, certify_kp, check_complex_region
 from .errors import CertificationError, ClusterBudgetError
 from .graph import BipartiteGraph, degree_profile
@@ -32,6 +33,19 @@ def choose_m(n_R: int, epsilon: float, eta: float) -> int:
     if epsilon <= 0 or eta <= 0:
         raise ValueError("epsilon and eta must be positive")
     return max(math.ceil(math.log(n_R / epsilon) / eta), 1)
+
+
+def _fit_depth(build: Callable[[int], Any], m: int) -> Any:
+    """build(m), retried at geometrically smaller depths while it raises
+    ClusterBudgetError; the error propagates when even depth 1 does not
+    fit.  The caller reads the depth that fit off the result."""
+    while True:
+        try:
+            return build(m)
+        except ClusterBudgetError:
+            if m <= 1:
+                raise
+            m = max(1, int(m * DEGRADE_FACTOR))
 
 
 @dataclass(frozen=True)
@@ -79,15 +93,15 @@ def approx_log_Z(
     epsilon: float,
     eta: float = 0.1,
     m: int | None = None,
-    max_clusters: int = DEFAULT_MAX_CLUSTERS,
 ) -> CountResult:
     """Certified approximation of log Z.
 
     Refuses (CertificationError) when no convergence certificate can be
-    obtained: an uncertified number would carry no guarantee.  When cluster
-    enumeration at the required depth exceeds ``max_clusters``, the driver
-    retries at geometrically smaller depths and flags the result degraded,
-    reporting the weaker bound actually achieved.
+    obtained: an uncertified number would carry no guarantee.  When the
+    expansion at the required depth needs more than
+    ``clusters.MAX_COEFFICIENTS`` series coefficients, the driver retries at
+    geometrically smaller depths and flags the result degraded, reporting
+    the weaker bound actually achieved.
     """
     if not lam.is_real:
         raise ValueError("approx_log_Z takes real activities")
@@ -103,29 +117,21 @@ def approx_log_Z(
     m_requested = choose_m(g.n_R, epsilon, cert.eta) if m is None else m
     if m_requested < 1:
         raise ValueError("m must be at least 1")
-    m_try = m_requested
-    while True:
-        try:
-            est = truncated_expansion(
-                g, lam, m_try, certificate=cert, max_clusters=max_clusters
-            )
-            break
-        except ClusterBudgetError:
-            if m_try <= 1:
-                raise
-            m_try = max(1, int(m_try * DEGRADE_FACTOR))
+    est = _fit_depth(
+        lambda m_try: truncated_expansion(g, lam, m_try, certificate=cert), m_requested
+    )
     wall = (time.perf_counter() - t0) * 1000.0
     log_Z = g.n_L * math.log1p(lam.lambda_L) + est.value
     return CountResult(
         log_Z_estimate=log_Z,
         epsilon=epsilon,
-        m_used=m_try,
+        m_used=est.m,
         certificate=cert,
         expansion=est,
         n_L=g.n_L,
         n_R=g.n_R,
         wall_time_ms=wall,
-        degraded=m_try < m_requested,
+        degraded=est.m < m_requested,
     )
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .clusters import DEFAULT_MAX_CLUSTERS, SeriesEngine
+from .clusters import SeriesEngine
 from .conditions import KPCertificate, certify_kp
 from .errors import CertificationError
 from .graph import BipartiteGraph, Vertex, graph_distance, steiner_tree_size
@@ -175,11 +175,11 @@ def _tail_sup(a: int, eta: float, m: int) -> float:
 
 
 @lru_cache(maxsize=4)
-def _cluster_table(g: BipartiteGraph, lam: Fugacities, m: int, max_clusters: int) -> SeriesEngine:
+def _cluster_table(g: BipartiteGraph, lam: Fugacities, m: int) -> SeriesEngine:
     """One expansion engine per (graph, activities, m), shared by the
     queries; its restricted-Xi memo serves every vertex set, and a query's
     outcome does not depend on the queries before it."""
-    engine = SeriesEngine(g, lam, m, max_clusters)
+    engine = SeriesEngine(g, lam, m)
     engine.connected_sets()  # a budget error surfaces here, uncached
     return engine
 
@@ -195,7 +195,6 @@ def truncated_cumulant(
     A,
     m: int,
     eta: float = 0.1,
-    max_clusters: int = DEFAULT_MAX_CLUSTERS,
 ) -> CumulantQuery:
     """Partial sum of the cluster formula for kappa(A) over clusters of total
     size < m.  The tail bound is sup_{t>=m} t^|A| e^(-eta t) under a valid
@@ -207,9 +206,7 @@ def truncated_cumulant(
         raise ValueError("m must be at least 1")
     verts = _normalize_R_set(g, A)
     cert = _shared_certificate(g, lam, eta)
-    value, count = _cluster_table(g, lam, m, max_clusters).cumulant(
-        sum(1 << v for v in verts)
-    )
+    value, count = _cluster_table(g, lam, m).cumulant(sum(1 << v for v in verts))
     tail = _tail_sup(len(verts), cert.eta, m) if cert.valid else math.inf
     return CumulantQuery(
         vertices=verts,
@@ -287,7 +284,6 @@ def decay_experiment(
     queries: Sequence[tuple],
     m: int = 8,
     eta: float = 0.1,
-    max_clusters: int = DEFAULT_MAX_CLUSTERS,
 ) -> list[DecayRow]:
     """Measured correlations/cumulants against their proved decay bounds.
 
@@ -325,7 +321,7 @@ def decay_experiment(
         elif kind == "cumulant":
             verts = _normalize_R_set(g, query[1])
             mst = steiner_tree_size(g, [("R", i) for i in verts])
-            q = truncated_cumulant(g, lam, verts, m, eta, max_clusters)
+            q = truncated_cumulant(g, lam, verts, m, eta)
             value = abs(q.value)
             dist = mst
             bound = cumulant_decay_constant(len(verts), cert.eta) * math.exp(

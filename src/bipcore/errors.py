@@ -28,13 +28,14 @@ class NotTwoLinkedError(BipcoreError, ValueError):
 
 
 class ClusterBudgetError(BipcoreError):
-    """Raised when the expansion exceeds its resource budget: the series
-    coefficients the expansion engine would store, or the clusters a
-    reference enumeration would produce, pass ``max_clusters``.
+    """Raised when the series coefficients an expansion engine would store
+    pass ``clusters.MAX_COEFFICIENTS``, or the clusters the Ursell
+    reference (``ClusterEngine``) would enumerate pass its own limit.
 
-    The expansion never truncates silently; callers may catch this and
-    retry with a smaller truncation depth.  ``clusters_seen`` is the count
-    that passed the budget.
+    The expansion never truncates silently.  ``approx_log_Z`` and the
+    truncated sampler retry at smaller depths and flag ``degraded``; they
+    raise this only when depth 1 does not fit either.  ``clusters_seen`` is
+    the count that passed the budget.
     """
 
     def __init__(self, message: str, clusters_seen: int = 0):

@@ -151,7 +151,10 @@ def _r_subsets(g: BipartiteGraph, lam: Fugacities) -> Iterator[tuple[list[int], 
         nb = 0
         for v in _bits(mask):
             nb |= g.adj_R[v]
-        return lam_R ** mask.bit_count() * r ** nb.bit_count()
+        try:
+            return lam_R ** mask.bit_count() * r ** nb.bit_count()
+        except OverflowError:
+            raise SizeCapError("a polymer weight overflows a float") from None
 
     for s in range(1 << g.n_R):
         comps = list(_components(links, s))
@@ -161,15 +164,27 @@ def _r_subsets(g: BipartiteGraph, lam: Fugacities) -> Iterator[tuple[list[int], 
         yield comps, w
 
 
+def _finite_total(weights: list[Scalar]) -> Scalar:
+    """Compensated sum; SizeCapError unless it is a finite float."""
+    try:
+        total = _fsum(weights)
+    except (OverflowError, ValueError):  # fsum overflowing, or meeting inf - inf
+        total = math.inf
+    if not cmath.isfinite(total):
+        raise SizeCapError("Xi overflows a float")
+    return total
+
+
 def exact_Xi(g: BipartiteGraph, lam: Fugacities) -> Scalar:
     """Polymer partition function by direct summation over subsets of R.
 
     Each subset contributes the product of the weights of its 2-linked
     components.  This does not go through the cluster expansion or the
     restricted-universe recursion, so it serves as an independent check of
-    both.  Capped at 20 R-vertices.
+    both.  Capped at 20 R-vertices; SizeCapError also when a weight or Xi
+    overflows a float.
     """
-    return _fsum([w for _, w in _r_subsets(g, lam)])
+    return _finite_total([w for _, w in _r_subsets(g, lam)])
 
 
 # ---------------------------------------------------------------------------
@@ -262,11 +277,12 @@ def exact_nu(g: BipartiteGraph, lam: Fugacities) -> dict[frozenset[tuple[int, ..
     """Exact polymer-configuration measure: each pairwise compatible
     collection of polymers, keyed by the frozenset of vertex tuples, with
     probability proportional to the product of polymer weights.  Zero-weight
-    collections (lambda_R = 0) keep their key.  Capped at 20 R-vertices."""
+    collections (lambda_R = 0) keep their key.  Capped at 20 R-vertices;
+    SizeCapError also when a weight or their total overflows a float."""
     if not lam.is_real:
         raise ValueError("the configuration measure needs real activities")
     nu = {frozenset(tuple(_bits(c)) for c in comps): w for comps, w in _r_subsets(g, lam)}
-    total = math.fsum(nu.values())
+    total = _finite_total(list(nu.values()))
     return {k: w / total for k, w in nu.items()}
 
 

@@ -27,9 +27,9 @@ from typing import Iterator, Literal
 
 import numpy as np
 
-from .clusters import DEFAULT_MAX_CLUSTERS, SeriesEngine
+from .clusters import SeriesEngine
 from .conditions import KPCertificate, certify_kp
-from .counting import choose_m
+from .counting import _fit_depth, choose_m
 from .errors import CertificationError, SizeCapError
 from .graph import BipartiteGraph, Vertex, _bits
 from .polymers import Fugacities, Polymer, _build_polymer
@@ -67,8 +67,11 @@ class IndependentSetSampler:
     exact for n_R <= 20, truncated otherwise.  ``m_requested`` is the depth
     the budget asks for (None for the exact backend) and ``degraded`` flags
     m_step < m_requested, when the draws are not certified within epsilon.
-    ``max_clusters`` bounds the series coefficients the expansion engine
-    stores.
+    The truncated backend stores every series coefficient its draws read
+    here, stepping m_step down as ``approx_log_Z`` steps its depth while
+    they pass ``clusters.MAX_COEFFICIENTS``; the exact backend charges its
+    memo as draws visit new states, so there a budget error can surface
+    during a draw.
     """
 
     def __init__(
@@ -78,7 +81,6 @@ class IndependentSetSampler:
         epsilon: float = 0.05,
         backend: Backend = "auto",
         eta: float = 0.1,
-        max_clusters: int = DEFAULT_MAX_CLUSTERS,
     ):
         if not lam.is_real:
             raise ValueError("sampling needs real activities")
@@ -98,7 +100,7 @@ class IndependentSetSampler:
                 )
             self.m_requested = self.m_step = None
             # Xi_S has degree |S|: depth n_R + 1 keeps every coefficient
-            self._engine = SeriesEngine(g, lam, g.n_R + 1, max_clusters)
+            self._engine = SeriesEngine(g, lam, g.n_R + 1)
         elif backend == "truncated":
             cert = certify_kp(g, lam, eta=eta)
             if not cert.valid:
@@ -109,9 +111,14 @@ class IndependentSetSampler:
             self.certificate = cert
             step_budget = epsilon / (2.0 * g.n_R)
             self.m_requested = choose_m(g.n_R, step_budget, cert.eta)
-            self.m_step = min(self.m_requested, TRUNCATION_DEPTH_CAP)
-            self._engine = SeriesEngine(g, lam, self.m_step, max_clusters)
-            self._engine.connected_sets()  # a budget error surfaces here
+
+            def build(m: int) -> SeriesEngine:
+                engine = SeriesEngine(g, lam, m)
+                engine.set_contributions()  # every coefficient a draw reads
+                return engine
+
+            self._engine = _fit_depth(build, min(self.m_requested, TRUNCATION_DEPTH_CAP))
+            self.m_step = self._engine.m
         else:
             raise ValueError(f"unknown backend {backend!r}")
         self.degraded = self.m_step is not None and self.m_step < self.m_requested
@@ -240,10 +247,10 @@ def sample_independent_set(
 ) -> frozenset[Vertex]:
     """One draw from the hard-core measure: exact in the exact backend, and
     within total-variation epsilon of it in the truncated backend only while
-    TRUNCATION_DEPTH_CAP (24) does not bind, i.e. while the depth the per-step
-    budget epsilon / (2 n_R) asks for is at most 24.  Otherwise the draw is
-    uncertified and the sampler is flagged ``degraded``: even_cycle(44) at
-    epsilon = 0.05 asks for m = 99.  Builds a sampler for this one draw;
+    the depth the per-step budget epsilon / (2 n_R) asks for is at most
+    TRUNCATION_DEPTH_CAP (24) and fits the coefficient budget.  Otherwise the
+    draw is uncertified and the sampler is flagged ``degraded``:
+    even_cycle(44) at epsilon = 0.05 asks for m = 99.  Builds a sampler for this one draw;
     reuse an IndependentSetSampler for many."""
     sampler = IndependentSetSampler(g, lam, epsilon, backend)
     rng = np.random.Generator(np.random.Philox(rng_seed))

@@ -253,6 +253,17 @@ def test_complex_activity_flags_only_on_exact(command, cycle_file, capsys):
         assert err.startswith("error: ") and flag in err
 
 
+@pytest.mark.parametrize("command", ["count", "sample", "decay"])
+def test_max_clusters_flag_is_gone(command, cycle_file, capsys):
+    # the series-coefficient budget is a library constant, not an option
+    code, _, err = run(
+        capsys, command, cycle_file, "--lambda-l", "10", "--lambda-r", "0.05",
+        "--max-clusters", "1000",
+    )
+    assert code == 1
+    assert err.startswith("error: ") and "--max-clusters" in err
+
+
 def test_exact_rejects_mixed_activity_flags(edge_file, capsys):
     code, _, _ = run(
         capsys, "exact", edge_file, "--lambda-l", "1", "--lambda-r", "1",

@@ -17,6 +17,7 @@ from bipcore import (
     truncated_expansion,
     zero_probe,
 )
+from bipcore import clusters
 
 from conftest import random_bipartite
 
@@ -94,11 +95,12 @@ def test_monotone_refinement():
     assert all(bounds[i] >= bounds[i + 1] for i in range(len(bounds) - 1))
 
 
-def test_degradation_flag_under_budget():
+def test_degradation_flag_under_budget(monkeypatch):
+    monkeypatch.setattr(clusters, "MAX_COEFFICIENTS", 2_000)
     g = bc.complete_bipartite(3, 6)
     lam = Fugacities(200.0, 0.05)
     assert bc.certify_kp(g, lam).valid
-    res = approx_log_Z(g, lam, epsilon=0.001, max_clusters=2_000)
+    res = approx_log_Z(g, lam, epsilon=0.001)
     assert res.degraded
     assert res.m_used < choose_m(g.n_R, 0.001, 0.1)
     assert res.error_bound == pytest.approx(

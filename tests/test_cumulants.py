@@ -26,7 +26,7 @@ from bipcore import (
     straddling_partition_sum,
     truncated_cumulant,
 )
-from bipcore import cumulants
+from bipcore import clusters, cumulants
 from bipcore.cumulants import DecayRow
 
 
@@ -340,15 +340,16 @@ def test_csv_matches_experiment():
     assert float(body[4]) == rows[0].bound
 
 
-def test_cumulant_budget_does_not_depend_on_earlier_queries():
+def test_cumulant_budget_does_not_depend_on_earlier_queries(monkeypatch):
     # the cached engine keeps its memo between queries; each query must still
     # succeed or fail exactly as it does on a fresh engine
     g, lam, m, budget = bc.even_cycle(16), Fugacities(10.0, 0.05), 8, 750
+    monkeypatch.setattr(clusters, "MAX_COEFFICIENTS", budget)
     queries = ([1, 2], [3, 4, 5], [2, 6], [0, 7, 3], [0])
 
     def outcome(A):
         try:
-            return truncated_cumulant(g, lam, A, m, max_clusters=budget)
+            return truncated_cumulant(g, lam, A, m)
         except ClusterBudgetError:
             return ClusterBudgetError
 
@@ -361,7 +362,7 @@ def test_cumulant_budget_does_not_depend_on_earlier_queries():
     try:
         for A, want in zip(queries, fresh):
             assert outcome(A) == want  # equal dataclasses: bit for bit
-            assert cumulants._cluster_table(g, lam, m, budget)._stored <= budget
+            assert cumulants._cluster_table(g, lam, m)._stored <= budget
     finally:
         cumulants._cluster_table.cache_clear()
 

@@ -109,6 +109,21 @@ def test_size_caps():
         bc.exact_Z(big, Fugacities(50.0, 50.0))
 
 
+def test_polymer_oracle_overflow_is_a_size_cap():
+    cases = [
+        (bc.complete_bipartite(1, 2), Fugacities(1.0, 1e300)),  # lambda_R**2 overflows
+        (BipartiteGraph(1, 3, []), Fugacities(1.0, 1e200)),  # a product of three does
+    ]
+    for oracle in (bc.exact_Xi, bc.exact_nu):
+        for g, lam in cases:
+            with pytest.raises(SizeCapError):
+                oracle(g, lam)
+    # (1 + lambda_L)**-200 = (-50)**200 overflows a complex power; exact_nu
+    # takes real activities only
+    with pytest.raises(SizeCapError):
+        bc.exact_Xi(bc.complete_bipartite(200, 1), Fugacities(-1.02 + 0j, 0.1))
+
+
 def test_component_factorization_avoids_cap():
     # 40 vertices in 20 tiny components: fine despite the 30-vertex cap
     g = BipartiteGraph(20, 20, [(i, i) for i in range(20)])

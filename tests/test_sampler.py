@@ -20,6 +20,7 @@ from bipcore import (
     sample_independent_set,
     sample_polymer_config,
 )
+from bipcore import clusters
 
 
 def is_independent(g, vs) -> bool:
@@ -312,6 +313,19 @@ def test_truncated_backend_draws_past_the_exact_cap():
     assert (s.m_requested, s.m_step, s.degraded) == (99, 24, True)
     draw = next(iter(s.draws(1, seed=4)))
     assert is_independent(g, draw)
+
+
+def test_truncated_backend_steps_its_depth_down_under_the_budget(monkeypatch):
+    # depths 24, 19 and 15 pass 10,000 coefficients and 12 fits; every
+    # coefficient the draws read is then stored before the first draw
+    monkeypatch.setattr(clusters, "MAX_COEFFICIENTS", 10_000)
+    g = bc.even_cycle(44)
+    s = IndependentSetSampler(g, Fugacities(20.0, 0.1))
+    assert (s.m_requested, s.m_step, s.degraded) == (99, 12, True)
+    stored = s._engine._stored
+    for draw in s.draws(20, seed=4):
+        assert is_independent(g, draw)
+    assert s._engine._stored == stored
 
 
 def test_exact_backend_on_a_dense_polymer_universe():

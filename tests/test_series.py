@@ -77,15 +77,17 @@ def test_untruncated_xi_is_exact():
     assert math.fsum(xi) == pytest.approx(bc.exact_Xi(g, lam), rel=1e-13)
 
 
-def test_budget_counts_stored_coefficients():
+def test_budget_counts_stored_coefficients(monkeypatch):
     # K_{3,6}: all 63 nonempty R-sets are 2-linked; at m = 87 their f_T hold
     # sum(87 - |T|) = 5289 coefficients, past a budget of 2000
     g = bc.complete_bipartite(3, 6)
     lam = Fugacities(200.0, 0.05)
+    monkeypatch.setattr(clusters, "MAX_COEFFICIENTS", 2_000)
     with pytest.raises(ClusterBudgetError) as exc:
-        SeriesEngine(g, lam, 87, max_clusters=2_000).connected_sets()
+        SeriesEngine(g, lam, 87).connected_sets()
     assert exc.value.clusters_seen > 2_000
-    engine = SeriesEngine(g, lam, 87, max_clusters=5_289)
+    monkeypatch.setattr(clusters, "MAX_COEFFICIENTS", 5_289)
+    engine = SeriesEngine(g, lam, 87)
     assert len(engine.connected_sets()) == 63
 
 
