@@ -426,10 +426,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CertificationError as exc:
         _emit_error(exc, args.json if hasattr(args, "json") else as_json)
         return 2
-    except _UsageError as exc:
-        _emit_error(exc, args.json if hasattr(args, "json") else as_json)
-        return 1
-    except (BipcoreError, OSError, ValueError) as exc:
+    except (_UsageError, BipcoreError, OSError, ValueError) as exc:
         _emit_error(exc, args.json if hasattr(args, "json") else as_json)
         return 1
 

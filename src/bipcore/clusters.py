@@ -40,6 +40,8 @@ from .polymers import (
     _connected_sets,
     _fsum,
     _link_masks,
+    _two_linked_sets,
+    _weight,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -431,7 +433,6 @@ class SeriesEngine:
         """(gamma, S minus gamma minus N2(gamma), w(gamma)) for every 2-linked
         gamma in the nonempty set S with min gamma = min S and |gamma| < m."""
         adj_R = self.graph.adj_R
-        lam_R, one_L = self.lam.lambda_R, 1 + self.lam.lambda_L
         links = self._links
         out = []
         for gamma in _connected_sets(links, (S & -S).bit_length() - 1, self.m - 1, S):
@@ -440,7 +441,7 @@ class SeriesEngine:
             for v in _bits(gamma):
                 blocked |= links[v]
                 nbhd |= adj_R[v]
-            w = lam_R ** gamma.bit_count() / one_L ** nbhd.bit_count()
+            w = _weight(self.lam, gamma.bit_count(), nbhd.bit_count())
             out.append((gamma, S & ~blocked, w))
         return out
 
@@ -467,11 +468,10 @@ class SeriesEngine:
         """Every 2-linked T with |T| < m, by ascending size."""
         if self._sets is None:
             sets = []
-            for root in range(self.graph.n_R):
-                above = -1 << root  # root is the minimum vertex
-                for T in _connected_sets(self._links, root, self.m - 1, above):
-                    self._charge(self.m - T.bit_count())
-                    sets.append(T)
+            full = (1 << self.graph.n_R) - 1
+            for T in _two_linked_sets(self._links, full, self.m - 1):
+                self._charge(self.m - T.bit_count())
+                sets.append(T)
             sets.sort(key=int.bit_count)
             self._sets = sets
         return self._sets
@@ -525,13 +525,15 @@ class SeriesEngine:
             t = T.bit_count()
             f = self._log_coefficients(T, a_verts)
             # proper 2-linked subsets of T; only those containing A are in table
-            roots = [(a_verts[0], T)] if A else [(v, T & (-1 << v)) for v in _bits(T)]
-            for root, allowed in roots:
-                for sub in _connected_sets(links, root, t - 1, allowed):
-                    h = table.get(sub)
-                    if h is not None:
-                        lo = self.m - len(h)
-                        f[lo:] = [a - c for a, c in zip(f[lo:], h)]
+            if A:
+                subs = _connected_sets(links, a_verts[0], t - 1, T)
+            else:
+                subs = _two_linked_sets(links, T, t - 1)
+            for sub in subs:
+                h = table.get(sub)
+                if h is not None:
+                    lo = self.m - len(h)
+                    f[lo:] = [a - c for a, c in zip(f[lo:], h)]
             table[T] = f[t:]
         return table
 

@@ -44,12 +44,14 @@ The analytic route covers only eta <= 0.1: the main condition bounds every
 (KP_v) at eta = 0.1 with no enumeration, and the sums increase with eta, so
 smaller rates inherit the certificate; above 0.1 only the per-vertex route
 certifies.  The same arithmetic with moduli gives a zero-free region for
-complex activities.
+complex activities.  In both checks a right side past the float range is
+reported as the largest float, satisfied and not at the boundary.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Literal
 
@@ -59,10 +61,10 @@ from .polymers import (
     ComplexRegion,
     Fugacities,
     KPVertexSum,
-    _connected_sets,
     _kp_tail_bound,
     _kp_term,
     _link_masks,
+    _two_linked_sets,
 )
 
 # certify_kp does not call it; kept importable here because the benchmark
@@ -93,12 +95,19 @@ def _profile_tuple(profile) -> tuple[int, int, int]:
     return int(d_L), int(d_R_min), int(d_R_max)
 
 
-def _compare(lhs: float, rhs: float) -> ConditionCheck:
-    gap = abs(lhs - rhs)
-    boundary = gap <= BOUNDARY_REL_TOL * max(abs(lhs), abs(rhs), 1.0)
-    satisfied = lhs <= rhs or boundary
+def _imbalance(profile, act_L: float, act_R: float) -> ConditionCheck:
+    """6 d_L d_R_max act_R against (1 + act_L)**(d_R_min / d_L)."""
+    d_L, d_R_min, d_R_max = _profile_tuple(profile)
+    if d_L < 1 or d_R_max < 1:
+        raise StructuralMismatchError("condition needs positive maximum degrees")
+    lhs = 6.0 * d_L * d_R_max * act_R
+    try:
+        rhs = math.exp((d_R_min / d_L) * math.log1p(act_L))
+    except OverflowError:
+        rhs = sys.float_info.max  # lhs is finite: far from the boundary
+    boundary = abs(lhs - rhs) <= BOUNDARY_REL_TOL * max(abs(lhs), abs(rhs), 1.0)
     ratio = lhs / rhs if rhs != 0 else math.inf
-    return ConditionCheck(satisfied, lhs, rhs, ratio, boundary)
+    return ConditionCheck(lhs <= rhs or boundary, lhs, rhs, ratio, boundary)
 
 
 def check_main_condition(profile, lam: Fugacities) -> ConditionCheck:
@@ -110,12 +119,7 @@ def check_main_condition(profile, lam: Fugacities) -> ConditionCheck:
     """
     if not lam.is_real:
         raise ValueError("main condition takes real activities; see check_complex_region")
-    d_L, d_R_min, d_R_max = _profile_tuple(profile)
-    if d_L < 1 or d_R_max < 1:
-        raise StructuralMismatchError("condition needs positive maximum degrees")
-    lhs = 6.0 * d_L * d_R_max * lam.lambda_R
-    rhs = math.exp((d_R_min / d_L) * math.log1p(lam.lambda_L))
-    return _compare(lhs, rhs)
+    return _imbalance(profile, lam.lambda_L, lam.lambda_R)
 
 
 def check_corollary(profile, lam: Fugacities, part: Literal[1, 2, 3]) -> bool:
@@ -234,13 +238,12 @@ def certify_kp(
                     "vertex sums bounded at eta <= 0.1"
                 ),
             )
-    links = _link_masks(g)
     terms: list[list[float]] = [[] for _ in range(g.n_R)]
-    for root in range(g.n_R):
-        for gamma in _connected_sets(links, root, KP_DEPTH, -1 << root):
-            t = _kp_term(g, gamma, lam, eta)
-            for v in _bits(gamma):
-                terms[v].append(t)
+    for gamma in _two_linked_sets(_link_masks(g), (1 << g.n_R) - 1, KP_DEPTH):
+        verts = tuple(_bits(gamma))
+        t = _kp_term(g, verts, lam, eta)
+        for v in verts:
+            terms[v].append(t)
     tail, bound = _kp_tail_bound(prof, lam, eta, KP_DEPTH)
     # fsum is correctly rounded, so the order of a vertex's terms is immaterial
     sums = tuple(
@@ -271,12 +274,7 @@ def certify_kp(
 def check_complex_region(profile, region: ComplexRegion) -> ConditionCheck:
     """Zero-freeness condition for a complex region: the main condition
     arithmetic applied to the region bounds."""
-    d_L, d_R_min, d_R_max = _profile_tuple(profile)
-    if d_L < 1 or d_R_max < 1:
-        raise StructuralMismatchError("condition needs positive maximum degrees")
-    lhs = 6.0 * d_L * d_R_max * region.bound_R
-    rhs = math.exp((d_R_min / d_L) * math.log1p(region.bound_L))
-    return _compare(lhs, rhs)
+    return _imbalance(profile, region.bound_L, region.bound_R)
 
 
 def in_region(lam: Fugacities, region: ComplexRegion) -> bool:

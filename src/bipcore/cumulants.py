@@ -255,27 +255,30 @@ def _set_pair_bound(
     touching L reduce to the R-side case by inclusion-exclusion over
     neighborhoods, costing a 2^(|N(A_L)|+|N(B_L)|) factor, a distance loss
     of 2 (a factor e^eta, since e^(-eta (D-2)/2) = e^eta e^(-eta D/2)), and
-    enlarged set sizes.
+    enlarged set sizes.  A bound past the float range is +inf (sound).
     """
     a_L = [v for v in A if v[0] == "L"]
     b_L = [v for v in B if v[0] == "L"]
     n_plain = len(A) + len(B)
-    if not a_L and not b_L:
+    try:
+        if not a_L and not b_L:
+            return (
+                straddling_constant(n_plain)
+                * cumulant_decay_constant(n_plain, eta)
+                * math.exp(-eta * dist / 2.0)
+            )
+        nA = _neighborhood(g, a_L)
+        nB = _neighborhood(g, b_L)
+        n_hat = len(nA) + len(nB) + (len(A) - len(a_L)) + (len(B) - len(b_L))
+        n_hat = max(n_hat, 1)
         return (
-            straddling_constant(n_plain)
-            * cumulant_decay_constant(n_plain, eta)
-            * math.exp(-eta * dist / 2.0)
+            2.0 ** (len(nA) + len(nB))
+            * straddling_constant(n_hat)
+            * cumulant_decay_constant(n_hat, eta)
+            * math.exp(-eta * (dist - 2.0) / 2.0)
         )
-    nA = _neighborhood(g, a_L)
-    nB = _neighborhood(g, b_L)
-    n_hat = len(nA) + len(nB) + (len(A) - len(a_L)) + (len(B) - len(b_L))
-    n_hat = max(n_hat, 1)
-    return (
-        2.0 ** (len(nA) + len(nB))
-        * straddling_constant(n_hat)
-        * cumulant_decay_constant(n_hat, eta)
-        * math.exp(-eta * (dist - 2.0) / 2.0)
-    )
+    except OverflowError:
+        return math.inf
 
 
 def decay_experiment(

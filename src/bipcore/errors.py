@@ -34,8 +34,9 @@ class ClusterBudgetError(BipcoreError):
 
     The expansion never truncates silently.  ``approx_log_Z`` and the
     truncated sampler retry at smaller depths and flag ``degraded``; they
-    raise this only when depth 1 does not fit either.  ``clusters_seen`` is
-    the count that passed the budget.
+    raise this only when depth 1 does not fit either.  Samplers of both
+    backends raise it when they are built, never during a draw.
+    ``clusters_seen`` is the count that passed the budget.
     """
 
     def __init__(self, message: str, clusters_seen: int = 0):
@@ -51,3 +52,8 @@ class CertificationError(BipcoreError):
 class StructuralMismatchError(BipcoreError, ValueError):
     """Raised when a graph does not match the structural hypothesis of the
     requested special-case condition check."""
+
+
+class GenerationError(BipcoreError, RuntimeError):
+    """Raised when a random graph generator finds no valid graph within its
+    attempts."""

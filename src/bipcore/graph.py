@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
-from .errors import DegenerateGraphError, GraphFormatError, SizeCapError
+from .errors import DegenerateGraphError, GenerationError, GraphFormatError, SizeCapError
 
 Side = Literal["L", "R"]
 Vertex = tuple[Side, int]
@@ -155,15 +155,6 @@ class DegreeProfile:
     delta_L_max: int
     delta_R_min: int
     delta_R_max: int
-
-    def in_class(self, max_deg_L: int, min_deg_R: int, max_deg_R: int) -> bool:
-        """Membership in the family with L-degrees at most ``max_deg_L`` and
-        R-degrees between ``min_deg_R`` and ``max_deg_R``."""
-        return (
-            self.delta_L_max <= max_deg_L
-            and self.delta_R_min >= min_deg_R
-            and self.delta_R_max <= max_deg_R
-        )
 
     @property
     def is_biregular(self) -> bool:
@@ -402,7 +393,7 @@ def random_biregular(d_L: int, d_R: int, n_L: int, seed: int) -> BipartiteGraph:
         pairs = {(left_stubs[i], right_stubs[perm[i]]) for i in range(len(left_stubs))}
         if len(pairs) == len(left_stubs):
             return BipartiteGraph(n_L, n_R, sorted(pairs))
-    raise RuntimeError("could not realize a simple biregular graph; try another seed")
+    raise GenerationError("could not realize a simple biregular graph; try another seed")
 
 
 _FAMILIES = {

@@ -3,10 +3,11 @@
 Two R-vertices are 2-linked when they share an L-neighbor.  A polymer is a
 nonempty subset of R that is connected under that relation; its weight is
 
-    w(gamma) = lambda_R**|gamma| / (1 + lambda_L)**|N(gamma)|
+    w(gamma) = lambda_R**|gamma| * r**|N(gamma)|,   r = 1 / (1 + lambda_L),
 
-with N(gamma) the L-neighborhood.  Two polymers are compatible when their
-union is not 2-linked; every polymer is incompatible with itself.
+with N(gamma) the L-neighborhood; for real activities r < 1, so a large one
+underflows to 0 rather than overflowing.  Two polymers are compatible when
+their union is not 2-linked; every polymer is incompatible with itself.
 """
 
 from __future__ import annotations
@@ -126,13 +127,6 @@ def _is_two_linked(mask: int, links: Sequence[int]) -> bool:
     return next(_components(links, mask), 0) == mask
 
 
-def _neighborhood_mask(g: BipartiteGraph, rmask: int) -> int:
-    out = 0
-    for v in _bits(rmask):
-        out |= g.adj_R[v]
-    return out
-
-
 def polymer_weight(g: BipartiteGraph, vertices, lam: Fugacities) -> Scalar:
     """Weight of the polymer on ``vertices`` (R indices); validates shape."""
     return make_polymer(g, vertices, lam).weight
@@ -153,15 +147,23 @@ def make_polymer(g: BipartiteGraph, vertices, lam: Fugacities) -> Polymer:
     return _build_polymer(g, mask, verts, lam)
 
 
-def _weight(g: BipartiteGraph, mask: int, lam: Fugacities) -> tuple[int, Scalar]:
-    """|N(gamma)| and w(gamma) for the R-vertex set ``mask``."""
-    nb = _neighborhood_mask(g, mask).bit_count()
-    return nb, lam.lambda_R ** mask.bit_count() / (1 + lam.lambda_L) ** nb
+def _weight(lam: Fugacities, size: int, nbhd: float) -> Scalar:
+    """w(gamma) from |gamma| and |N(gamma)|; ``nbhd`` may be fractional, as
+    in the per-vertex envelope of the tail bound."""
+    return lam.lambda_R**size * (1 / (1 + lam.lambda_L)) ** nbhd
+
+
+def _nbhd_size(g: BipartiteGraph, verts: Sequence[int]) -> int:
+    """|N(gamma)| for gamma on the R-vertices ``verts``."""
+    nb = 0
+    for v in verts:
+        nb |= g.adj_R[v]
+    return nb.bit_count()
 
 
 def _build_polymer(g: BipartiteGraph, mask: int, verts: tuple[int, ...], lam: Fugacities) -> Polymer:
-    nb, w = _weight(g, mask, lam)
-    return Polymer(verts, mask, nb, w)
+    nb = _nbhd_size(g, verts)
+    return Polymer(verts, mask, nb, _weight(lam, len(verts), nb))
 
 
 def _connected_sets(adj: Sequence[int], root: int, size_cap: int, allowed: int) -> Iterator[int]:
@@ -188,6 +190,14 @@ def _connected_sets(adj: Sequence[int], root: int, size_cap: int, allowed: int) 
     yield from rec(rootbit, 1, adj[root] & allowed & ~rootbit, rootbit)
 
 
+def _two_linked_sets(links: Sequence[int], within: int, size_cap: int) -> Iterator[int]:
+    """Every 2-linked subset of ``within`` with at most ``size_cap``
+    vertices, each exactly once, grown from its minimum vertex in ascending
+    order of that vertex."""
+    for root in _bits(within):
+        yield from _connected_sets(links, root, size_cap, within & (-1 << root))
+
+
 def enumerate_polymers(
     g: BipartiteGraph, lam: Fugacities, root: int, k_max: int
 ) -> Iterator[Polymer]:
@@ -195,13 +205,8 @@ def enumerate_polymers(
     exactly once, in a deterministic order."""
     if not 0 <= root < g.n_R:
         raise ValueError(f"no R-vertex {root}")
-    if k_max < 1:
-        return
-    links = _link_masks(g)
-    allowed = (1 << g.n_R) - 1
-    for mask in _connected_sets(links, root, k_max, allowed):
-        verts = tuple(_bits(mask))
-        yield _build_polymer(g, mask, verts, lam)
+    for mask in _connected_sets(_link_masks(g), root, k_max, (1 << g.n_R) - 1):
+        yield _build_polymer(g, mask, tuple(_bits(mask)), lam)
 
 
 def all_polymers(
@@ -212,16 +217,11 @@ def all_polymers(
 ) -> list[Polymer]:
     """Every polymer of size <= max_size, each exactly once, sorted by the
     canonical key (lexicographic vertex tuple)."""
-    links = _link_masks(g)
-    full = (1 << g.n_R) - 1
     out = []
-    for root in range(g.n_R):
-        allowed = full & ~((1 << root) - 1)  # canonical: root is the minimum vertex
-        for mask in _connected_sets(links, root, max_size, allowed):
-            verts = tuple(_bits(mask))
-            out.append(_build_polymer(g, mask, verts, lam))
-            if len(out) > max_polymers:
-                raise SizeCapError(f"more than {max_polymers} polymers; graph too dense")
+    for mask in _two_linked_sets(_link_masks(g), (1 << g.n_R) - 1, max_size):
+        out.append(_build_polymer(g, mask, tuple(_bits(mask)), lam))
+        if len(out) > max_polymers:
+            raise SizeCapError(f"more than {max_polymers} polymers; graph too dense")
     out.sort(key=lambda p: p.vertices)
     return out
 
@@ -275,10 +275,11 @@ class KPVertexSum:
         return self.total / self.bound
 
 
-def _kp_term(g: BipartiteGraph, mask: int, lam: Fugacities, eta: float) -> float:
-    """|w(gamma)| * e**((1/2 + eta)|gamma|): what gamma adds to the sum of
-    each of its vertices."""
-    return abs(_weight(g, mask, lam)[1]) * math.exp((0.5 + eta) * mask.bit_count())
+def _kp_term(g: BipartiteGraph, verts: Sequence[int], lam: Fugacities, eta: float) -> float:
+    """|w(gamma)| * e**((1/2 + eta)|gamma|) for gamma on the R-vertices
+    ``verts``: what gamma adds to the sum of each of its vertices."""
+    k = len(verts)
+    return abs(_weight(lam, k, _nbhd_size(g, verts))) * math.exp((0.5 + eta) * k)
 
 
 def _kp_tail_bound(prof: DegreeProfile, lam: Fugacities, eta: float, k_max: int) -> tuple[float, float]:
@@ -289,9 +290,7 @@ def _kp_tail_bound(prof: DegreeProfile, lam: Fugacities, eta: float, k_max: int)
     if d == 0:
         return 0.0, bound  # all polymers are singletons, already in the partial sum
     # per-size envelope: count <= (e d)**(k-1) / k**1.5, |w| <= wb**k
-    wb = abs(lam.lambda_R) / abs(1 + lam.lambda_L) ** (
-        prof.delta_R_min / prof.delta_L_max
-    )
+    wb = abs(_weight(lam, 1, prof.delta_R_min / prof.delta_L_max))
     q = d * wb * math.exp(1.5 + eta)
     if q >= 1.0:
         return math.inf, bound
@@ -309,10 +308,9 @@ def kp_vertex_sum(
         raise ValueError("k_max must be at least 1")
     if not 0 <= v < g.n_R:
         raise ValueError(f"no R-vertex {v}")
-    links = _link_masks(g)
     partial = math.fsum(
-        _kp_term(g, mask, lam, eta)
-        for mask in _connected_sets(links, v, k_max, (1 << g.n_R) - 1)
+        _kp_term(g, tuple(_bits(mask)), lam, eta)
+        for mask in _connected_sets(_link_masks(g), v, k_max, (1 << g.n_R) - 1)
     )
     tail, bound = _kp_tail_bound(degree_profile(g), lam, eta, k_max)
     return KPVertexSum(v, partial, tail, bound, k_max, eta)

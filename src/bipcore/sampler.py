@@ -67,11 +67,10 @@ class IndependentSetSampler:
     exact for n_R <= 20, truncated otherwise.  ``m_requested`` is the depth
     the budget asks for (None for the exact backend) and ``degraded`` flags
     m_step < m_requested, when the draws are not certified within epsilon.
-    The truncated backend stores every series coefficient its draws read
-    here, stepping m_step down as ``approx_log_Z`` steps its depth while
-    they pass ``clusters.MAX_COEFFICIENTS``; the exact backend charges its
-    memo as draws visit new states, so there a budget error can surface
-    during a draw.
+    Both backends store every series coefficient their draws read here.
+    The truncated backend steps m_step down as ``approx_log_Z`` steps its
+    depth while they pass ``clusters.MAX_COEFFICIENTS``; the exact backend
+    raises ClusterBudgetError.
     """
 
     def __init__(
@@ -101,6 +100,8 @@ class IndependentSetSampler:
             self.m_requested = self.m_step = None
             # Xi_S has degree |S|: depth n_R + 1 keeps every coefficient
             self._engine = SeriesEngine(g, lam, g.n_R + 1)
+            # every series a draw reads lies in the recursion for Xi_R
+            self._engine.xi((1 << g.n_R) - 1)
         elif backend == "truncated":
             cert = certify_kp(g, lam, eta=eta)
             if not cert.valid:

@@ -473,3 +473,14 @@ def test_installed_entry_point():
     assert proc.returncode == 0
     g = bc.load_graph(proc.stdout)
     assert (g.n_L, g.n_R) == (2, 2)
+
+
+def test_generator_failure_is_one_json_error(capsys):
+    code, out, err = run(
+        capsys, "gen", "--family", "random_biregular",
+        "--d-l", "3", "--d-r", "10", "--n-l", "100", "--json",
+    )
+    assert code == 1 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["type"] == "GenerationError"

@@ -26,8 +26,9 @@ from bipcore import (
     straddling_partition_sum,
     truncated_cumulant,
 )
-from bipcore import clusters, cumulants
+from bipcore import cli, clusters, cumulants
 from bipcore.cumulants import DecayRow
+from bipcore.graph import graph_to_text
 
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
@@ -381,3 +382,22 @@ def test_set_pair_bound_charges_the_distance_loss_at_rate_eta(eta):
         * math.exp(-eta * (3 - 2) / 2.0)
     )
     assert row.bound >= derived
+
+
+def test_set_pair_bound_past_the_float_range_is_infinite(tmp_path, capsys):
+    # 20 R-neighbors per L-vertex: straddling_constant(40) passes the float range
+    g = bc.complete_bipartite(3, 20)
+    lam = Fugacities(1e4, 1e-4)
+    rows = decay_experiment(
+        g, lam, [("pair", ("L", 0), ("L", 1)), ("set_pair", [("L", 0)], [("L", 1)])]
+    )
+    assert [r.bound for r in rows] == [math.inf, math.inf]
+    assert all(r.satisfied for r in rows)
+    path = tmp_path / "k320.graph"
+    path.write_text(graph_to_text(g))
+    code = cli.main(
+        ["decay", str(path), "--lambda-l", "1e4", "--lambda-r", "1e-4", "--pair", "L:0,L:1"]
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.splitlines()[1].split(",")[4:] == ["inf", "true"]

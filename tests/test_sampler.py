@@ -336,3 +336,17 @@ def test_exact_backend_on_a_dense_polymer_universe():
     assert (s.m_requested, s.m_step, s.degraded) == (None, None, False)
     for draw in s.draws(3, seed=5):
         assert is_independent(g, draw)
+
+
+def test_exact_backend_fills_its_memo_when_built(monkeypatch):
+    g = bc.even_cycle(12)
+    lam = Fugacities(1.0, 0.5)
+    sampler = IndependentSetSampler(g, lam, backend="exact")
+    stored = sampler._engine._stored
+    assert stored > 0
+    for _ in sampler.draws(500, seed=3):
+        pass
+    assert sampler._engine._stored == stored
+    monkeypatch.setattr(clusters, "MAX_COEFFICIENTS", stored - 1)
+    with pytest.raises(bc.ClusterBudgetError):
+        IndependentSetSampler(g, lam, backend="exact")
