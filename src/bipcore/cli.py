@@ -186,7 +186,10 @@ def cmd_exact(args) -> int:
     marg_tokens = args.marginal or []
     if lam.is_real:
         log_Z = oracle.exact_log_Z(g, lam)
-        Z = math.exp(log_Z) if log_Z < 700 else None
+        try:
+            Z = math.exp(log_Z)  # exact_Z's rule, without a second oracle pass
+        except OverflowError:
+            Z = None
         doc: dict = {"n_L": g.n_L, "n_R": g.n_R, "log_Z": log_Z, "Z": Z}
         if marg_tokens:
             doc["marginals"] = {

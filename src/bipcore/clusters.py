@@ -257,15 +257,8 @@ class ClusterEngine:
     indices).  Its Ursell memo tables live as long as the engine.
     """
 
-    def __init__(
-        self,
-        g: BipartiteGraph,
-        lam: Fugacities,
-        max_size: int,
-        max_polymers: int | None = None,
-    ):
-        kw = {} if max_polymers is None else {"max_polymers": max_polymers}
-        self.system = PolymerSystem(g, lam, max_size=max_size, **kw)
+    def __init__(self, g: BipartiteGraph, lam: Fugacities, max_size: int):
+        self.system = PolymerSystem(g, lam, max_size=max_size)
         self.graph = g
         self.lam = lam
         self._sizes = tuple(p.size for p in self.system.polymers)

@@ -16,13 +16,24 @@ The per-vertex route proves (KP_v) at any eta > 0 as
 
     P_v(eta) + tail(eta) <= 1 / (2 (d + 1)),
 
-with P_v the exact sum over the 2-linked sets of at most KP_DEPTH = 6
-R-vertices containing v, and tail(eta) a bound on the larger ones: at most
-(e d)**(k-1) / k**1.5 polymers of size k contain v, each with |w| <= wb**k
-where wb = |lambda_R| / |1 + lambda_L|**(min_deg_R / max_deg_L), so with
+with P_v the exact sum over the 2-linked sets of at most K = KP_DEPTH = 6
+R-vertices containing v, and tail(eta) a bound on the larger ones.  The
+2-linked relation has maximum degree d, so at most as many polymers of size
+k contain v as the infinite d-regular tree has k-vertex subtrees through its
+root, and for k > K
+
+    t_k(d) = d C((d-1) k, k-1) / ((d-2) k + 2)  <=  c (e d)**(k-1) / k**1.5,
+    c = e sqrt((K+1)/K) / sqrt(2 pi)  (1.171 at K = 6):
+
+C(n, j) <= n**j / j!, j! >= sqrt(2 pi j) (j/e)**j and (k/(k-1))**(k-1) <= e
+give C((d-1) k, k-1) <= e (e (d-1))**(k-1) / sqrt(2 pi (k-1)); then
+1/(k-1) <= ((K+1)/K) / k, and d k (1 - 1/d)**(k-1) <= (d-2) k + 2 for d >= 3
+and k >= 4, by (1 - x)**n <= 1/(1 + n x).  (For d <= 2 at most k polymers of
+size k contain v.)  Each has |w| <= wb**k with
+wb = |lambda_R| / |1 + lambda_L|**(min_deg_R / max_deg_L), so with
 q = d * wb * e**(3/2 + eta) < 1
 
-    tail(eta) = q**7 / (e d 7**1.5 (1 - q))
+    tail(eta) = c q**(K+1) / (e d (K+1)**1.5 (1 - q))
 
 (and 0 when d = 0, since then every polymer is a singleton).
 
@@ -53,23 +64,19 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, Sequence
 
 from .errors import StructuralMismatchError
 from .graph import BipartiteGraph, DegreeProfile, _bits, degree_profile
 from .polymers import (
     ComplexRegion,
     Fugacities,
-    KPVertexSum,
-    _kp_tail_bound,
-    _kp_term,
+    _connected_sets,
     _link_masks,
+    _nbhd_size,
     _two_linked_sets,
+    _weight,
 )
-
-# certify_kp does not call it; kept importable here because the benchmark
-# harness times bipcore.conditions.kp_vertex_sum by that name
-from .polymers import kp_vertex_sum  # noqa: F401
 
 BOUNDARY_REL_TOL = 1e-12
 ANALYTIC_ETA = 0.1
@@ -166,6 +173,86 @@ def check_corollary(profile, lam: Fugacities, part: Literal[1, 2, 3]) -> bool:
     raise ValueError("part must be 1, 2, or 3")
 
 
+# ---------------------------------------------------------------------------
+# per-vertex sums
+
+@dataclass(frozen=True)
+class KPVertexSum:
+    """One vertex's share of the convergence condition
+
+        sum over polymers containing v of |w| * e**((1/2 + eta)|gamma|)
+            <= 1 / (2 (max_deg_R (max_deg_L - 1) + 1)).
+
+    ``partial`` is the exact sum over polymers of size <= k_max; ``tail`` is
+    a geometric bound on the rest from the analytic weight and count bounds
+    (infinite when the geometric ratio reaches 1).  ``satisfied`` is None
+    when the tail cannot be bounded.
+    """
+
+    vertex: int
+    partial: float
+    tail: float
+    bound: float
+    k_max: int
+    eta: float
+
+    @property
+    def total(self) -> float:
+        return self.partial + self.tail
+
+    @property
+    def satisfied(self) -> bool | None:
+        if math.isinf(self.tail):
+            return None
+        return self.total <= self.bound
+
+    @property
+    def ratio(self) -> float:
+        return self.total / self.bound
+
+
+def _kp_term(g: BipartiteGraph, verts: Sequence[int], lam: Fugacities, eta: float) -> float:
+    """|w(gamma)| * e**((1/2 + eta)|gamma|) for gamma on the R-vertices
+    ``verts``: what gamma adds to the sum of each of its vertices."""
+    k = len(verts)
+    return abs(_weight(lam, k, _nbhd_size(g, verts))) * math.exp((0.5 + eta) * k)
+
+
+def _kp_tail_bound(prof: DegreeProfile, lam: Fugacities, eta: float, k_max: int) -> tuple[float, float]:
+    """The vertex-independent parts of a vertex sum: the tail bound beyond
+    size k_max and the right-hand side 1 / (2 (d + 1))."""
+    d = max(prof.delta_R_max * (prof.delta_L_max - 1), 0)
+    bound = 1.0 / (2.0 * (d + 1))
+    if d == 0:
+        return 0.0, bound  # all polymers are singletons, already in the partial sum
+    # per-size envelope: count <= c (e d)**(k-1) / k**1.5, |w| <= wb**k
+    wb = abs(_weight(lam, 1, prof.delta_R_min / prof.delta_L_max))
+    q = d * wb * math.exp(1.5 + eta)
+    if q >= 1.0:
+        return math.inf, bound
+    c = math.e * math.sqrt((k_max + 1) / k_max / (2.0 * math.pi))
+    tail = c * q ** (k_max + 1) / (math.e * d * (k_max + 1) ** 1.5 * (1.0 - q))
+    return tail, bound
+
+
+def kp_vertex_sum(
+    g: BipartiteGraph, v: int, lam: Fugacities, eta: float, k_max: int
+) -> KPVertexSum:
+    """One vertex's sum, enumerating only the polymers that contain v."""
+    if eta <= 0:
+        raise ValueError("eta must be positive")
+    if k_max < 1:
+        raise ValueError("k_max must be at least 1")
+    if not 0 <= v < g.n_R:
+        raise ValueError(f"no R-vertex {v}")
+    partial = math.fsum(
+        _kp_term(g, tuple(_bits(mask)), lam, eta)
+        for mask in _connected_sets(_link_masks(g), v, k_max, (1 << g.n_R) - 1)
+    )
+    tail, bound = _kp_tail_bound(degree_profile(g), lam, eta, k_max)
+    return KPVertexSum(v, partial, tail, bound, k_max, eta)
+
+
 CertificateMode = Literal["analytic", "empirical", "failed", "inconclusive"]
 
 
@@ -177,7 +264,8 @@ class KPCertificate:
       analytic     - the main condition holds, certifying eta (at most 0.1).
       empirical    - every per-vertex sum plus its tail bound fits.
       failed       - some partial sum alone already exceeds its bound.
-      inconclusive - partial sums fit but the tails cannot be bounded.
+      inconclusive - partial sums fit, but some sum plus its tail bound
+                     (infinite when unbounded) does not.
 
     margin is the worst-case ratio of a certified quantity to its bound
     (condition lhs/rhs for analytic mode, vertex-sum ratio otherwise).
@@ -253,14 +341,9 @@ def certify_kp(
     if any(s.partial > s.bound for s in sums):
         mode: CertificateMode = "failed"
         margin = max(s.partial / s.bound for s in sums)
-    elif any(s.satisfied is None for s in sums):
-        mode = "inconclusive"
-        margin = math.inf
-    elif all(s.satisfied for s in sums):
-        mode = "empirical"
-        margin = max(s.ratio for s in sums)
     else:
-        mode = "inconclusive"
+        # an unbounded tail gives satisfied None and ratio inf
+        mode = "empirical" if all(s.satisfied for s in sums) else "inconclusive"
         margin = max(s.ratio for s in sums)
     return KPCertificate(
         eta=eta,

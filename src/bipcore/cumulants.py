@@ -33,8 +33,6 @@ from .polymers import Fugacities
 from . import oracle
 from .oracle import SET_PARTITION_CAP, set_partitions  # the cap is re-exported
 
-SERIES_TERM_FLOOR = 1e-15
-
 
 # ---------------------------------------------------------------------------
 # moment/cumulant conversions on the partition lattice
@@ -110,21 +108,12 @@ def cumulant_decay_constant(a: int, eta: float) -> float:
 
         sum over clusters of |w| prod Y_v <= C e^(-eta MST(A)/2),
 
-    C = (sum_{y>=1} y e^(-eta (y-1)))^a, summed numerically with terms below
-    1e-15 dropped (geometric envelope justifies the cut)."""
+    C = (sum_{y>=1} y e^(-eta (y-1)))^a = (1 - e^(-eta))^(-2a)."""
     if a < 1:
         raise ValueError("need at least one vertex")
     if eta <= 0:
         raise ValueError("eta must be positive")
-    s = 0.0
-    y = 1
-    while True:
-        term = y * math.exp(-eta * (y - 1))
-        s += term
-        if term < SERIES_TERM_FLOOR:
-            break
-        y += 1
-    return s**a
+    return (-math.expm1(-eta)) ** (-2 * a)
 
 
 def straddling_constant(n: int) -> float:

@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .errors import NotTwoLinkedError, SizeCapError
-from .graph import BipartiteGraph, DegreeProfile, _bits, _components, degree_profile
+from .graph import BipartiteGraph, _bits, _components
 
 DEFAULT_MAX_POLYMERS = 200_000
 
@@ -209,19 +209,15 @@ def enumerate_polymers(
         yield _build_polymer(g, mask, tuple(_bits(mask)), lam)
 
 
-def all_polymers(
-    g: BipartiteGraph,
-    lam: Fugacities,
-    max_size: int,
-    max_polymers: int = DEFAULT_MAX_POLYMERS,
-) -> list[Polymer]:
+def all_polymers(g: BipartiteGraph, lam: Fugacities, max_size: int) -> list[Polymer]:
     """Every polymer of size <= max_size, each exactly once, sorted by the
-    canonical key (lexicographic vertex tuple)."""
+    canonical key (lexicographic vertex tuple).  SizeCapError past
+    DEFAULT_MAX_POLYMERS of them."""
     out = []
     for mask in _two_linked_sets(_link_masks(g), (1 << g.n_R) - 1, max_size):
         out.append(_build_polymer(g, mask, tuple(_bits(mask)), lam))
-        if len(out) > max_polymers:
-            raise SizeCapError(f"more than {max_polymers} polymers; graph too dense")
+        if len(out) > DEFAULT_MAX_POLYMERS:
+            raise SizeCapError(f"more than {DEFAULT_MAX_POLYMERS} polymers; graph too dense")
     out.sort(key=lambda p: p.vertices)
     return out
 
@@ -238,85 +234,6 @@ def incompatible(p1: Polymer, p2: Polymer, links: Sequence[int]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# convergence-condition vertex sums
-
-@dataclass(frozen=True)
-class KPVertexSum:
-    """One vertex's share of the convergence condition
-
-        sum over polymers containing v of |w| * e**((1/2 + eta)|gamma|)
-            <= 1 / (2 (max_deg_R (max_deg_L - 1) + 1)).
-
-    ``partial`` is the exact sum over polymers of size <= k_max; ``tail`` is
-    a geometric bound on the rest from the analytic weight and count bounds
-    (infinite when the geometric ratio reaches 1).  ``satisfied`` is None
-    when the tail cannot be bounded.
-    """
-
-    vertex: int
-    partial: float
-    tail: float
-    bound: float
-    k_max: int
-    eta: float
-
-    @property
-    def total(self) -> float:
-        return self.partial + self.tail
-
-    @property
-    def satisfied(self) -> bool | None:
-        if math.isinf(self.tail):
-            return None
-        return self.total <= self.bound
-
-    @property
-    def ratio(self) -> float:
-        return self.total / self.bound
-
-
-def _kp_term(g: BipartiteGraph, verts: Sequence[int], lam: Fugacities, eta: float) -> float:
-    """|w(gamma)| * e**((1/2 + eta)|gamma|) for gamma on the R-vertices
-    ``verts``: what gamma adds to the sum of each of its vertices."""
-    k = len(verts)
-    return abs(_weight(lam, k, _nbhd_size(g, verts))) * math.exp((0.5 + eta) * k)
-
-
-def _kp_tail_bound(prof: DegreeProfile, lam: Fugacities, eta: float, k_max: int) -> tuple[float, float]:
-    """The vertex-independent parts of a vertex sum: the tail bound beyond
-    size k_max and the right-hand side 1 / (2 (d + 1))."""
-    d = max(prof.delta_R_max * (prof.delta_L_max - 1), 0)
-    bound = 1.0 / (2.0 * (d + 1))
-    if d == 0:
-        return 0.0, bound  # all polymers are singletons, already in the partial sum
-    # per-size envelope: count <= (e d)**(k-1) / k**1.5, |w| <= wb**k
-    wb = abs(_weight(lam, 1, prof.delta_R_min / prof.delta_L_max))
-    q = d * wb * math.exp(1.5 + eta)
-    if q >= 1.0:
-        return math.inf, bound
-    tail = q ** (k_max + 1) / (math.e * d * (k_max + 1) ** 1.5 * (1.0 - q))
-    return tail, bound
-
-
-def kp_vertex_sum(
-    g: BipartiteGraph, v: int, lam: Fugacities, eta: float, k_max: int
-) -> KPVertexSum:
-    """One vertex's sum, enumerating only the polymers that contain v."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
-    if not 0 <= v < g.n_R:
-        raise ValueError(f"no R-vertex {v}")
-    partial = math.fsum(
-        _kp_term(g, tuple(_bits(mask)), lam, eta)
-        for mask in _connected_sets(_link_masks(g), v, k_max, (1 << g.n_R) - 1)
-    )
-    tail, bound = _kp_tail_bound(degree_profile(g), lam, eta, k_max)
-    return KPVertexSum(v, partial, tail, bound, k_max, eta)
-
-
-# ---------------------------------------------------------------------------
 # explicit polymer universes
 
 class PolymerSystem:
@@ -328,17 +245,11 @@ class PolymerSystem:
     cluster enumeration.
     """
 
-    def __init__(
-        self,
-        g: BipartiteGraph,
-        lam: Fugacities,
-        max_size: int | None = None,
-        max_polymers: int = DEFAULT_MAX_POLYMERS,
-    ):
+    def __init__(self, g: BipartiteGraph, lam: Fugacities, max_size: int | None = None):
         self.graph = g
         self.lam = lam
         self.max_size = g.n_R if max_size is None else min(max_size, g.n_R)
-        self.polymers = all_polymers(g, lam, self.max_size, max_polymers)
+        self.polymers = all_polymers(g, lam, self.max_size)
         n = len(self.polymers)
         self.full_mask = (1 << n) - 1
         links = _link_masks(g)

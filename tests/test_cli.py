@@ -141,6 +141,24 @@ def test_count_json_stable_modulo_wall_time(biregular_file, capsys):
     )) <= 0.01
 
 
+def test_count_warns_when_the_budget_degrades(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(bc.clusters, "MAX_COEFFICIENTS", 2_000)
+    p = tmp_path / "k36.txt"
+    p.write_text(graph_to_text(bc.complete_bipartite(3, 6)))
+    argv = ("count", str(p), "--lambda-l", "200", "--lambda-r", "0.05", "--eps", "0.001")
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 0
+    assert "warning: cluster budget forced truncation depth down" in err
+    assert set(json.loads(out)) == {
+        "log_Z_estimate", "epsilon", "m_used", "eta", "certificate_mode",
+        "error_bound", "n_L", "n_R", "wall_time_ms",
+    }
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert "warning: cluster budget forced truncation depth down" in err
+    assert out.startswith("log Z estimate = ")
+
+
 def test_count_text(edge_file, capsys):
     code, out, _ = run(
         capsys, "count", edge_file, "--lambda-l", "10", "--lambda-r", "0.1",
@@ -229,6 +247,26 @@ def test_exact_text_marginal(edge_file, capsys):
     assert code == 0
     assert "Z = 3" in out
     assert "Pr[R:0 occupied] = 0.3333333333" in out
+
+
+@pytest.mark.parametrize("n_R", [1017, 1030])
+def test_exact_prints_z_while_it_fits_a_float(n_R, tmp_path, capsys):
+    # log Z = 1017 log 2 = 704.9 still fits; 1030 log 2 = 714 does not
+    g = bc.complete_bipartite(1, n_R)
+    p = tmp_path / "star.txt"
+    p.write_text(graph_to_text(g))
+    argv = ("exact", str(p), "--lambda-l", "1", "--lambda-r", "1")
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    doc = json.loads(out)
+    code, text, _ = run(capsys, *argv)
+    assert code == 0
+    if n_R == 1017:
+        assert doc["Z"] == bc.exact_Z(g, bc.Fugacities(1.0, 1.0))
+        assert text.startswith("Z = ")
+    else:
+        assert doc["Z"] is None
+        assert text.startswith("log Z = ")
 
 
 def test_exact_complex_point(edge_file, capsys):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import bipcore as bc
 from bipcore import (
     ComplexRegion,
+    DegreeProfile,
     Fugacities,
     StructuralMismatchError,
     certify_kp,
@@ -250,6 +251,47 @@ def test_certificate_visits_each_two_linked_set_once(monkeypatch):
     assert cert.per_vertex is not None
     assert sorted(visited) == sorted(_brute_polymer_masks(g, 6))
     assert any(m.bit_count() > 6 for m in _brute_polymer_masks(g, g.n_R))
+
+
+def _log_tree_count(k: int, d: int) -> float:
+    # log t_k(d): k-vertex subtrees through the root of the d-regular tree
+    n = (d - 1) * k
+    return (
+        math.log(d) + math.lgamma(n + 1) - math.lgamma(k) - math.lgamma(n - k + 2)
+        - math.log((d - 2) * k + 2)
+    )
+
+
+@pytest.mark.parametrize("d", [100, 1000, 10**4])
+@pytest.mark.parametrize("q", [0.001, 0.01])
+def test_tail_covers_the_tree_count(d, q):
+    # with max_deg_L = 2 every graph of maximum R-degree d is a link graph,
+    # and one of girth above k has t_k(d) 2-linked k-sets through each vertex
+    eta, k_max, lam_L = 0.5, 6, 1e-3
+    prof = DegreeProfile(2, 2, d, d)
+    lam_R = q / (d * math.exp(1.5 + eta)) * (1.0 + lam_L) ** (d / 2)
+    tail, _ = conditions._kp_tail_bound(prof, Fugacities(lam_L, lam_R), eta, k_max)
+    log_wb = math.log(lam_R) - (d / 2) * math.log1p(lam_L)
+    tree_sum = math.fsum(
+        math.exp(_log_tree_count(k, d) + k * (log_wb + 0.5 + eta))
+        for k in range(k_max + 1, 400)
+    )
+    assert tail >= tree_sum
+
+
+def test_inconclusive_with_an_unbounded_tail():
+    cert = certify_kp(bc.even_cycle(8), Fugacities(1.0, 0.2), eta=0.2)
+    assert cert.mode == "inconclusive" and not cert.valid
+    assert cert.margin == math.inf
+    assert all(s.partial <= s.bound and s.satisfied is None for s in cert.per_vertex)
+
+
+def test_inconclusive_with_a_finite_tail():
+    cert = certify_kp(bc.even_cycle(8), Fugacities(1.0, 0.03), eta=2.0)
+    assert cert.mode == "inconclusive" and not cert.valid
+    assert 1.0 < cert.margin < math.inf
+    assert cert.margin == max(s.ratio for s in cert.per_vertex)
+    assert all(s.partial <= s.bound and s.satisfied is False for s in cert.per_vertex)
 
 
 def test_series_constant_threshold():

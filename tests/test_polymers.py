@@ -13,15 +13,18 @@ from hypothesis import strategies as st
 import bipcore as bc
 from bipcore import (
     BipartiteGraph,
+    ClusterEngine,
     ComplexRegion,
     Fugacities,
     NotTwoLinkedError,
     PolymerSystem,
+    SizeCapError,
     all_polymers,
     enumerate_polymers,
     incompatible,
     kp_vertex_sum,
     polymer_weight,
+    polymers,
 )
 from bipcore.polymers import _is_two_linked, _link_masks, make_polymer, two_linked_adjacency
 
@@ -232,6 +235,16 @@ def test_kp_total_upper_bounds_true_sum():
 
 # ---------------------------------------------------------------------------
 # polymer systems
+
+def test_polymer_universe_cap(monkeypatch):
+    g = bc.even_cycle(8)
+    assert len(all_polymers(g, LAM, 4)) > 10
+    monkeypatch.setattr(polymers, "DEFAULT_MAX_POLYMERS", 10)
+    with pytest.raises(SizeCapError):
+        all_polymers(g, LAM, 4)
+    with pytest.raises(SizeCapError):
+        ClusterEngine(g, LAM, max_size=4)
+
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1))
