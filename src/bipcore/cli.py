@@ -222,6 +222,8 @@ def cmd_exact(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.draws < 1:
+        raise _UsageError("need at least one draw")
     g = _load(args.graph)
     lam = _fugacities(args)
     sampler = IndependentSetSampler(g, lam, epsilon=args.eps, backend=args.backend, eta=args.eta)

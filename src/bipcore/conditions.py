@@ -239,8 +239,8 @@ def kp_vertex_sum(
     g: BipartiteGraph, v: int, lam: Fugacities, eta: float, k_max: int
 ) -> KPVertexSum:
     """One vertex's sum, enumerating only the polymers that contain v."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    if not eta > 0:
+        raise ValueError(f"eta must be positive, got {eta!r}")
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     if not 0 <= v < g.n_R:
@@ -302,8 +302,8 @@ def certify_kp(
     vertex, and its term goes to every vertex it contains; ``per_vertex``
     equals ``kp_vertex_sum(g, v, lam, eta, KP_DEPTH)`` for each v.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    if not eta > 0:
+        raise ValueError(f"eta must be positive, got {eta!r}")
     prof = degree_profile(g)
     if (
         lam.is_real

@@ -30,8 +30,10 @@ def choose_m(n_R: int, epsilon: float, eta: float) -> int:
     """Truncation depth giving tail n_R * e**(-m * eta) <= epsilon; at least 1."""
     if n_R < 1:
         raise ValueError("n_R must be at least 1")
-    if epsilon <= 0 or eta <= 0:
-        raise ValueError("epsilon and eta must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
+    if not 0 < eta < math.inf:
+        raise ValueError(f"eta must be positive and finite, got {eta!r}")
     return max(math.ceil(math.log(n_R / epsilon) / eta), 1)
 
 
@@ -105,8 +107,8 @@ def approx_log_Z(
     """
     if not lam.is_real:
         raise ValueError("approx_log_Z takes real activities")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
     t0 = time.perf_counter()
     cert = certify_kp(g, lam, eta=eta)
     if not cert.valid:

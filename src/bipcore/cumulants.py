@@ -111,8 +111,8 @@ def cumulant_decay_constant(a: int, eta: float) -> float:
     C = (sum_{y>=1} y e^(-eta (y-1)))^a = (1 - e^(-eta))^(-2a)."""
     if a < 1:
         raise ValueError("need at least one vertex")
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    if not eta > 0:
+        raise ValueError(f"eta must be positive, got {eta!r}")
     return (-math.expm1(-eta)) ** (-2 * a)
 
 

@@ -16,11 +16,18 @@ instances).
 A configuration extends to an independent set by occupying its polymers'
 vertices and then each unblocked L-vertex independently with probability
 lambda_L / (1 + lambda_L).
+
+Every decision reads one uniform through ``rng.random()``.  A sampler that
+owns its generator (``IndependentSetSampler.draws`` and the one-draw
+functions) fetches the uniforms UNIFORM_BLOCK at a time; they are the
+doubles repeated scalar calls return, so its draws equal repeated
+``sample(rng)`` calls on a fresh ``Generator(Philox(seed))``.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Literal
@@ -36,6 +43,7 @@ from .polymers import Fugacities, Polymer, _build_polymer
 
 EXACT_BACKEND_CAP = 20  # R-side size for the exact restricted-Xi backend
 TRUNCATION_DEPTH_CAP = 24
+UNIFORM_BLOCK = 1024  # doubles per generator call where a sampler owns the generator
 
 Backend = Literal["auto", "exact", "truncated"]
 
@@ -53,6 +61,18 @@ class PolymerConfig:
         for p in self.chosen:
             out.update(p.vertices)
         return frozenset(out)
+
+
+class _BlockedUniforms:
+    """The ``random()`` of Generator(Philox(seed)), served from blocks of
+    UNIFORM_BLOCK doubles: the same doubles, without a generator call each."""
+
+    __slots__ = ("random",)
+
+    def __init__(self, seed: int):
+        rng = np.random.Generator(np.random.Philox(seed))
+        blocks = iter(lambda: rng.random(UNIFORM_BLOCK).tolist(), None)  # endless
+        self.random = itertools.chain.from_iterable(blocks).__next__
 
 
 class IndependentSetSampler:
@@ -83,8 +103,8 @@ class IndependentSetSampler:
     ):
         if not lam.is_real:
             raise ValueError("sampling needs real activities")
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not epsilon > 0:
+            raise ValueError(f"epsilon must be positive, got {epsilon!r}")
         if backend == "auto":
             backend = "exact" if g.n_R <= EXACT_BACKEND_CAP else "truncated"
         self.graph = g
@@ -191,10 +211,13 @@ class IndependentSetSampler:
         return self.extend(self.sample_config(rng), rng)
 
     def draws(self, n: int, seed: int) -> Iterator[frozenset[Vertex]]:
-        """n independent sets from one deterministic stream."""
-        rng = np.random.Generator(np.random.Philox(seed))
-        for _ in range(n):
-            yield self.sample(rng)
+        """n independent sets from one deterministic stream: the sets n
+        repeated ``sample(rng)`` calls give on a fresh
+        ``Generator(Philox(seed))``, with the uniforms fetched in blocks."""
+        if n < 0:
+            raise ValueError(f"cannot draw {n} sets")
+        rng = _BlockedUniforms(seed)
+        return (self.sample(rng) for _ in range(n))
 
 
 def _extend(
@@ -225,8 +248,7 @@ def sample_polymer_config(
     """One polymer configuration, deterministic in the seed.  Builds a
     sampler for this one draw; reuse an IndependentSetSampler for many."""
     sampler = IndependentSetSampler(g, lam, epsilon, backend)
-    rng = np.random.Generator(np.random.Philox(rng_seed))
-    return sampler.sample_config(rng)
+    return sampler.sample_config(_BlockedUniforms(rng_seed))
 
 
 def extend_to_independent_set(
@@ -236,7 +258,7 @@ def extend_to_independent_set(
     independently with probability lambda_L / (1 + lambda_L)."""
     if not lam.is_real:
         raise ValueError("sampling needs real activities")
-    return _extend(g, lam, config, np.random.Generator(np.random.Philox(rng_seed)))
+    return _extend(g, lam, config, _BlockedUniforms(rng_seed))
 
 
 def sample_independent_set(
@@ -254,5 +276,4 @@ def sample_independent_set(
     even_cycle(44) at epsilon = 0.05 asks for m = 99.  Builds a sampler for this one draw;
     reuse an IndependentSetSampler for many."""
     sampler = IndependentSetSampler(g, lam, epsilon, backend)
-    rng = np.random.Generator(np.random.Philox(rng_seed))
-    return sampler.sample(rng)
+    return sampler.sample(_BlockedUniforms(rng_seed))

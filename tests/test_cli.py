@@ -379,6 +379,17 @@ def test_sample_uncertified_truncated_exits_2(edge_file, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("draws", ["0", "-3"])
+def test_sample_needs_at_least_one_draw(edge_file, capsys, draws):
+    code, out, err = run(
+        capsys, "sample", edge_file, "--lambda-l", "1", "--lambda-r", "1",
+        "--draws", draws,
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: need at least one draw\n"
+
+
 # ---------------------------------------------------------------------------
 # decay
 

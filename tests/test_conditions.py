@@ -70,6 +70,15 @@ def test_main_condition_rejects_complex():
         check_main_condition((1, 1, 1), Fugacities(complex(1), complex(0.1)))
 
 
+def test_certificates_reject_a_nan_rate():
+    # a NaN rate used to give an "inconclusive" certificate with NaN margins
+    g, lam = bc.even_cycle(8), Fugacities(10.0, 0.05)
+    with pytest.raises(ValueError, match="eta must be positive, got nan"):
+        certify_kp(g, lam, eta=math.nan)
+    with pytest.raises(ValueError, match="eta must be positive, got nan"):
+        bc.kp_vertex_sum(g, 0, lam, eta=math.nan, k_max=6)
+
+
 # ---------------------------------------------------------------------------
 # special cases
 

@@ -38,6 +38,11 @@ def test_choose_m_validation():
         choose_m(1, 0.0, 0.1)
     with pytest.raises(ValueError):
         choose_m(1, 0.1, -1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            choose_m(4, bad, 0.1)
+        with pytest.raises(ValueError, match="eta must be positive and finite"):
+            choose_m(4, 0.05, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +149,8 @@ def test_epsilon_validation():
     g = bc.complete_bipartite(1, 1)
     with pytest.raises(ValueError):
         approx_log_Z(g, Fugacities(10.0, 0.1), epsilon=0.0)
+    with pytest.raises(ValueError, match="epsilon must be positive, got nan"):
+        approx_log_Z(g, Fugacities(10.0, 0.1), epsilon=math.nan, m=5)
     with pytest.raises(ValueError):
         approx_log_Z(g, Fugacities(complex(10.0), complex(0.1)), epsilon=0.1)
 

@@ -92,6 +92,8 @@ def test_decay_constant_closed_form():
         cumulant_decay_constant(0, 0.1)
     with pytest.raises(ValueError):
         cumulant_decay_constant(1, 0.0)
+    with pytest.raises(ValueError, match="eta must be positive, got nan"):
+        cumulant_decay_constant(1, math.nan)
 
 
 def test_straddling_constant_composition():

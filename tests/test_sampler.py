@@ -218,6 +218,48 @@ def test_draws_deterministic_in_seed():
     assert a != c
 
 
+@pytest.mark.parametrize(
+    "g, lam, backend, n",
+    [
+        (bc.even_cycle(12), Fugacities(1.0, 0.5), "exact", 500),
+        (bc.star_center_L(2), Fugacities(10.0, 0.1), "truncated", 2000),
+    ],
+    ids=["exact", "truncated"],
+)
+def test_draws_equal_repeated_sample_calls(g, lam, backend, n):
+    # about 4,800 and 5,900 uniforms: each stream crosses several blocks
+    s = IndependentSetSampler(g, lam, backend=backend)
+    rng = np.random.Generator(np.random.Philox(8))
+    assert list(s.draws(n, seed=8)) == [s.sample(rng) for _ in range(n)]
+
+
+@pytest.mark.parametrize(
+    "g", [bc.even_cycle(8), bc.complete_bipartite(1500, 1)], ids=["C8", "K1500,1"]
+)
+def test_one_draw_functions_equal_their_generator_definitions(g):
+    # K_{1500,1} reads up to 1,501 uniforms in one draw, past one block
+    lam = Fugacities(1.5, 0.7)
+    s = IndependentSetSampler(g, lam, 0.05)
+
+    def fresh(seed):
+        return np.random.Generator(np.random.Philox(seed))
+
+    for seed in range(20):
+        cfg = s.sample_config(fresh(seed))
+        assert sample_polymer_config(g, lam, 0.05, rng_seed=seed) == cfg
+        assert extend_to_independent_set(g, cfg, lam, rng_seed=seed) == s.extend(
+            cfg, fresh(seed)
+        )
+        assert sample_independent_set(g, lam, 0.05, rng_seed=seed) == s.sample(fresh(seed))
+
+
+def test_draws_rejects_a_negative_count():
+    s = IndependentSetSampler(bc.even_cycle(4), Fugacities(1.0, 1.0))
+    with pytest.raises(ValueError):
+        s.draws(-1, seed=0)
+    assert list(s.draws(0, seed=0)) == []
+
+
 def test_uniform_thirds_on_single_edge():
     g = bc.complete_bipartite(1, 1)
     sampler = IndependentSetSampler(g, Fugacities(1.0, 1.0))
@@ -285,6 +327,14 @@ def test_backend_errors():
         IndependentSetSampler(bc.even_cycle(4), Fugacities(1.0, 1.0), backend="bogus")
     with pytest.raises(ValueError):
         IndependentSetSampler(bc.even_cycle(4), Fugacities(1.0, 1.0), epsilon=0.0)
+    with pytest.raises(ValueError, match="epsilon must be positive, got nan"):
+        IndependentSetSampler(
+            bc.even_cycle(4), Fugacities(1.0, 1.0), epsilon=math.nan, backend="exact"
+        )
+    with pytest.raises(ValueError, match="epsilon must be positive and finite, got inf"):
+        IndependentSetSampler(
+            bc.star_center_L(2), Fugacities(10.0, 0.1), epsilon=math.inf, backend="truncated"
+        )
     with pytest.raises(ValueError):
         IndependentSetSampler(
             bc.even_cycle(4), Fugacities(complex(1.0), complex(1.0))
