@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import nullcontext
 from typing import Sequence
 
 from . import graph as graphmod
@@ -50,12 +51,13 @@ def _emit_error(exc: BaseException, as_json: bool) -> None:
         print(f"error: {exc}", file=sys.stderr)
 
 
+def _open_out(out: str | None):
+    return nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8")
+
+
 def _write_out(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    with _open_out(out) as fh:
+        fh.write(text)
 
 
 def _load(path: str) -> BipartiteGraph:
@@ -233,24 +235,24 @@ def cmd_sample(args) -> int:
             f"(requested m={sampler.m_requested}); the requested accuracy is not certified",
             file=sys.stderr,
         )
-    lines = []
+    draws = sampler.draws(args.draws, args.seed)  # checks the seed before --out is opened
     size_total = 0
     r_total = 0
-    for s in sampler.draws(args.draws, args.seed):
-        ordered = sorted(s)
-        size_total += len(ordered)
-        r_total += sum(1 for side, _ in ordered if side == "R")
-        lines.append(json.dumps([[side, i] for side, i in ordered]))
-    summary = {
-        "backend": sampler.backend,
-        "draws": args.draws,
-        "epsilon": args.eps,
-        "mean_R_occupied": r_total / args.draws,
-        "mean_size": size_total / args.draws,
-        "seed": args.seed,
-    }
-    lines.append(json.dumps(summary, sort_keys=True))
-    _write_out("\n".join(lines) + "\n", args.out)
+    with _open_out(args.out) as fh:  # line by line, so memory does not grow with --draws
+        for s in draws:
+            ordered = sorted(s)
+            size_total += len(ordered)
+            r_total += sum(1 for side, _ in ordered if side == "R")
+            fh.write(json.dumps([[side, i] for side, i in ordered]) + "\n")
+        summary = {
+            "backend": sampler.backend,
+            "draws": args.draws,
+            "epsilon": args.eps,
+            "mean_R_occupied": r_total / args.draws,
+            "mean_size": size_total / args.draws,
+            "seed": args.seed,
+        }
+        fh.write(json.dumps(summary, sort_keys=True) + "\n")
     return 0
 
 

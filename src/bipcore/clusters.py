@@ -568,11 +568,8 @@ class SeriesEngine:
 
 @dataclass(frozen=True)
 class ExpansionEstimate:
-    """Truncated expansion value with its certificate-backed tail bound.
-
-    error_bound is n_R * exp(-m * eta) when a valid certificate was supplied
-    and None (unbounded) otherwise.
-    """
+    """Truncated expansion value with its tail bound: the certificate's
+    ``error_bound(n_R, m)``, None (unbounded) without a valid certificate."""
 
     value: Scalar
     m: int
@@ -612,9 +609,6 @@ def truncated_expansion(
     engine = SeriesEngine(g, lam, m)
     count = len(engine.connected_sets())
     value = engine.log_xi()
-    eta = None
-    bound = None
-    if certificate is not None and certificate.valid:
-        eta = certificate.eta
-        bound = g.n_R * math.exp(-m * certificate.eta)
+    bound = None if certificate is None else certificate.error_bound(g.n_R, m)
+    eta = None if bound is None else certificate.eta
     return ExpansionEstimate(value, m, eta, bound, count)

@@ -49,7 +49,13 @@ Kotecky-Preiss then bounds the clusters Gamma incompatible with gamma by
 sum |phi(Gamma) w(Gamma)| e**(eta ||Gamma||) <= a(gamma).  A cluster is
 incompatible with {v} for every vertex v of its polymers, so the clusters of
 total size ||Gamma|| >= m sum to at most n_R * a({v}) * e**(-m eta), and the
-truncation error at depth m is below n_R * e**(-m * eta).
+truncation error at depth m is below n_R * e**(-m * eta) (``KPCertificate.
+error_bound``; ``choose_m`` inverts it).  The joint cumulant of a set A of
+R-vertices weighs each cluster by prod_{v in A} Y_v(Gamma), Y_v the number
+of its polymer slots containing v.  A cluster of nonzero weight is
+incompatible with {v} for v in A, and Y_v(Gamma) <= ||Gamma||, so the
+clusters of total size >= m add at most a({v}) = 1/2 times
+sup_{t >= m} t**|A| e**(-eta t) (``KPCertificate.cumulant_tail``).
 
 The analytic route covers only eta <= 0.1: the main condition bounds every
 (KP_v) at eta = 0.1 with no enumeration, and the sums increase with eta, so
@@ -66,7 +72,7 @@ import sys
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
-from .errors import StructuralMismatchError
+from .errors import CertificationError, StructuralMismatchError
 from .graph import BipartiteGraph, DegreeProfile, _bits, degree_profile
 from .polymers import (
     ComplexRegion,
@@ -285,6 +291,34 @@ class KPCertificate:
     @property
     def valid(self) -> bool:
         return self.mode in ("analytic", "empirical")
+
+    def require(self, reason: str) -> KPCertificate:
+        """This certificate if valid; else CertificationError with the mode and reason."""
+        if not self.valid:
+            raise CertificationError(f"convergence certification {self.mode}; {reason}")
+        return self
+
+    def error_bound(self, n_R: int, m: int) -> float | None:
+        """Bound on the truncation error at depth m, n_R * e**(-m * eta); None unless valid."""
+        return n_R * math.exp(-m * self.eta) if self.valid else None
+
+    def cumulant_tail(self, a: int, m: int) -> float:
+        """An a-vertex cumulant's tail bound at depth m, sup_{t>=m} t**a e**(-eta t); inf if invalid."""
+        if not self.valid:
+            return math.inf
+        t = max(float(m), a / self.eta)
+        return t**a * math.exp(-self.eta * t)
+
+
+def choose_m(n_R: int, epsilon: float, eta: float) -> int:
+    """The least depth m >= 1 whose ``KPCertificate.error_bound`` is <= epsilon at rate eta."""
+    if n_R < 1:
+        raise ValueError("n_R must be at least 1")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
+    if not 0 < eta < math.inf:
+        raise ValueError(f"eta must be positive and finite, got {eta!r}")
+    return max(math.ceil(math.log(n_R / epsilon) / eta), 1)
 
 
 def certify_kp(

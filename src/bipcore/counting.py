@@ -1,8 +1,8 @@
 """Approximate counting driver and the complex zero-freeness probe.
 
 The estimate is log Z = n_L * log(1 + lambda_L) + T_m with T_m the truncated
-expansion of the polymer model; with a valid convergence certificate at rate
-eta and m >= log(n_R / eps) / eta, the result is an eps-relative
+expansion of the polymer model; under a valid convergence certificate and at
+the depth ``conditions.choose_m`` derives, the result is an eps-relative
 approximation in the two-sided e**(+-eps) sense.  Everything stays in log
 domain; raw magnitudes like (1 + lambda_L)**n_L are never formed.
 """
@@ -17,24 +17,13 @@ from typing import Any, Callable
 import numpy as np
 
 from .clusters import ExpansionEstimate, truncated_expansion
-from .conditions import KPCertificate, certify_kp, check_complex_region
+from .conditions import KPCertificate, certify_kp, check_complex_region, choose_m
 from .errors import CertificationError, ClusterBudgetError
 from .graph import BipartiteGraph, degree_profile
 from .polymers import ComplexRegion, Fugacities
 from .oracle import exact_Z_complex
 
 DEGRADE_FACTOR = 0.8
-
-
-def choose_m(n_R: int, epsilon: float, eta: float) -> int:
-    """Truncation depth giving tail n_R * e**(-m * eta) <= epsilon; at least 1."""
-    if n_R < 1:
-        raise ValueError("n_R must be at least 1")
-    if not 0 < epsilon < math.inf:
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
-    if not 0 < eta < math.inf:
-        raise ValueError(f"eta must be positive and finite, got {eta!r}")
-    return max(math.ceil(math.log(n_R / epsilon) / eta), 1)
 
 
 def _fit_depth(build: Callable[[int], Any], m: int) -> Any:
@@ -110,12 +99,9 @@ def approx_log_Z(
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
     t0 = time.perf_counter()
-    cert = certify_kp(g, lam, eta=eta)
-    if not cert.valid:
-        raise CertificationError(
-            f"convergence certification {cert.mode}; refusing to emit an "
-            "uncertified approximation (the exact oracle handles small graphs)"
-        )
+    cert = certify_kp(g, lam, eta=eta).require(
+        "refusing to emit an uncertified approximation (the exact oracle handles small graphs)"
+    )
     m_requested = choose_m(g.n_R, epsilon, cert.eta) if m is None else m
     if m_requested < 1:
         raise ValueError("m must be at least 1")

@@ -5,8 +5,8 @@ For A a set of R-vertices, the cumulant has the convergent expansion
     kappa(A) = sum over clusters Gamma of w(Gamma) * prod_{v in A} Y_v(Gamma)
 
 with Y_v the number of polymer slots containing v.  Truncating at total size
-m leaves a tail below sup_{t >= m} t^|A| e^(-eta t) under a convergence
-certificate at rate eta.  The truncated sum comes from the expansion engine
+m leaves a tail below ``KPCertificate.cumulant_tail`` (derived in
+``conditions``).  The truncated sum comes from the expansion engine
 (``clusters.SeriesEngine``) as a mixed derivative of log Xi, with no cluster
 enumeration.  Cumulants decay like e^(-eta * MST(A) / 2) with an
 explicit constant; through the partition-lattice identity
@@ -27,7 +27,6 @@ from typing import Mapping, Sequence
 
 from .clusters import SeriesEngine
 from .conditions import KPCertificate, certify_kp
-from .errors import CertificationError
 from .graph import BipartiteGraph, Vertex, graph_distance, steiner_tree_size
 from .polymers import Fugacities
 from . import oracle
@@ -157,12 +156,6 @@ def _normalize_R_set(g: BipartiteGraph, A) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def _tail_sup(a: int, eta: float, m: int) -> float:
-    """sup over t >= m of t^a e^(-eta t) (the maximizer is a/eta)."""
-    t = max(float(m), a / eta)
-    return t**a * math.exp(-eta * t)
-
-
 @lru_cache(maxsize=4)
 def _cluster_table(g: BipartiteGraph, lam: Fugacities, m: int) -> SeriesEngine:
     """One expansion engine per (graph, activities, m), shared by the
@@ -186,9 +179,9 @@ def truncated_cumulant(
     eta: float = 0.1,
 ) -> CumulantQuery:
     """Partial sum of the cluster formula for kappa(A) over clusters of total
-    size < m.  The tail bound is sup_{t>=m} t^|A| e^(-eta t) under a valid
-    certificate at rate eta, infinity otherwise (the value is still exact as
-    a partial sum either way)."""
+    size < m.  The tail bound is the certificate's ``cumulant_tail`` at rate
+    eta, infinity unless it is valid (the value is still exact as a partial
+    sum either way)."""
     if not lam.is_real:
         raise ValueError("cumulants take real activities")
     if m < 1:
@@ -196,12 +189,11 @@ def truncated_cumulant(
     verts = _normalize_R_set(g, A)
     cert = _shared_certificate(g, lam, eta)
     value, count = _cluster_table(g, lam, m).cumulant(sum(1 << v for v in verts))
-    tail = _tail_sup(len(verts), cert.eta, m) if cert.valid else math.inf
     return CumulantQuery(
         vertices=verts,
         m=m,
         value=value,
-        tail_bound=tail,
+        tail_bound=cert.cumulant_tail(len(verts), m),
         eta=cert.eta,
         cluster_count=count,
     )
@@ -288,12 +280,11 @@ def decay_experiment(
     valid convergence certificate: the bounds are only proved at rate eta.
     The mu side is exact (oracle), so the usual oracle size caps apply.
     """
-    cert = _shared_certificate(g, lam, eta)
-    if not cert.valid:
-        raise CertificationError(
-            f"convergence certification {cert.mode}; decay bounds need a "
-            "certificate at the requested rate"
-        )
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    cert = _shared_certificate(g, lam, eta).require(
+        "decay bounds need a certificate at the requested rate"
+    )
     rows: list[DecayRow] = []
     for qid, query in enumerate(queries):
         kind = query[0]

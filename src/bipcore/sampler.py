@@ -35,9 +35,9 @@ from typing import Iterator, Literal
 import numpy as np
 
 from .clusters import SeriesEngine
-from .conditions import KPCertificate, certify_kp
-from .counting import _fit_depth, choose_m
-from .errors import CertificationError, SizeCapError
+from .conditions import KPCertificate, certify_kp, choose_m
+from .counting import _fit_depth
+from .errors import SizeCapError
 from .graph import BipartiteGraph, Vertex, _bits
 from .polymers import Fugacities, Polymer, _build_polymer
 
@@ -123,13 +123,9 @@ class IndependentSetSampler:
             # every series a draw reads lies in the recursion for Xi_R
             self._engine.xi((1 << g.n_R) - 1)
         elif backend == "truncated":
-            cert = certify_kp(g, lam, eta=eta)
-            if not cert.valid:
-                raise CertificationError(
-                    f"convergence certification {cert.mode}; the truncated "
-                    "sampling backend needs a valid certificate"
-                )
-            self.certificate = cert
+            self.certificate = cert = certify_kp(g, lam, eta=eta).require(
+                "the truncated sampling backend needs a valid certificate"
+            )
             step_budget = epsilon / (2.0 * g.n_R)
             self.m_requested = choose_m(g.n_R, step_budget, cert.eta)
 
@@ -163,7 +159,7 @@ class IndependentSetSampler:
         log_none = self._log_xi(state & (state - 1))
         candidates = []
         raw = []
-        # lexicographic in the vertex tuple, the order all_polymers lists
+        # lexicographic in the vertex tuple: draws stay identical to earlier releases
         for gamma, rest, w in sorted(
             self._engine.terms(state), key=lambda t: tuple(_bits(t[0]))
         ):
@@ -269,11 +265,8 @@ def sample_independent_set(
     backend: Backend = "auto",
 ) -> frozenset[Vertex]:
     """One draw from the hard-core measure: exact in the exact backend, and
-    within total-variation epsilon of it in the truncated backend only while
-    the depth the per-step budget epsilon / (2 n_R) asks for is at most
-    TRUNCATION_DEPTH_CAP (24) and fits the coefficient budget.  Otherwise the
-    draw is uncertified and the sampler is flagged ``degraded``:
-    even_cycle(44) at epsilon = 0.05 asks for m = 99.  Builds a sampler for this one draw;
-    reuse an IndependentSetSampler for many."""
+    within total-variation epsilon of it in the truncated backend unless the
+    sampler is ``degraded`` (see IndependentSetSampler).  Builds a sampler for
+    this one draw; reuse an IndependentSetSampler for many."""
     sampler = IndependentSetSampler(g, lam, epsilon, backend)
     return sampler.sample(_BlockedUniforms(rng_seed))

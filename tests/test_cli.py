@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import subprocess
@@ -390,6 +391,53 @@ def test_sample_needs_at_least_one_draw(edge_file, capsys, draws):
     assert err == "error: need at least one draw\n"
 
 
+def test_sample_writes_each_line_as_it_is_drawn(cycle_file, capsys, monkeypatch):
+    real_draws = cli.IndependentSetSampler.draws
+    out = io.StringIO()
+
+    def draws(self, n, seed):
+        for k, s in enumerate(real_draws(self, n, seed)):
+            assert out.getvalue().count("\n") == k
+            yield s
+
+    monkeypatch.setattr(cli.IndependentSetSampler, "draws", draws)
+    monkeypatch.setattr(sys, "stdout", out)
+    code = cli.main(["sample", cycle_file, "--lambda-l", "1", "--lambda-r", "0.5",
+                     "--backend", "exact", "--draws", "50"])
+    assert code == 0
+    assert out.getvalue().count("\n") == 51
+
+
+def test_sample_out_file_holds_the_stdout_bytes(cycle_file, tmp_path, capsys):
+    argv = ("sample", cycle_file, "--lambda-l", "1", "--lambda-r", "0.5",
+            "--backend", "exact", "--draws", "300", "--seed", "4")
+    _, out, _ = run(capsys, *argv)
+    dest = tmp_path / "s.jsonl"
+    code, stdout, _ = run(capsys, *argv, "--out", str(dest))
+    assert code == 0 and stdout == ""
+    assert dest.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize(
+    "flags, code, message",
+    [
+        (("--backend", "truncated"), 2, "convergence certification failed"),
+        (("--seed", "-1"), 1, "expected non-negative integer"),
+    ],
+)
+def test_sample_failing_before_the_first_draw_creates_no_out_file(
+    edge_file, tmp_path, capsys, flags, code, message
+):
+    dest = tmp_path / "s.jsonl"
+    got, out, err = run(
+        capsys, "sample", edge_file, "--lambda-l", "1", "--lambda-r", "1",
+        "--out", str(dest), *flags,
+    )
+    assert got == code and out == ""
+    assert message in err
+    assert not dest.exists()
+
+
 # ---------------------------------------------------------------------------
 # decay
 
@@ -428,6 +476,19 @@ def test_decay_uncertified_exits_2(cycle_file, capsys):
         "--pair", "R:0,R:2",
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("m", ["0", "-5"])
+@pytest.mark.parametrize(
+    "query", [("--pair", "R:0,R:2"), ("--cumulant", "R:0"), ("--set-pair", "R:0|R:2")]
+)
+def test_decay_depth_below_one_exits_1_for_every_query_kind(cycle_file, capsys, m, query):
+    code, out, err = run(
+        capsys, "decay", cycle_file, "--lambda-l", "10", "--lambda-r", "0.05",
+        *query, "--m", m,
+    )
+    assert code == 1 and out == ""
+    assert err == "error: m must be at least 1\n"
 
 
 # ---------------------------------------------------------------------------

@@ -303,6 +303,61 @@ def test_inconclusive_with_a_finite_tail():
     assert all(s.partial <= s.bound and s.satisfied is False for s in cert.per_vertex)
 
 
+# ---------------------------------------------------------------------------
+# what a certificate proves: refusal, truncation bound and its inverse, cumulant tail
+
+UNCERTIFIED_C8 = [
+    ((1.0, 0.2), 0.2, "inconclusive"),
+    ((1.0, 0.03), 2.0, "inconclusive"),
+    ((1.0, 5.0), 0.1, "failed"),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n_R=st.integers(1, 10**4),
+    epsilon=st.floats(1e-12, 10.0, exclude_min=True, exclude_max=True),
+    eta=st.floats(1e-3, 10.0, exclude_min=True, exclude_max=True),
+)
+def test_choose_m_is_the_least_depth_within_epsilon(n_R, epsilon, eta):
+    cert = conditions.KPCertificate(eta, "empirical", 0.5, None, "test")
+    m = conditions.choose_m(n_R, epsilon, eta)
+    assert cert.error_bound(n_R, m) <= epsilon * (1 + 1e-12)
+    if m > 1:
+        assert cert.error_bound(n_R, m - 1) > epsilon * (1 - 1e-12)
+
+
+def test_choose_m_is_one_object():
+    assert bc.choose_m is bc.counting.choose_m is conditions.choose_m
+
+
+@pytest.mark.parametrize(
+    "g, lam, eta, mode",
+    [
+        (bc.random_biregular(2, 4, 4, seed=1), Fugacities(50.0, 0.1), 0.1, "analytic"),
+        (bc.complete_bipartite(1, 1), Fugacities(10.0, 0.1), 0.3, "empirical"),
+    ],
+)
+def test_require_returns_a_valid_certificate(g, lam, eta, mode):
+    cert = certify_kp(g, lam, eta=eta)
+    assert cert.mode == mode
+    assert cert.require("unused") is cert
+    assert cert.error_bound(g.n_R, 5) == g.n_R * math.exp(-5 * eta)
+    t = max(5.0, 2 / eta)
+    assert cert.cumulant_tail(2, 5) == t**2 * math.exp(-eta * t)
+
+
+@pytest.mark.parametrize("lam, eta, mode", UNCERTIFIED_C8)
+def test_an_invalid_certificate_refuses_and_bounds_nothing(lam, eta, mode):
+    cert = certify_kp(bc.even_cycle(8), Fugacities(*lam), eta=eta)
+    assert cert.mode == mode
+    with pytest.raises(bc.CertificationError) as info:
+        cert.require("the caller needs one")
+    assert str(info.value) == f"convergence certification {mode}; the caller needs one"
+    assert cert.error_bound(4, 10) is None
+    assert cert.cumulant_tail(2, 10) == math.inf
+
+
 def test_series_constant_threshold():
     # the geometric-series constant used by the analytic chain
     s = SERIES_RATIO_LIMIT

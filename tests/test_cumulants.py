@@ -310,6 +310,18 @@ def test_decay_rejects_bad_queries():
         decay_experiment(bc.star_center_L(2), Fugacities(1.0, 1.0), [("cumulant", [0])])
 
 
+@pytest.mark.parametrize("m", [0, -5])
+def test_decay_rejects_a_depth_below_one_before_any_query(m, monkeypatch):
+    def no_query(*args):
+        raise AssertionError("a query ran")
+
+    monkeypatch.setattr(bc.oracle, "exact_covariance", no_query)
+    monkeypatch.setattr(bc.oracle, "exact_marginal", no_query)
+    queries = [("pair", ("R", 0), ("R", 2)), ("set_pair", [("R", 0)], [("R", 2)])]
+    with pytest.raises(ValueError, match="^m must be at least 1$"):
+        decay_experiment(CERT_G, CERT_LAM, queries, m=m)
+
+
 def test_disconnected_pair_distance_inf():
     g = bc.BipartiteGraph(2, 2, [(0, 0), (1, 1)])
     rows = decay_experiment(
