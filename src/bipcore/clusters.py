@@ -373,18 +373,24 @@ class SeriesEngine:
                w(gamma) z**|gamma| Xi_{S minus gamma minus N2(gamma)}
 
     with N2(gamma) the R-vertices 2-linked to gamma.  The clusters whose
-    polymers cover exactly the 2-linked set T sum to
+    polymers cover exactly the 2-linked set T sum to a series f_T starting
+    at z**|T|, with log Xi_T the sum of f_T' over the 2-linked T' in T.  The
+    T' that miss v = min T are the 2-linked sets of the components C of
+    T - v, so
 
-        f_T = log Xi_T - sum over 2-linked T' strictly inside T of f_T',
+        f_T = log Xi_T - sum over C of log Xi_C
+                       - sum over 2-linked T' strictly inside T with v in T'
+                         of f_T'.
 
-    a series starting at z**|T|.  So the expansion of log Xi_S truncated at
-    total cluster size m is
+    The expansion of log Xi_S truncated at total cluster size m is
 
         T_m(S) = sum over 2-linked T in S with |T| < m of
                  the coefficients of f_T from z**|T| to z**(m-1),
 
     the coefficient-extraction route of Helmuth-Perkins-Regts (arXiv
-    1806.11548, Thm 2.2), with no Ursell functions.
+    1806.11548, Thm 2.2), with no Ursell functions.  Once the table of f_T
+    is built the engine keeps scalars, not series: per set T, the sum of
+    f_T's kept coefficients and T_m(T).
 
     Cumulants of the R-vertices in A weight each polymer by
     prod_{v in gamma and A} (1 + t_v) with t_v**2 = 0.  That weighted Xi_T
@@ -396,8 +402,12 @@ class SeriesEngine:
     ``MAX_COEFFICIENTS``, read at construction, bounds the series
     coefficients the engine stores (the m - |T| of each f_T and those of
     each memoised Xi_S); ClusterBudgetError is raised before that bound is
-    passed.  A cumulant query succeeds exactly when it would on a fresh
-    engine, whatever queries came before it.
+    passed.  The m coefficients of each log Xi_C that the step above reads
+    are not charged: they live only while the table is built, and for
+    every 2-linked T they number at most the m - |T| of f_T plus the
+    |T| + 1 of Xi_T already charged, so they at most double the peak.  A
+    cumulant query succeeds exactly when it would on a fresh engine,
+    whatever queries came before it.
     """
 
     def __init__(self, g: BipartiteGraph, lam: Fugacities, m: int):
@@ -412,6 +422,7 @@ class SeriesEngine:
         self._stored = 0
         self._sets: list[int] | None = None
         self._plain: dict[int, Scalar] | None = None
+        self._tm: dict[int, Scalar] = {}  # T_m(C), one scalar per link component C
 
     def _charge(self, n: int) -> None:
         total = self._stored + n
@@ -508,21 +519,30 @@ class SeriesEngine:
 
     def _cluster_series(self, A: int) -> dict[int, list[Scalar]]:
         """For each 2-linked T containing A with |T| < m, [t^A] of f_T from
-        z**|T| to z**(m-1)."""
+        z**|T| to z**(m-1).
+
+        Each f_T subtracts only the 2-linked proper subsets of T through
+        v = min A, or v = min T when A is empty (see the class docstring):
+        the others miss A, or, with A empty, add up to the log Xi_C of the
+        components C of T - v, which ``logs`` keeps while the table is
+        built.  With A empty, T_m(T), the sum of log Xi_T's coefficients, is
+        memoised for ``log_xi``."""
         links = self._links
         a_verts = list(_bits(A))
         table: dict[int, list[Scalar]] = {}
+        logs: dict[int, list[Scalar]] = {}
         for T in self.connected_sets():
             if T & A != A:
                 continue
             t = T.bit_count()
             f = self._log_coefficients(T, a_verts)
-            # proper 2-linked subsets of T; only those containing A are in table
-            if A:
-                subs = _connected_sets(links, a_verts[0], t - 1, T)
-            else:
-                subs = _two_linked_sets(links, T, t - 1)
-            for sub in subs:
+            v = a_verts[0] if A else (T & -T).bit_length() - 1
+            if not A:
+                logs[T] = list(f)
+                self._tm[T] = _fsum(f)
+                for C in _components(links, T & ~(1 << v)):
+                    f = [a - c for a, c in zip(f, logs[C])]
+            for sub in _connected_sets(links, v, t - 1, T):
                 h = table.get(sub)
                 if h is not None:
                     lo = self.m - len(h)
@@ -540,10 +560,38 @@ class SeriesEngine:
 
     def log_xi(self, S: int | None = None) -> Scalar:
         """T_m(S), the expansion of log Xi_S truncated at total size m
-        (S = all of R by default)."""
+        (S = all of R by default): the sum of T_m(C) over the link
+        components C of S, each memoised as one scalar.
+
+        A 2-linked T with |T| < m has every 2-linked subset below m, so
+        T_m(T) sums log Xi_T's coefficients below z**m; ``set_contributions``
+        stores those.  A larger component C splits at v = min C into the
+        2-linked sets through v, which add their contributions, and the
+        components of C - v, whose T_m come from the memo."""
         if S is None:
             S = (1 << self.graph.n_R) - 1
-        return _fsum([f for T, f in self.set_contributions().items() if T & ~S == 0])
+        plain = self.set_contributions()
+        links, memo, cap = self._links, self._tm, self.m - 1
+        parts = []
+        for C in _components(links, S):
+            pending = [C]
+            while pending:  # a stack, not recursion: C may have n_R vertices
+                D = pending[-1]
+                if D in memo:
+                    pending.pop()
+                    continue
+                v = (D & -D).bit_length() - 1
+                rest = list(_components(links, D & ~(1 << v)))
+                missing = [E for E in rest if E not in memo]
+                if missing:
+                    pending.extend(missing)
+                    continue
+                pending.pop()
+                vals = [plain[gamma] for gamma in _connected_sets(links, v, cap, D)]
+                vals.extend(memo[E] for E in rest)
+                memo[D] = _fsum(vals)
+            parts.append(memo[C])
+        return _fsum(parts)
 
     def cumulant(self, A: int) -> tuple[Scalar, int]:
         """The cluster sum of w(Gamma) prod_{v in A} Y_v(Gamma) over total

@@ -87,10 +87,12 @@ class IndependentSetSampler:
     exact for n_R <= 20, truncated otherwise.  ``m_requested`` is the depth
     the budget asks for (None for the exact backend) and ``degraded`` flags
     m_step < m_requested, when the draws are not certified within epsilon.
-    Both backends store every series coefficient their draws read here.
+    Both backends build every series coefficient their draws read here.
     The truncated backend steps m_step down as ``approx_log_Z`` steps its
     depth while they pass ``clusters.MAX_COEFFICIENTS``; the exact backend
-    raises ClusterBudgetError.
+    raises ClusterBudgetError.  During the draws the truncated backend
+    memoises T_m per link component of a state as one scalar each, on
+    demand and outside that budget.
     """
 
     def __init__(
@@ -140,6 +142,8 @@ class IndependentSetSampler:
             raise ValueError(f"unknown backend {backend!r}")
         self.degraded = self.m_step is not None and self.m_step < self.m_requested
         self._conditional_cache: dict[int, tuple[list[tuple[Polymer, int]], list[float]]] = {}
+        self._decided = frozenset(range(g.n_R))  # one object, shared by every configuration
+        self._names = _vertex_names(g)
 
     # -- restricted partition functions ------------------------------------
 
@@ -186,22 +190,24 @@ class IndependentSetSampler:
         g = self.graph
         state = (1 << g.n_R) - 1
         chosen: list[Polymer] = []
+        cached = self._conditional_cache.get
+        random = rng.random
         for v in range(g.n_R):
             if trace is not None:
                 trace.append((v, state))
             if not (state >> v) & 1:
                 continue  # covered or blocked by a chosen polymer
-            candidates, cum = self._conditional(state)
-            pick = bisect.bisect_right(cum, rng.random(), 0, len(candidates))
+            candidates, cum = cached(state) or self._conditional(state)
+            pick = bisect.bisect_right(cum, random(), 0, len(candidates))
             if pick == len(candidates):
                 state &= ~(1 << v)
             else:
                 polymer, state = candidates[pick]
                 chosen.append(polymer)
-        return PolymerConfig(chosen=tuple(chosen), decided_vertices=frozenset(range(g.n_R)))
+        return PolymerConfig(chosen=tuple(chosen), decided_vertices=self._decided)
 
     def extend(self, config: PolymerConfig, rng: np.random.Generator) -> frozenset[Vertex]:
-        return _extend(self.graph, self.lam, config, rng)
+        return _extend(self.graph, self.lam, config, rng, self._names)
 
     def sample(self, rng: np.random.Generator) -> frozenset[Vertex]:
         return self.extend(self.sample_config(rng), rng)
@@ -216,21 +222,32 @@ class IndependentSetSampler:
         return (self.sample(rng) for _ in range(n))
 
 
+_Names = tuple[tuple[Vertex, ...], tuple[Vertex, ...]]
+
+
+def _vertex_names(g: BipartiteGraph) -> _Names:
+    """The ("L", u) and ("R", v) tuples, built once so that draws share them."""
+    return tuple(("L", u) for u in range(g.n_L)), tuple(("R", v) for v in range(g.n_R))
+
+
 def _extend(
-    g: BipartiteGraph, lam: Fugacities, config: PolymerConfig, rng: np.random.Generator
+    g: BipartiteGraph,
+    lam: Fugacities,
+    config: PolymerConfig,
+    rng: np.random.Generator,
+    names: _Names,
 ) -> frozenset[Vertex]:
     """Occupy the configuration's polymers, then each unblocked L-vertex
     independently with probability lambda_L / (1 + lambda_L)."""
+    l_names, r_names = names
     occupied_R = 0
     for p in config.chosen:
         occupied_R |= p.mask
-    out: set[Vertex] = {("R", v) for v in _bits(occupied_R)}
     p_in = lam.lambda_L / (1.0 + lam.lambda_L)
-    for u in range(g.n_L):
-        if g.adj_L[u] & occupied_R:
-            continue  # blocked by an occupied neighbor
-        if rng.random() < p_in:
-            out.add(("L", u))
+    random = rng.random
+    # an L-vertex with an occupied neighbour is blocked and reads no uniform
+    out = {u for u, nb in zip(l_names, g.adj_L) if not nb & occupied_R and random() < p_in}
+    out.update(r_names[v] for v in _bits(occupied_R))
     return frozenset(out)
 
 
@@ -254,7 +271,7 @@ def extend_to_independent_set(
     independently with probability lambda_L / (1 + lambda_L)."""
     if not lam.is_real:
         raise ValueError("sampling needs real activities")
-    return _extend(g, lam, config, _BlockedUniforms(rng_seed))
+    return _extend(g, lam, config, _BlockedUniforms(rng_seed), _vertex_names(g))
 
 
 def sample_independent_set(

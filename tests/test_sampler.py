@@ -378,6 +378,22 @@ def test_truncated_backend_steps_its_depth_down_under_the_budget(monkeypatch):
     assert s._engine._stored == stored
 
 
+def test_stored_draws_share_their_vertex_names():
+    # every draw names its vertices with the sampler's tuples, so a stored
+    # draw holds references, not copies
+    g = bc.even_cycle(12)
+    sampler = IndependentSetSampler(g, Fugacities(1.0, 0.5), backend="exact")
+    first, *rest = sampler.draws(20, seed=2)
+    named = {v: v for v in first}
+    shared = [(named[v], v) for draw in rest for v in draw if v[0] == "L" and v in named]
+    assert shared
+    assert all(a is b for a, b in shared)
+    rng = np.random.Generator(np.random.Philox(3))
+    configs = [sampler.sample_config(rng) for _ in range(3)]
+    assert all(c.decided_vertices is configs[0].decided_vertices for c in configs)
+    assert configs[0].decided_vertices == frozenset(range(g.n_R))
+
+
 def test_exact_backend_on_a_dense_polymer_universe():
     # about 3,000 polymers: the polymer-mask recursion used to pass the
     # default recursion limit

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import bipcore as bc
 from bipcore import ClusterBudgetError, ClusterEngine, Fugacities, SeriesEngine
 from bipcore import clusters, kernels
+from bipcore.polymers import _fsum, _link_masks, _two_linked_sets
 
 from conftest import random_bipartite
 
@@ -66,6 +67,52 @@ def test_series_cumulant_matches_cluster_formula(seed, m):
         got, count = series.cumulant(sum(1 << v for v in A))
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
         assert count == sum(1 for T in series.connected_sets() if all(T >> v & 1 for v in A))
+
+
+def _moebius_over_all_subsets(engine: SeriesEngine) -> dict[int, float]:
+    """c_T by subtracting every 2-linked proper subset of T: the Moebius step
+    before it went through min T, kept as the reference."""
+    links = _link_masks(engine.graph)
+    table: dict[int, list[float]] = {}
+    for T in engine.connected_sets():
+        t = T.bit_count()
+        f = engine._log_coefficients(T, [])
+        for sub in _two_linked_sets(links, T, t - 1):
+            h = table[sub]
+            lo = engine.m - len(h)
+            f[lo:] = [a - c for a, c in zip(f[lo:], h)]
+        table[T] = f[t:]
+    return {T: _fsum(f) for T, f in table.items()}
+
+
+def _truncated_log(xi: list[float], m: int) -> float:
+    """Sum over k < m of [z^k] log of the series xi (xi[0] = 1)."""
+    F = [0.0] * m
+    for k in range(1, m):
+        acc = k * xi[k] if k < len(xi) else 0.0
+        for j in range(max(1, k - len(xi) + 1), k):
+            acc -= j * F[j] * xi[k - j]
+        F[k] = acc / k
+    return math.fsum(F)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+def test_log_xi_by_components_matches_the_set_sum(seed, m):
+    rng = np.random.Generator(np.random.Philox(seed))
+    g = random_bipartite(rng, 6, 10, float(rng.uniform(0.15, 0.5)))
+    lam = Fugacities(float(rng.uniform(0.2, 5.0)), float(rng.uniform(0.05, 2.0)))
+    engine = SeriesEngine(g, lam, m)
+    plain = engine.set_contributions()
+    ref = _moebius_over_all_subsets(SeriesEngine(g, lam, m))
+    assert plain.keys() == ref.keys()
+    for T, c in plain.items():
+        assert _close(c, ref[T])
+    full = (1 << g.n_R) - 1
+    for S in [0, full, *(int(rng.integers(0, full + 1)) for _ in range(8))]:
+        got = engine.log_xi(S)
+        assert _close(got, math.fsum(c for T, c in plain.items() if T & ~S == 0))
+        assert _close(got, _truncated_log(engine.xi(S), m))
 
 
 def test_untruncated_xi_is_exact():
