@@ -62,7 +62,10 @@ The analytic route covers only eta <= 0.1: the main condition bounds every
 smaller rates inherit the certificate; above 0.1 only the per-vertex route
 certifies.  The same arithmetic with moduli gives a zero-free region for
 complex activities.  In both checks a right side past the float range is
-reported as the largest float, satisfied and not at the boundary.
+reported as the largest float, satisfied and not at the boundary; a left
+side past it is infinite, violated and not at the boundary.  A polymer
+weight past the float range makes its per-vertex term infinite, so the
+certificate fails.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ import sys
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
-from .errors import CertificationError, StructuralMismatchError
+from .errors import CertificationError, SizeCapError, StructuralMismatchError
 from .graph import BipartiteGraph, DegreeProfile, _bits, degree_profile
 from .polymers import (
     ComplexRegion,
@@ -118,7 +121,8 @@ def _imbalance(profile, act_L: float, act_R: float) -> ConditionCheck:
         rhs = math.exp((d_R_min / d_L) * math.log1p(act_L))
     except OverflowError:
         rhs = sys.float_info.max  # lhs is finite: far from the boundary
-    boundary = abs(lhs - rhs) <= BOUNDARY_REL_TOL * max(abs(lhs), abs(rhs), 1.0)
+    # an infinite lhs is past the float range, not at the boundary
+    boundary = math.isfinite(lhs) and abs(lhs - rhs) <= BOUNDARY_REL_TOL * max(abs(lhs), abs(rhs), 1.0)
     ratio = lhs / rhs if rhs != 0 else math.inf
     return ConditionCheck(lhs <= rhs or boundary, lhs, rhs, ratio, boundary)
 
@@ -221,7 +225,10 @@ def _kp_term(g: BipartiteGraph, verts: Sequence[int], lam: Fugacities, eta: floa
     """|w(gamma)| * e**((1/2 + eta)|gamma|) for gamma on the R-vertices
     ``verts``: what gamma adds to the sum of each of its vertices."""
     k = len(verts)
-    return abs(_weight(lam, k, _nbhd_size(g, verts))) * math.exp((0.5 + eta) * k)
+    try:
+        return abs(_weight(lam, k, _nbhd_size(g, verts))) * math.exp((0.5 + eta) * k)
+    except SizeCapError:  # the weight overflows: past every bound
+        return math.inf
 
 
 def _kp_tail_bound(prof: DegreeProfile, lam: Fugacities, eta: float, k_max: int) -> tuple[float, float]:

@@ -1,11 +1,12 @@
 """Exact brute-force reference computations.
 
-Everything here is evaluated without series truncation: partition functions
-by summing over the subsets of each component's smaller side, the polymer
-partition function by summing over subsets of R, distributions by full
-enumeration, and joint cumulants from exact moments via the partition
-lattice.  Size caps keep the runtimes sane; these routines exist to validate
-the approximate pipeline, not to scale.
+Everything here is evaluated without series truncation.  One walk,
+``_neighborhoods``, lists N(S) for every subset S of a set X of at most
+SIDE_CAP = 20 vertices, and every subset sum reads it: Z over each
+component's smaller side, Xi and the polymer-configuration measure over R,
+the Gibbs distribution over L.  Joint cumulants come from exact moments via
+the partition lattice.  These routines validate the approximate pipeline;
+they do not scale.
 """
 
 from __future__ import annotations
@@ -20,48 +21,58 @@ from .errors import SizeCapError
 from .graph import BipartiteGraph, Vertex, _bits, _components
 from .polymers import Fugacities, Scalar, _fsum, _link_masks
 
-SIDE_CAP = 20  # smaller side of a connected component: 2**20 subsets
+SIDE_CAP = 20  # vertices in one walked set: 2**20 subsets
 DISTRIBUTION_CAP = 14  # total vertices for full-distribution enumeration
-XI_SUBSET_CAP = 20  # R-side size for the subset-sum polymer oracle
 SET_PARTITION_CAP = 8  # Bell(8) = 4140 partitions
 
+# The (|S|, |N(S)|, count) triples over the subsets S of a walked set.
+_Histogram = tuple[tuple[int, int, int], ...]
+
 # A component's side-subset profile: whether its smaller side X is the L
-# side, the size of the other side Y, and the triples (|S|, |N(S)|, count)
-# over the subsets S of X.  With x, y the activities of X and Y,
+# side, the size of the other side Y, and the histogram of the subsets of X.
+# With x, y the activities of X and Y,
 # Z = sum count * x**|S| * (1 + y)**(|Y| - |N(S)|); real log Z takes the
 # factor (1 + y)**|Y| out of the sum, so it never overflows there.
-_SideProfile = tuple[bool, int, tuple[tuple[int, int, int], ...]]
+_SideProfile = tuple[bool, int, _Histogram]
 
 
-def _side_profile(adj: tuple[int, ...], n_L: int, comp: int) -> _SideProfile:
-    """Side-subset profile of the component ``comp`` (global ids), built by
-    doubling the list of neighborhoods N(S) one vertex of X at a time."""
-    left = comp & ((1 << n_L) - 1)
-    right = comp & ~left
-    x_is_L = left.bit_count() <= right.bit_count()
-    X, Y = (left, right) if x_is_L else (right, left)
+def _neighborhoods(adj: Sequence[int], X: int, Y: int) -> list[int]:
+    """N(S) & Y for every subset S of the mask X, built by doubling the list
+    one vertex of X at a time: the index of N(S) has bit i set when S holds
+    the i-th lowest vertex of X.  ``adj`` is indexed by the vertices of X.
+    SizeCapError, before any work, when X has more than SIDE_CAP vertices."""
+    if X.bit_count() > SIDE_CAP:
+        raise SizeCapError(
+            f"a walked set of {X.bit_count()} vertices (a component's smaller side, "
+            f"or R) exceeds the exact cap ({SIDE_CAP})"
+        )
     nb = [0]
     for v in _bits(X):
         a = adj[v] & Y
         nb += [s | a for s in nb]
-    # the index of N(S) in nb has the bits of S
+    return nb
+
+
+def _histogram(nb: list[int]) -> _Histogram:
+    """The (|S|, |N(S)|, count) triples of a ``_neighborhoods`` list."""
     hist = Counter(zip(map(int.bit_count, range(len(nb))), map(int.bit_count, nb)))
-    return x_is_L, Y.bit_count(), tuple((a, b, c) for (a, b), c in hist.items())
+    return tuple((a, b, c) for (a, b), c in hist.items())
+
+
+def _side_profile(adj: tuple[int, ...], n_L: int, comp: int) -> _SideProfile:
+    """Side-subset profile of the component ``comp`` (global ids)."""
+    left = comp & ((1 << n_L) - 1)
+    right = comp & ~left
+    x_is_L = left.bit_count() <= right.bit_count()
+    X, Y = (left, right) if x_is_L else (right, left)
+    return x_is_L, Y.bit_count(), _histogram(_neighborhoods(adj, X, Y))
 
 
 @lru_cache(maxsize=8)
 def _graph_profile(g: BipartiteGraph) -> tuple[_SideProfile, ...]:
-    """The profile of every component.  Raises SizeCapError, before building
-    any profile, when a component's smaller side exceeds SIDE_CAP."""
+    """The profile of every component."""
     adj = g.global_adjacency()
-    comps = list(_components(adj, (1 << g.n_vertices) - 1))
-    left = (1 << g.n_L) - 1
-    side = max((min((c & left).bit_count(), (c & ~left).bit_count()) for c in comps), default=0)
-    if side > SIDE_CAP:
-        raise SizeCapError(
-            f"component whose smaller side has {side} vertices exceeds the exact cap ({SIDE_CAP})"
-        )
-    return tuple(_side_profile(adj, g.n_L, c) for c in comps)
+    return tuple(_side_profile(adj, g.n_L, c) for c in _components(adj, (1 << g.n_vertices) - 1))
 
 
 def _activities(profile: _SideProfile, lam: Fugacities) -> tuple[Scalar, Scalar]:
@@ -69,21 +80,27 @@ def _activities(profile: _SideProfile, lam: Fugacities) -> tuple[Scalar, Scalar]
     return (lam.lambda_L, lam.lambda_R) if profile[0] else (lam.lambda_R, lam.lambda_L)
 
 
+def _finite_sum(hist: _Histogram, x: Scalar, r: Scalar) -> Scalar:
+    """sum count * x**|S| * r**|N(S)| over a histogram, compensated;
+    SizeCapError unless it is a finite float (a power or the sum overflowing,
+    fsum meeting inf - inf, or inf * 0 when r**|N(S)| underflows)."""
+    try:
+        total = _fsum([c * x**a * r**b for a, b, c in hist])
+    except (OverflowError, ValueError):
+        total = math.inf
+    if not cmath.isfinite(total):
+        raise SizeCapError("activities too large for exact float evaluation")
+    return total
+
+
 def _log_z(profile: _SideProfile, lam: Fugacities) -> float:
     """log Z of one component, real activities, as |Y| log(1 + y) plus the
     log of sum count * x**|S| * r**|N(S)| with r = 1/(1 + y) <= 1.  Every
     term is nonnegative and the empty set contributes 1, so the log is
-    defined; SizeCapError when x**|S| or the sum overflows a float."""
+    defined."""
     _, n_Y, hist = profile
     x, y = _activities(profile, lam)
-    r = 1 / (1 + y)
-    try:
-        total = math.fsum([c * x**a * r**b for a, b, c in hist])
-    except OverflowError:
-        total = math.inf
-    if not math.isfinite(total):  # inf, or inf * 0 when r**|N(S)| underflows
-        raise SizeCapError("activities too large for exact float evaluation")
-    return n_Y * math.log1p(y) + math.log(total)
+    return n_Y * math.log1p(y) + math.log(_finite_sum(hist, x, 1 / (1 + y)))
 
 
 def exact_log_Z(g: BipartiteGraph, lam: Fugacities) -> float:
@@ -132,59 +149,17 @@ def exact_Z_complex(g: BipartiteGraph, lam: Fugacities) -> complex:
 # ---------------------------------------------------------------------------
 # polymer-side partition function
 
-def _r_subsets(g: BipartiteGraph, lam: Fugacities) -> Iterator[tuple[list[int], Scalar]]:
-    """Every subset U of R as its 2-linked components (masks) and its weight,
-    the product of the component weights; the empty set has weight 1.  A
-    compatible polymer collection is exactly the set of 2-linked components
-    of its union, so these are the collections too.  Capped at 20 R-vertices.
-    """
-    if g.n_R > XI_SUBSET_CAP:
-        raise SizeCapError(
-            f"the exact polymer oracle enumerates 2**n_R subsets; n_R capped at {XI_SUBSET_CAP}"
-        )
-    links = _link_masks(g)
-    lam_R = lam.lambda_R
-    r = 1 / (1 + lam.lambda_L)  # |r| < 1 for real activities: no overflow
-
-    @lru_cache(maxsize=None)
-    def component_weight(mask: int) -> Scalar:
-        nb = 0
-        for v in _bits(mask):
-            nb |= g.adj_R[v]
-        try:
-            return lam_R ** mask.bit_count() * r ** nb.bit_count()
-        except OverflowError:
-            raise SizeCapError("a polymer weight overflows a float") from None
-
-    for s in range(1 << g.n_R):
-        comps = list(_components(links, s))
-        w: Scalar = 1.0
-        for comp in comps:
-            w *= component_weight(comp)
-        yield comps, w
-
-
-def _finite_total(weights: list[Scalar]) -> Scalar:
-    """Compensated sum; SizeCapError unless it is a finite float."""
-    try:
-        total = _fsum(weights)
-    except (OverflowError, ValueError):  # fsum overflowing, or meeting inf - inf
-        total = math.inf
-    if not cmath.isfinite(total):
-        raise SizeCapError("Xi overflows a float")
-    return total
-
-
 def exact_Xi(g: BipartiteGraph, lam: Fugacities) -> Scalar:
-    """Polymer partition function by direct summation over subsets of R.
-
-    Each subset contributes the product of the weights of its 2-linked
-    components.  This does not go through the cluster expansion or the
-    restricted-universe recursion, so it serves as an independent check of
-    both.  Capped at 20 R-vertices; SizeCapError also when a weight or Xi
-    overflows a float.
-    """
-    return _finite_total([w for _, w in _r_subsets(g, lam)])
+    """Polymer partition function: the sum over U subset of R of
+    lambda_R**|U| * r**|N(U)|, r = 1/(1 + lambda_L), read from the
+    (|U|, |N(U)|) histogram.  U is the union of one compatible collection,
+    its 2-linked components, whose disjoint neighborhoods make this weight
+    the product of polymer weights; no polymer or 2-linked relation is
+    formed, so this checks the expansion engine independently.  Real or
+    complex activities; SizeCapError past SIDE_CAP R-vertices, or when a
+    power or Xi overflows a float."""
+    nb = _neighborhoods(g.adj_R, (1 << g.n_R) - 1, (1 << g.n_L) - 1)
+    return _finite_sum(_histogram(nb), lam.lambda_R, 1 / (1 + lam.lambda_L))
 
 
 # ---------------------------------------------------------------------------
@@ -248,12 +223,7 @@ def exact_distribution(g: BipartiteGraph, lam: Fugacities) -> dict[frozenset[Ver
             f"distribution enumeration capped at {DISTRIBUTION_CAP} vertices"
         )
     lam_L, lam_R = lam.lambda_L, lam.lambda_R
-    blocked_by = [0] * (1 << g.n_L)
-    for lmask in range(1 << g.n_L):
-        if lmask == 0:
-            continue
-        low = lmask & -lmask
-        blocked_by[lmask] = blocked_by[lmask ^ low] | g.adj_L[low.bit_length() - 1]
+    blocked_by = _neighborhoods(g.adj_L, (1 << g.n_L) - 1, (1 << g.n_R) - 1)
     out: dict[frozenset[Vertex], float] = {}
     total = 0.0
     for lmask in range(1 << g.n_L):
@@ -276,14 +246,21 @@ def exact_distribution(g: BipartiteGraph, lam: Fugacities) -> dict[frozenset[Ver
 def exact_nu(g: BipartiteGraph, lam: Fugacities) -> dict[frozenset[tuple[int, ...]], float]:
     """Exact polymer-configuration measure: each pairwise compatible
     collection of polymers, keyed by the frozenset of vertex tuples, with
-    probability proportional to the product of polymer weights.  Zero-weight
-    collections (lambda_R = 0) keep their key.  Capped at 20 R-vertices;
-    SizeCapError also when a weight or their total overflows a float."""
+    probability proportional to the product of polymer weights.  The
+    collection with union U holds U's 2-linked components and weighs
+    lambda_R**|U| * r**|N(U)| (see exact_Xi); zero-weight collections
+    (lambda_R = 0) keep their key.  SizeCapError as in exact_Xi."""
     if not lam.is_real:
         raise ValueError("the configuration measure needs real activities")
-    nu = {frozenset(tuple(_bits(c)) for c in comps): w for comps, w in _r_subsets(g, lam)}
-    total = _finite_total(list(nu.values()))
-    return {k: w / total for k, w in nu.items()}
+    nb = _neighborhoods(g.adj_R, (1 << g.n_R) - 1, (1 << g.n_L) - 1)
+    lam_R, r = lam.lambda_R, 1 / (1 + lam.lambda_L)
+    total = _finite_sum(_histogram(nb), lam_R, r)  # raises before a power below overflows
+    links = _link_masks(g)
+    return {
+        frozenset(tuple(_bits(c)) for c in _components(links, U)):
+        lam_R ** U.bit_count() * r ** n.bit_count() / total
+        for U, n in enumerate(nb)
+    }
 
 
 # ---------------------------------------------------------------------------

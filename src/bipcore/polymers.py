@@ -12,6 +12,7 @@ their union is not 2-linked; every polymer is incompatible with itself.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -39,8 +40,8 @@ class Fugacities:
 
     Real mode requires lambda_L > 0 and lambda_R >= 0 (the zero R-activity
     edge case is allowed and makes every polymer weight vanish).  Passing a
-    ``complex`` for either activity selects complex mode, which only
-    requires 1 + lambda_L != 0.
+    ``complex`` for either activity selects complex mode, which requires
+    finite parts and 1 + lambda_L != 0.
     """
 
     lambda_L: Scalar
@@ -49,6 +50,9 @@ class Fugacities:
     def __post_init__(self):
         lL, lR = self.lambda_L, self.lambda_R
         if isinstance(lL, complex) or isinstance(lR, complex):
+            for name, value in (("lambda_L", lL), ("lambda_R", lR)):
+                if not cmath.isfinite(value):
+                    raise ValueError(f"complex mode needs finite activities, got {name}={value!r}")
             if abs(1 + complex(lL)) == 0.0:
                 raise ValueError("complex mode needs 1 + lambda_L != 0")
             object.__setattr__(self, "lambda_L", complex(lL))
@@ -70,14 +74,15 @@ class Fugacities:
 @dataclass(frozen=True)
 class ComplexRegion:
     """Polydisc-style parameter region: |lambda_R| <= bound_R together with
-    |1 + lambda_L| >= 1 + bound_L, for positive real bounds."""
+    |1 + lambda_L| >= 1 + bound_L, for positive finite real bounds."""
 
     bound_L: float
     bound_R: float
 
     def __post_init__(self):
-        if not (self.bound_L > 0 and self.bound_R > 0):
-            raise ValueError("region bounds must be positive")
+        for name, value in (("bound_L", self.bound_L), ("bound_R", self.bound_R)):
+            if not 0 < value < math.inf:
+                raise ValueError(f"region bounds must be positive and finite, got {name}={value!r}")
 
     def contains(self, lam: Fugacities) -> bool:
         return (
@@ -149,8 +154,12 @@ def make_polymer(g: BipartiteGraph, vertices, lam: Fugacities) -> Polymer:
 
 def _weight(lam: Fugacities, size: int, nbhd: float) -> Scalar:
     """w(gamma) from |gamma| and |N(gamma)|; ``nbhd`` may be fractional, as
-    in the per-vertex envelope of the tail bound."""
-    return lam.lambda_R**size * (1 / (1 + lam.lambda_L)) ** nbhd
+    in the per-vertex envelope of the tail bound.  SizeCapError when a power
+    overflows a float."""
+    try:
+        return lam.lambda_R**size * (1 / (1 + lam.lambda_L)) ** nbhd
+    except OverflowError:
+        raise SizeCapError(f"a polymer weight overflows a float (|gamma| = {size})") from None
 
 
 def _nbhd_size(g: BipartiteGraph, verts: Sequence[int]) -> int:

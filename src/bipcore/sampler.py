@@ -39,9 +39,9 @@ from .conditions import KPCertificate, certify_kp, choose_m
 from .counting import _fit_depth
 from .errors import SizeCapError
 from .graph import BipartiteGraph, Vertex, _bits
+from .oracle import SIDE_CAP
 from .polymers import Fugacities, Polymer, _build_polymer
 
-EXACT_BACKEND_CAP = 20  # R-side size for the exact restricted-Xi backend
 TRUNCATION_DEPTH_CAP = 24
 UNIFORM_BLOCK = 1024  # doubles per generator call where a sampler owns the generator
 
@@ -84,15 +84,17 @@ class IndependentSetSampler:
     "truncated" uses exp of the truncated expansion at depth m_step, chosen
     for a per-step error budget epsilon / (2 n_R) but capped at
     TRUNCATION_DEPTH_CAP, and requires a valid certificate; "auto" picks
-    exact for n_R <= 20, truncated otherwise.  ``m_requested`` is the depth
-    the budget asks for (None for the exact backend) and ``degraded`` flags
-    m_step < m_requested, when the draws are not certified within epsilon.
-    Both backends build every series coefficient their draws read here.
-    The truncated backend steps m_step down as ``approx_log_Z`` steps its
-    depth while they pass ``clusters.MAX_COEFFICIENTS``; the exact backend
-    raises ClusterBudgetError.  During the draws the truncated backend
-    memoises T_m per link component of a state as one scalar each, on
-    demand and outside that budget.
+    exact for n_R up to the oracle's SIDE_CAP (20), truncated otherwise.
+    ``m_requested`` is the depth the budget asks for (None for the exact
+    backend) and ``degraded`` flags m_step < m_requested, when the draws are
+    not certified within epsilon.  Both backends build every series
+    coefficient their draws read here.  The truncated backend steps m_step
+    down as ``approx_log_Z`` steps its depth while they pass
+    ``clusters.MAX_COEFFICIENTS``; the exact backend raises
+    ClusterBudgetError, and SizeCapError when a polymer weight overflows a
+    float.  During the draws the truncated backend memoises T_m per link
+    component of a state as one scalar each, on demand and outside that
+    budget.
     """
 
     def __init__(
@@ -108,17 +110,15 @@ class IndependentSetSampler:
         if not epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {epsilon!r}")
         if backend == "auto":
-            backend = "exact" if g.n_R <= EXACT_BACKEND_CAP else "truncated"
+            backend = "exact" if g.n_R <= SIDE_CAP else "truncated"
         self.graph = g
         self.lam = lam
         self.epsilon = epsilon
         self.backend: Backend = backend
         self.certificate: KPCertificate | None = None
         if backend == "exact":
-            if g.n_R > EXACT_BACKEND_CAP:
-                raise SizeCapError(
-                    f"exact sampling backend capped at {EXACT_BACKEND_CAP} R-vertices"
-                )
+            if g.n_R > SIDE_CAP:
+                raise SizeCapError(f"exact sampling backend capped at {SIDE_CAP} R-vertices")
             self.m_requested = self.m_step = None
             # Xi_S has degree |S|: depth n_R + 1 keeps every coefficient
             self._engine = SeriesEngine(g, lam, g.n_R + 1)

@@ -511,6 +511,21 @@ def test_zeros_json(edge_file, capsys):
     assert doc["min_abs_Z"] > 0
 
 
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["exact", "--lambda-l-re", "nan", "--lambda-r-re", "0.1"], "lambda_L=(nan+0j)"),
+        (["zeros", "--bound-l", "inf", "--bound-r", "0.1"], "bound_L=inf"),
+    ],
+    ids=["exact", "zeros"],
+)
+def test_non_finite_complex_input_exits_1(edge_file, capsys, argv, bad):
+    code, _, err = run(capsys, argv[0], edge_file, "--json", *argv[1:])
+    assert code == 1
+    doc = json.loads(err)
+    assert doc["error"]["type"] == "ValueError" and bad in doc["error"]["message"]
+
+
 def test_zeros_uncertified_region_exits_2(cycle_file, capsys):
     code, _, _ = run(
         capsys, "zeros", cycle_file, "--bound-l", "1", "--bound-r", "1",

@@ -81,3 +81,43 @@ def test_cli_json_is_standard(k200, tmp_path, capsys, command):
         assert doc["log_Z_estimate"] == pytest.approx(200 * math.log(51.0), rel=1e-15)
     else:
         assert doc["main_condition"]["satisfied"] and doc["kp_certificate"]["valid"]
+
+
+def test_an_overflowing_left_side_is_violated_not_at_the_boundary():
+    # 24 * 1e308 is inf; inf against a finite right side is no boundary case
+    c8 = bc.even_cycle(8)
+    cond = bc.check_main_condition(c8, Fugacities(1.0, 1e308))
+    assert math.isinf(cond.lhs) and cond.rhs == 2.0
+    assert not cond.satisfied and not cond.boundary
+    region = bc.check_complex_region(c8, bc.ComplexRegion(10.0, 1e308))
+    assert math.isinf(region.lhs) and not region.satisfied and not region.boundary
+    assert bc.certify_kp(c8, Fugacities(1.0, 1e308)).mode == "failed"
+
+
+def test_an_overflowing_polymer_weight_fails_the_certificate():
+    # lambda_R**2 = 1e612 passes the float range on every 2-vertex polymer
+    c8, lam = bc.even_cycle(8), Fugacities(1.0, 1e306)
+    cert = bc.certify_kp(c8, lam)
+    assert cert.mode == "failed" and math.isinf(cert.margin)
+    with pytest.raises(bc.SizeCapError):
+        bc.IndependentSetSampler(c8, lam, backend="exact")
+
+
+@pytest.mark.parametrize(
+    "command, extra, code",
+    [("check", [], 0), ("count", [], 2), ("sample", ["--backend", "exact"], 1)],
+    ids=["check", "count", "sample"],
+)
+def test_cli_on_an_overflowing_polymer_weight(tmp_path, capsys, command, extra, code):
+    path = tmp_path / "c8.graph"
+    path.write_text(graph_to_text(bc.even_cycle(8)))
+    argv = [command, str(path), "--lambda-l", "1", "--lambda-r", "1e306", "--json", *extra]
+    assert cli.main(argv) == code
+    captured = capsys.readouterr()
+    if command == "check":
+        assert json.loads(captured.out)["kp_certificate"]["valid"] is False
+    else:
+        assert captured.out == ""
+        err = json.loads(captured.err)  # one JSON error object
+        want = "CertificationError" if code == 2 else "SizeCapError"
+        assert err["error"]["type"] == want

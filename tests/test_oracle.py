@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bipcore as bc
-from bipcore import BipartiteGraph, Fugacities, SizeCapError, kernels
+from bipcore import BipartiteGraph, Fugacities, SizeCapError, kernels, oracle
 from bipcore.counting import region_points
 from bipcore.polymers import ComplexRegion, PolymerSystem, two_linked_adjacency
 
@@ -214,6 +214,29 @@ def test_oracle_never_runs_the_recursion(monkeypatch):
     zc = bc.exact_Z_complex(g, Fugacities(complex(2.0), complex(0.5)))
     assert zc == pytest.approx(math.exp(log_z), rel=1e-12)
     assert 0.0 < bc.exact_occupancy(g, lam, [("L", 0), ("R", 3)]) < 1.0
+
+
+def test_xi_and_distribution_never_form_the_two_linked_relation(monkeypatch):
+    # Xi and the Gibbs law read the subset walk only, so they check the
+    # 2-linked machinery that SeriesEngine uses independently of it
+    g = bc.even_cycle(10)
+    lam = Fugacities(2.0, 0.5)
+    log_xi = bc.exact_log_Z(g, lam) - g.n_L * math.log1p(lam.lambda_L)
+    marginal = bc.exact_marginal(g, lam, ("R", 0))
+    zc = bc.exact_Z_complex(g, Fugacities(complex(2.0, 1.0), complex(0.5)))
+
+    def boom(*args, **kwargs):
+        raise AssertionError("2-linked machinery reached from Xi or the Gibbs law")
+
+    monkeypatch.setattr(oracle, "_link_masks", boom)
+    monkeypatch.setattr(oracle, "_components", boom)
+    assert math.log(bc.exact_Xi(g, lam)) == pytest.approx(log_xi, rel=1e-12)
+    xi_c = bc.exact_Xi(g, Fugacities(complex(2.0, 1.0), complex(0.5)))
+    assert abs(xi_c * complex(3.0, 1.0) ** g.n_L - zc) <= 1e-12 * abs(zc)
+    dist = bc.exact_distribution(g, lam)
+    assert math.fsum(p for key, p in dist.items() if ("R", 0) in key) == pytest.approx(
+        marginal, rel=1e-12
+    )
 
 
 def test_complex_point_where_one_plus_lambda_R_vanishes():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from itertools import combinations
 
 import numpy as np
@@ -49,6 +50,14 @@ def test_fugacities_validation():
         Fugacities(complex(-1.0, 0.0), complex(0.1))
     assert Fugacities(1.0, 0.0).is_real  # zero right activity is allowed
     assert not Fugacities(complex(2, 1), 0.5).is_real
+    # complex mode needs finite parts too, and the message names the value
+    for lam_L, lam_R, bad in [
+        (complex(math.inf, 0), 0.1j, "lambda_L=(inf+0j)"),
+        (complex(1, 0), complex(0, math.nan), "lambda_R=nanj"),
+        (complex(math.nan, 0), 0.1, "lambda_L=(nan+0j)"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(bad)):
+            Fugacities(lam_L, lam_R)
 
 
 def test_complex_region():
@@ -58,6 +67,9 @@ def test_complex_region():
     assert not region.contains(Fugacities(complex(-1.2, 0.0), complex(0.1)))
     with pytest.raises(ValueError):
         ComplexRegion(-1.0, 0.1)
+    for bounds, bad in [((10.0, math.inf), "bound_R=inf"), ((math.nan, 0.1), "bound_L=nan")]:
+        with pytest.raises(ValueError, match=bad):
+            ComplexRegion(*bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -247,13 +259,20 @@ def test_polymer_universe_cap(monkeypatch):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_system_xi_matches_subset_oracle(seed):
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["real", "zero_R", "complex"]))
+def test_system_xi_matches_subset_oracle(seed, kind):
     rng = np.random.Generator(np.random.Philox(seed))
     g = random_bipartite(rng, 4, 5, 0.5)
     lam = random_fugacities(rng)
+    if kind == "zero_R":
+        lam = Fugacities(lam.lambda_L, 0.0)
+    elif kind == "complex":  # |lambda_R| <= 0.5 keeps Xi away from 0
+        lam = Fugacities(
+            complex(lam.lambda_L, rng.uniform(-3, 3)),
+            complex(*rng.uniform(-0.35, 0.35, size=2)),
+        )
     system = PolymerSystem(g, lam)
-    assert system.xi() == pytest.approx(bc.exact_Xi(g, lam), rel=1e-12)
+    assert system.xi() == pytest.approx(bc.exact_Xi(g, lam), rel=1e-12, abs=1e-12)
 
 
 def test_system_collections_k12():
