@@ -7,7 +7,8 @@ CSV), zeros (complex zero-free-region probe), gen (graph generation).
 
 Exit status: 0 on success, 2 when a certification refusal blocks the
 request, 1 on input errors.  With --json, errors are emitted to standard
-error as one JSON object {"error": {"type": ..., "message": ...}}.
+error as one JSON object {"error": {"type": ..., "message": ...}}.  JSON
+output is strict: a number past the float range prints as null.
 """
 
 from __future__ import annotations
@@ -43,21 +44,32 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _finite(x):
+    """``x`` with each non-finite float, in nested dicts too, replaced by None."""
+    if isinstance(x, dict):
+        return {k: _finite(v) for k, v in x.items()}
+    return None if isinstance(x, float) and not math.isfinite(x) else x
+
+
+def _dumps(doc) -> str:
+    """The one JSON serialiser: sorted keys, and strict JSON, so a number
+    past the float range reads null."""
+    return json.dumps(_finite(doc), sort_keys=True, allow_nan=False)
+
+
 def _emit_error(exc: BaseException, as_json: bool) -> None:
-    if as_json:
-        obj = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        print(json.dumps(obj, sort_keys=True), file=sys.stderr)
-    else:
-        print(f"error: {exc}", file=sys.stderr)
+    obj = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+    print(_dumps(obj) if as_json else f"error: {exc}", file=sys.stderr)
 
 
 def _open_out(out: str | None):
     return nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8")
 
 
-def _write_out(text: str, out: str | None) -> None:
-    with _open_out(out) as fh:
-        fh.write(text)
+def _write(args, text: str, doc: dict | None = None) -> None:
+    """Write to --out or stdout the JSON document under --json, else the text."""
+    with _open_out(args.out) as fh:
+        fh.write(_dumps(doc) + "\n" if args.json and doc is not None else text)
 
 
 def _load(path: str) -> BipartiteGraph:
@@ -132,24 +144,18 @@ def cmd_check(args) -> int:
             "part": args.corollary,
             "satisfied": check_corollary(profile, lam, args.corollary),
         }
-    if args.json:
-        _write_out(json.dumps(doc, sort_keys=True) + "\n", args.out)
-    else:
-        lines = [
-            f"graph: n_L={g.n_L} n_R={g.n_R}",
-            "main condition: "
-            f"{'satisfied' if cond.satisfied else 'violated'} "
-            f"(lhs={_fmt(cond.lhs)}, rhs={_fmt(cond.rhs)}, ratio={_fmt(cond.ratio)})",
-            f"certificate: {cert.mode}, eta={_fmt(cert.eta)}, "
-            f"valid={'yes' if cert.valid else 'no'}",
-        ]
-        if args.corollary is not None:
-            ok = doc["corollary"]["satisfied"]
-            lines.append(
-                f"corollary part {args.corollary}: "
-                f"{'satisfied' if ok else 'violated'}"
-            )
-        _write_out("\n".join(lines) + "\n", args.out)
+    lines = [
+        f"graph: n_L={g.n_L} n_R={g.n_R}",
+        "main condition: "
+        f"{'satisfied' if cond.satisfied else 'violated'} "
+        f"(lhs={_fmt(cond.lhs)}, rhs={_fmt(cond.rhs)}, ratio={_fmt(cond.ratio)})",
+        f"certificate: {cert.mode}, eta={_fmt(cert.eta)}, "
+        f"valid={'yes' if cert.valid else 'no'}",
+    ]
+    if args.corollary is not None:
+        ok = doc["corollary"]["satisfied"]
+        lines.append(f"corollary part {args.corollary}: {'satisfied' if ok else 'violated'}")
+    _write(args, "\n".join(lines) + "\n", doc)
     return 0
 
 
@@ -170,15 +176,12 @@ def cmd_count(args) -> int:
             "the requested accuracy is not certified",
             file=sys.stderr,
         )
-    if args.json:
-        _write_out(json.dumps(res.to_json_dict(), sort_keys=True) + "\n", args.out)
-    else:
-        bound = "unbounded" if res.error_bound is None else _fmt(res.error_bound)
-        _write_out(
-            f"log Z estimate = {_fmt(res.log_Z_estimate)} "
-            f"(error bound {bound}, m={res.m_used}, certificate {res.certificate.mode})\n",
-            args.out,
-        )
+    bound = "unbounded" if res.error_bound is None else _fmt(res.error_bound)
+    text = (
+        f"log Z estimate = {_fmt(res.log_Z_estimate)} "
+        f"(error bound {bound}, m={res.m_used}, certificate {res.certificate.mode})\n"
+    )
+    _write(args, text, res.to_json_dict())
     return 0
 
 
@@ -198,28 +201,17 @@ def cmd_exact(args) -> int:
                 tok: oracle.exact_marginal(g, lam, _parse_vertex(tok))
                 for tok in marg_tokens
             }
-        if args.json:
-            _write_out(json.dumps(doc, sort_keys=True) + "\n", args.out)
-        else:
-            lines = [f"Z = {_fmt(Z)}" if Z is not None else f"log Z = {_fmt(log_Z)}"]
-            for tok in marg_tokens:
-                lines.append(f"Pr[{tok} occupied] = {_fmt(doc['marginals'][tok])}")
-            _write_out("\n".join(lines) + "\n", args.out)
+        lines = [f"Z = {_fmt(Z)}" if Z is not None else f"log Z = {_fmt(log_Z)}"]
+        for tok in marg_tokens:
+            lines.append(f"Pr[{tok} occupied] = {_fmt(doc['marginals'][tok])}")
+        text = "\n".join(lines) + "\n"
     else:
         if marg_tokens:
             raise _UsageError("marginals need real activities")
         Zc = oracle.exact_Z_complex(g, lam)
-        doc = {
-            "n_L": g.n_L,
-            "n_R": g.n_R,
-            "Z_re": Zc.real,
-            "Z_im": Zc.imag,
-            "abs_Z": abs(Zc),
-        }
-        if args.json:
-            _write_out(json.dumps(doc, sort_keys=True) + "\n", args.out)
-        else:
-            _write_out(f"Z = {Zc.real!r} + {Zc.imag!r}i (|Z| = {abs(Zc)!r})\n", args.out)
+        doc = {"n_L": g.n_L, "n_R": g.n_R, "Z_re": Zc.real, "Z_im": Zc.imag, "abs_Z": abs(Zc)}
+        text = f"Z = {Zc.real!r} + {Zc.imag!r}i (|Z| = {abs(Zc)!r})\n"
+    _write(args, text, doc)
     return 0
 
 
@@ -252,7 +244,7 @@ def cmd_sample(args) -> int:
             "mean_size": size_total / args.draws,
             "seed": args.seed,
         }
-        fh.write(json.dumps(summary, sort_keys=True) + "\n")
+        fh.write(_dumps(summary) + "\n")
     return 0
 
 
@@ -284,7 +276,7 @@ def cmd_decay(args) -> int:
     if not queries:
         raise _UsageError("give at least one --pair/--cumulant/--set-pair query")
     rows = decay_experiment(g, lam, queries, m=args.m, eta=args.eta)
-    _write_out(decay_rows_to_csv(rows), args.out)
+    _write(args, decay_rows_to_csv(rows))
     return 0
 
 
@@ -292,15 +284,12 @@ def cmd_zeros(args) -> int:
     g = _load(args.graph)
     region = ComplexRegion(args.bound_l, args.bound_r)
     report = zero_probe(g, region, samples=args.samples, seed=args.seed)
-    if args.json:
-        _write_out(json.dumps(report.to_json_dict(), sort_keys=True) + "\n", args.out)
-    else:
-        aL, aR = report.argmin
-        _write_out(
-            f"scanned {report.samples} points: min |Z| = {report.min_abs_Z!r} at "
-            f"lambda_L = {aL!r}, lambda_R = {aR!r}; zeros found = {report.zeros_found}\n",
-            args.out,
-        )
+    aL, aR = report.argmin
+    text = (
+        f"scanned {report.samples} points: min |Z| = {report.min_abs_Z!r} at "
+        f"lambda_L = {aL!r}, lambda_R = {aR!r}; zeros found = {report.zeros_found}\n"
+    )
+    _write(args, text, report.to_json_dict())
     return 0
 
 
@@ -316,7 +305,7 @@ def cmd_gen(args) -> int:
         n_L=args.n_l,
         seed=args.seed if args.family == "random_biregular" else args.seed or None,
     )
-    _write_out(graphmod.graph_to_text(g), args.out)
+    _write(args, graphmod.graph_to_text(g))
     return 0
 
 
@@ -431,10 +420,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except CertificationError as exc:
-        _emit_error(exc, args.json if hasattr(args, "json") else as_json)
+        _emit_error(exc, args.json)
         return 2
     except (_UsageError, BipcoreError, OSError, ValueError) as exc:
-        _emit_error(exc, args.json if hasattr(args, "json") else as_json)
+        _emit_error(exc, args.json)
         return 1
 
 

@@ -65,7 +65,8 @@ complex activities.  In both checks a right side past the float range is
 reported as the largest float, satisfied and not at the boundary; a left
 side past it is infinite, violated and not at the boundary.  A polymer
 weight past the float range makes its per-vertex term infinite, so the
-certificate fails.
+certificate fails; so does a term past it at a large rate eta (about 700
+and up), while a zero weight stays 0 at any eta.
 """
 
 from __future__ import annotations
@@ -221,14 +222,27 @@ class KPVertexSum:
         return self.total / self.bound
 
 
+def _times_exp(w: float, x: float) -> float:
+    """w * e**x for w >= 0: 0 when w is, through logs when e**x alone
+    overflows, and inf past the float range (past every bound)."""
+    try:
+        return w * math.exp(x) if w else 0.0
+    except OverflowError:
+        try:
+            return math.exp(math.log(w) + x)
+        except OverflowError:
+            return math.inf
+
+
 def _kp_term(g: BipartiteGraph, verts: Sequence[int], lam: Fugacities, eta: float) -> float:
     """|w(gamma)| * e**((1/2 + eta)|gamma|) for gamma on the R-vertices
     ``verts``: what gamma adds to the sum of each of its vertices."""
     k = len(verts)
     try:
-        return abs(_weight(lam, k, _nbhd_size(g, verts))) * math.exp((0.5 + eta) * k)
+        w = abs(_weight(lam, k, _nbhd_size(g, verts)))
     except SizeCapError:  # the weight overflows: past every bound
         return math.inf
+    return _times_exp(w, (0.5 + eta) * k)
 
 
 def _kp_tail_bound(prof: DegreeProfile, lam: Fugacities, eta: float, k_max: int) -> tuple[float, float]:
@@ -240,7 +254,7 @@ def _kp_tail_bound(prof: DegreeProfile, lam: Fugacities, eta: float, k_max: int)
         return 0.0, bound  # all polymers are singletons, already in the partial sum
     # per-size envelope: count <= c (e d)**(k-1) / k**1.5, |w| <= wb**k
     wb = abs(_weight(lam, 1, prof.delta_R_min / prof.delta_L_max))
-    q = d * wb * math.exp(1.5 + eta)
+    q = _times_exp(d * wb, 1.5 + eta)
     if q >= 1.0:
         return math.inf, bound
     c = math.e * math.sqrt((k_max + 1) / k_max / (2.0 * math.pi))

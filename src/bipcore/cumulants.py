@@ -230,7 +230,9 @@ def _set_pair_bound(
 ) -> float:
     """Bound on |mu_{A u B} - mu_A mu_B|.
 
-    Both sets inside R: straddling blocks all have Steiner size >= D(A,B),
+    Two R-singletons {u}, {v}: the one straddling partition is the block
+    {u, v}, so the bound is that cumulant's, C(2) e^(-eta D/2).  Both sets
+    inside R: straddling blocks all have Steiner size >= D(A,B),
     so every straddling cumulant is at most C(n) e^(-eta D/2) and the
     partition identity gives straddling_constant(n) times that.  Sets
     touching L reduce to the R-side case by inclusion-exclusion over
@@ -243,6 +245,8 @@ def _set_pair_bound(
     n_plain = len(A) + len(B)
     try:
         if not a_L and not b_L:
+            if n_plain == 2:
+                return cumulant_decay_constant(2, eta) * math.exp(-eta * dist / 2.0)
             return (
                 straddling_constant(n_plain)
                 * cumulant_decay_constant(n_plain, eta)
@@ -276,7 +280,8 @@ def decay_experiment(
       ("cumulant", A)       A a set of R-vertices; |truncated kappa| vs MST.
       ("set_pair", A, B)    disjoint vertex sets; |mu_{AuB} - mu_A mu_B|.
 
-    Pairs with u = v are skipped (zero-distance degenerate).  Requires a
+    A pair is the set pair ({u}, {v}), same value and bound; pairs with
+    u = v are skipped (zero-distance degenerate).  Requires a
     valid convergence certificate: the bounds are only proved at rate eta.
     The mu side is exact (oracle), so the usual oracle size caps apply.
     """
@@ -288,20 +293,7 @@ def decay_experiment(
     rows: list[DecayRow] = []
     for qid, query in enumerate(queries):
         kind = query[0]
-        if kind == "pair":
-            u = _as_vertex(g, query[1])
-            v = _as_vertex(g, query[2])
-            if u == v:
-                continue
-            dist = graph_distance(g, [u], [v])
-            value = abs(oracle.exact_covariance(g, lam, u, v))
-            if u[0] == "R" and v[0] == "R":
-                bound = cumulant_decay_constant(2, cert.eta) * math.exp(
-                    -cert.eta * dist / 2.0
-                )
-            else:
-                bound = _set_pair_bound(g, [u], [v], dist, cert.eta)
-        elif kind == "cumulant":
+        if kind == "cumulant":
             verts = _normalize_R_set(g, query[1])
             mst = steiner_tree_size(g, [("R", i) for i in verts])
             q = truncated_cumulant(g, lam, verts, m, eta)
@@ -310,10 +302,15 @@ def decay_experiment(
             bound = cumulant_decay_constant(len(verts), cert.eta) * math.exp(
                 -cert.eta * mst / 2.0
             )
-        elif kind == "set_pair":
-            A = [_as_vertex(g, x) for x in query[1]]
-            B = [_as_vertex(g, x) for x in query[2]]
+        elif kind in ("pair", "set_pair"):
+            A, B = query[1:3]
+            if kind == "pair":
+                A, B = [A], [B]
+            A = [_as_vertex(g, x) for x in A]
+            B = [_as_vertex(g, x) for x in B]
             if set(A) & set(B):
+                if kind == "pair":
+                    continue  # u = v
                 raise ValueError("set_pair queries need disjoint sets")
             dist = graph_distance(g, A, B)
             mu_ab = oracle.exact_marginal(g, lam, set(A) | set(B))

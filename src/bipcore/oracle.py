@@ -325,10 +325,8 @@ def exact_cumulant(g: BipartiteGraph, lam: Fugacities, vertices) -> float:
 
 
 def exact_covariance(g: BipartiteGraph, lam: Fugacities, u: Vertex, v: Vertex) -> float:
-    """Cov(X_u, X_v) of occupation indicators; equals the order-2 joint
-    cumulant but computed directly for clarity."""
-    joint = exact_occupancy(g, lam, [u, v]) if u != v else exact_marginal(g, lam, u)
-    return joint - exact_marginal(g, lam, u) * exact_marginal(g, lam, v)
+    """Cov(X_u, X_v) of occupation indicators: the order-2 joint cumulant."""
+    return exact_cumulant(g, lam, [u, v])
 
 
 def brute_force_steiner(g: BipartiteGraph, terminals) -> float:

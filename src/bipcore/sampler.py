@@ -107,8 +107,8 @@ class IndependentSetSampler:
     ):
         if not lam.is_real:
             raise ValueError("sampling needs real activities")
-        if not epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+        if not 0 < epsilon < math.inf:  # choose_m's rule, for both backends
+            raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
         if backend == "auto":
             backend = "exact" if g.n_R <= SIDE_CAP else "truncated"
         self.graph = g

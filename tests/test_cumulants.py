@@ -278,6 +278,26 @@ def test_decay_pair_bound_formula():
     )
 
 
+@pytest.mark.parametrize(
+    "g", [bc.even_cycle(8), bc.random_biregular(2, 4, 16, seed=0)], ids=["c8", "rb2-4-16"]
+)
+def test_decay_pair_is_the_set_pair_of_two_singletons(g):
+    lam = Fugacities(10.0, 0.05)
+    R = [("R", j) for j in range(g.n_R)]
+    pairs = [(u, v) for i, u in enumerate(R) for v in R[i + 1:]]
+    pairs += [(("L", i), v) for i in range(g.n_L) for v in (("L", (i + 1) % g.n_L), ("R", 0))]
+    as_pairs = decay_experiment(g, lam, [("pair", u, v) for u, v in pairs])
+    as_sets = decay_experiment(g, lam, [("set_pair", [u], [v]) for u, v in pairs])
+    assert len(as_pairs) == len(as_sets) == len(pairs)
+    for p, q, (u, v) in zip(as_pairs, as_sets, pairs):
+        assert (p.value, p.bound, p.distance_or_mst) == (q.value, q.bound, q.distance_or_mst)
+        assert p.value == abs(bc.exact_covariance(g, lam, u, v))
+        if u[0] == "R":  # the pair's rule: one cumulant, not straddling_constant(2) of them
+            assert p.bound == cumulant_decay_constant(2, 0.1) * math.exp(
+                -0.1 * p.distance_or_mst / 2.0
+            )
+
+
 def test_decay_monotone_in_distance():
     g = bc.even_cycle(16)
     rows = decay_experiment(

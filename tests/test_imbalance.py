@@ -69,17 +69,48 @@ def test_truncated_sampler_and_cumulant(k200):
     assert q.value == 0.0 and math.isfinite(q.tail_bound)
 
 
-@pytest.mark.parametrize("command", ["check", "count"])
-def test_cli_json_is_standard(k200, tmp_path, capsys, command):
-    path = tmp_path / "k200.graph"
-    path.write_text(graph_to_text(k200))
-    code = cli.main([command, str(path), "--lambda-l", "50", "--lambda-r", "0.1", "--json"])
+_GRAPHS = {
+    "k200": lambda: bc.complete_bipartite(200, 1),
+    "c8": lambda: bc.even_cycle(8),
+    "star1030": lambda: bc.complete_bipartite(1, 1030),  # log Z = 1030 log 2 > 709.8
+}
+_MARGINS = ["kp_certificate.margin", "kp_certificate.per_vertex_margins"]
+
+
+@pytest.mark.parametrize(
+    "graph, argv, nulls",
+    [
+        ("k200", ["check", "--lambda-l", "50", "--lambda-r", "0.1"], []),
+        ("k200", ["count", "--lambda-l", "50", "--lambda-r", "0.1"], []),
+        # the tail ratio reaches 1 at eta = 0.2: an unbounded margin
+        ("c8", ["check", "--lambda-l", "1", "--lambda-r", "0.2", "--eta", "0.2"], _MARGINS),
+        ("c8", ["check", "--lambda-l", "1", "--lambda-r", "1e308"],
+         ["main_condition.lhs", "main_condition.ratio", *_MARGINS]),
+        ("c8", ["exact", "--lambda-l", "10", "--lambda-r", "0.05", "--marginal", "R:0"], []),
+        ("c8", ["exact", "--lambda-l-re", "-3", "--lambda-r-im", "0.2"], []),
+        ("star1030", ["exact", "--lambda-l", "1", "--lambda-r", "1"], ["Z"]),
+        ("c8", ["zeros", "--bound-l", "10", "--bound-r", "0.05", "--samples", "20"], []),
+        ("c8", ["sample", "--lambda-l", "1", "--lambda-r", "0.5", "--draws", "3"], []),
+    ],
+    ids=[
+        "check", "count", "check-inconclusive", "check-overflow", "exact",
+        "exact-complex", "exact-overflow", "zeros", "sample",
+    ],
+)
+def test_cli_json_is_standard(tmp_path, capsys, graph, argv, nulls):
+    path = tmp_path / f"{graph}.graph"
+    path.write_text(graph_to_text(_GRAPHS[graph]()))
+    code = cli.main([argv[0], str(path), *argv[1:], "--json"])
     out = capsys.readouterr().out
     assert code == 0
-    doc = _strict_json(out)
-    if command == "count":
+    # sample writes one line per draw, then its summary
+    doc = [_strict_json(line) for line in out.splitlines()][-1]
+    for field in nulls:
+        section, _, key = field.rpartition(".")
+        assert (doc[section] if section else doc)[key] is None, field
+    if argv[0] == "count":
         assert doc["log_Z_estimate"] == pytest.approx(200 * math.log(51.0), rel=1e-15)
-    else:
+    elif graph == "k200":
         assert doc["main_condition"]["satisfied"] and doc["kp_certificate"]["valid"]
 
 
@@ -103,19 +134,49 @@ def test_an_overflowing_polymer_weight_fails_the_certificate():
         bc.IndependentSetSampler(c8, lam, backend="exact")
 
 
+@pytest.mark.parametrize("eta", [700.0, 1000.0, 1e308])
+def test_a_rate_past_the_float_range_fails_the_certificate(eta):
+    # e**((1/2 + eta) |gamma|) and the tail's e**(3/2 + eta) pass the float range
+    c8 = bc.even_cycle(8)
+    cert = bc.certify_kp(c8, Fugacities(10.0, 0.05), eta=eta)
+    assert cert.mode == "failed" and math.isinf(cert.margin)
+    # a zero weight stays 0 at any rate
+    cert = bc.certify_kp(c8, Fugacities(1.0, 0.0), eta=eta)
+    assert cert.mode == "empirical" and cert.margin == 0.0
+
+
+def test_a_subnormal_weight_times_an_overflowing_exponential_is_finite():
+    # e**720.5 alone passes the float range, but 1e-320 / 4 * e**720.5 is
+    # about 1e-8: the term is taken through logs, not rounded up to inf
+    cert = bc.certify_kp(bc.even_cycle(8), Fugacities(1.0, 1e-320), eta=720.0)
+    assert cert.mode == "empirical" and 0 < cert.margin < 1e-6
+
+
+_OVERFLOWING_WEIGHT = ["--lambda-l", "1", "--lambda-r", "1e306"]
+_OVERFLOWING_RATE = ["--lambda-l", "10", "--lambda-r", "0.05", "--eta", "1000"]
+
+
 @pytest.mark.parametrize(
     "command, extra, code",
-    [("check", [], 0), ("count", [], 2), ("sample", ["--backend", "exact"], 1)],
-    ids=["check", "count", "sample"],
+    [
+        ("check", _OVERFLOWING_WEIGHT, 0),
+        ("count", _OVERFLOWING_WEIGHT, 2),
+        ("sample", [*_OVERFLOWING_WEIGHT, "--backend", "exact"], 1),
+        ("check", _OVERFLOWING_RATE, 0),
+        ("count", _OVERFLOWING_RATE, 2),
+    ],
+    ids=["check", "count", "sample", "check-eta", "count-eta"],
 )
 def test_cli_on_an_overflowing_polymer_weight(tmp_path, capsys, command, extra, code):
+    # a weight, or a term at a large rate, past the float range fails the
+    # certificate: check reports it, count refuses, and nothing raises
     path = tmp_path / "c8.graph"
     path.write_text(graph_to_text(bc.even_cycle(8)))
-    argv = [command, str(path), "--lambda-l", "1", "--lambda-r", "1e306", "--json", *extra]
+    argv = [command, str(path), "--json", *extra]
     assert cli.main(argv) == code
     captured = capsys.readouterr()
     if command == "check":
-        assert json.loads(captured.out)["kp_certificate"]["valid"] is False
+        assert _strict_json(captured.out)["kp_certificate"]["valid"] is False
     else:
         assert captured.out == ""
         err = json.loads(captured.err)  # one JSON error object

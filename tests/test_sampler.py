@@ -327,14 +327,15 @@ def test_backend_errors():
         IndependentSetSampler(bc.even_cycle(4), Fugacities(1.0, 1.0), backend="bogus")
     with pytest.raises(ValueError):
         IndependentSetSampler(bc.even_cycle(4), Fugacities(1.0, 1.0), epsilon=0.0)
-    with pytest.raises(ValueError, match="epsilon must be positive, got nan"):
+    with pytest.raises(ValueError, match="epsilon must be positive and finite, got nan"):
         IndependentSetSampler(
             bc.even_cycle(4), Fugacities(1.0, 1.0), epsilon=math.nan, backend="exact"
         )
-    with pytest.raises(ValueError, match="epsilon must be positive and finite, got inf"):
-        IndependentSetSampler(
-            bc.star_center_L(2), Fugacities(10.0, 0.1), epsilon=math.inf, backend="truncated"
-        )
+    for backend in ("exact", "truncated"):
+        with pytest.raises(ValueError, match="epsilon must be positive and finite, got inf"):
+            IndependentSetSampler(
+                bc.star_center_L(2), Fugacities(10.0, 0.1), epsilon=math.inf, backend=backend
+            )
     with pytest.raises(ValueError):
         IndependentSetSampler(
             bc.even_cycle(4), Fugacities(complex(1.0), complex(1.0))
