@@ -63,29 +63,25 @@ smaller rates inherit the certificate; above 0.1 only the per-vertex route
 certifies.  The same arithmetic with moduli gives a zero-free region for
 complex activities.  In both checks a right side past the float range is
 reported as the largest float, satisfied and not at the boundary; a left
-side past it is infinite, violated and not at the boundary.  A polymer
-weight past the float range makes its per-vertex term infinite, so the
-certificate fails; so does a term past it at a large rate eta (about 700
-and up), while a zero weight stays 0 at any eta.
+side past it is infinite, violated and not at the boundary.  A vertex's
+partial sum is read from its count of sets per class (|gamma|, |N(gamma)|),
+which fixes |w(gamma)|: correctly rounded, and +inf past the float range
+(a weight past it, or a term at a large rate eta, about 700 and up), which
+fails the certificate.  A zero weight stays 0 at any eta.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Iterable, Literal, Mapping
 
 from .errors import CertificationError, SizeCapError, StructuralMismatchError
 from .graph import BipartiteGraph, DegreeProfile, _bits, degree_profile
 from .polymers import (
-    ComplexRegion,
-    Fugacities,
-    _connected_sets,
-    _link_masks,
-    _nbhd_size,
-    _two_linked_sets,
-    _weight,
+    ComplexRegion, Fugacities, _connected_sets, _link_masks, _nbhd_size, _two_linked_sets, _weight
 )
 
 BOUNDARY_REL_TOL = 1e-12
@@ -213,9 +209,7 @@ class KPVertexSum:
 
     @property
     def satisfied(self) -> bool | None:
-        if math.isinf(self.tail):
-            return None
-        return self.total <= self.bound
+        return None if math.isinf(self.tail) else self.total <= self.bound
 
     @property
     def ratio(self) -> float:
@@ -234,15 +228,39 @@ def _times_exp(w: float, x: float) -> float:
             return math.inf
 
 
-def _kp_term(g: BipartiteGraph, verts: Sequence[int], lam: Fugacities, eta: float) -> float:
-    """|w(gamma)| * e**((1/2 + eta)|gamma|) for gamma on the R-vertices
-    ``verts``: what gamma adds to the sum of each of its vertices."""
-    k = len(verts)
+def _kp_classes(g: BipartiteGraph, sets: Iterable[int]) -> list[dict[tuple[int, int], int]]:
+    """For each R-vertex v, how many of the 2-linked ``sets`` containing v
+    have each class (|gamma|, |N(gamma)|), which fixes |w(gamma)|."""
+    by_class: defaultdict[tuple[int, int], list[int]] = defaultdict(lambda: [0] * g.n_R)
+    for gamma in sets:
+        verts = tuple(_bits(gamma))
+        row = by_class[len(verts), _nbhd_size(g, verts)]
+        for v in verts:
+            row[v] += 1
+    return [{cls: row[v] for cls, row in by_class.items() if row[v]} for v in range(g.n_R)]
+
+
+def _kp_partial(counts: Mapping[tuple[int, int], int], lam: Fugacities, eta: float) -> float:
+    """A vertex's partial sum from its class counts, count times |w(gamma)|
+    e**((1/2 + eta) k) over the classes (k, nb): correctly rounded, as the
+    fsum of one term per set, and +inf past the float range.  Each term is
+    p / 2**j, so the exact sum is one integer over the largest such 2**j."""
+    num, den = 0, 1
+    for (k, nb), n in counts.items():
+        try:
+            t = _times_exp(abs(_weight(lam, k, nb)), (0.5 + eta) * k)
+        except SizeCapError:  # the weight overflows
+            t = math.inf
+        if not t < math.inf:  # past every bound
+            return math.inf
+        p, q = t.as_integer_ratio()
+        if q > den:
+            num, den = num * (q // den), q
+        num += n * p * (den // q)
     try:
-        w = abs(_weight(lam, k, _nbhd_size(g, verts)))
-    except SizeCapError:  # the weight overflows: past every bound
+        return num / den  # int / int rounds correctly
+    except OverflowError:
         return math.inf
-    return _times_exp(w, (0.5 + eta) * k)
 
 
 def _kp_tail_bound(prof: DegreeProfile, lam: Fugacities, eta: float, k_max: int) -> tuple[float, float]:
@@ -262,9 +280,7 @@ def _kp_tail_bound(prof: DegreeProfile, lam: Fugacities, eta: float, k_max: int)
     return tail, bound
 
 
-def kp_vertex_sum(
-    g: BipartiteGraph, v: int, lam: Fugacities, eta: float, k_max: int
-) -> KPVertexSum:
+def kp_vertex_sum(g: BipartiteGraph, v: int, lam: Fugacities, eta: float, k_max: int) -> KPVertexSum:
     """One vertex's sum, enumerating only the polymers that contain v."""
     if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta!r}")
@@ -272,10 +288,8 @@ def kp_vertex_sum(
         raise ValueError("k_max must be at least 1")
     if not 0 <= v < g.n_R:
         raise ValueError(f"no R-vertex {v}")
-    partial = math.fsum(
-        _kp_term(g, tuple(_bits(mask)), lam, eta)
-        for mask in _connected_sets(_link_masks(g), v, k_max, (1 << g.n_R) - 1)
-    )
+    sets = _connected_sets(_link_masks(g), v, k_max, (1 << g.n_R) - 1)
+    partial = _kp_partial(_kp_classes(g, sets)[v], lam, eta)
     tail, bound = _kp_tail_bound(degree_profile(g), lam, eta, k_max)
     return KPVertexSum(v, partial, tail, bound, k_max, eta)
 
@@ -331,22 +345,23 @@ class KPCertificate:
         return t**a * math.exp(-self.eta * t)
 
 
+def _check_epsilon(epsilon: float) -> None:
+    """A target error must be positive and finite; ValueError otherwise."""
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
+
+
 def choose_m(n_R: int, epsilon: float, eta: float) -> int:
     """The least depth m >= 1 whose ``KPCertificate.error_bound`` is <= epsilon at rate eta."""
     if n_R < 1:
         raise ValueError("n_R must be at least 1")
-    if not 0 < epsilon < math.inf:
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
+    _check_epsilon(epsilon)
     if not 0 < eta < math.inf:
         raise ValueError(f"eta must be positive and finite, got {eta!r}")
     return max(math.ceil(math.log(n_R / epsilon) / eta), 1)
 
 
-def certify_kp(
-    g: BipartiteGraph,
-    lam: Fugacities,
-    eta: float = ANALYTIC_ETA,
-) -> KPCertificate:
+def certify_kp(g: BipartiteGraph, lam: Fugacities, eta: float = ANALYTIC_ETA) -> KPCertificate:
     """Try to certify expansion convergence at rate eta.
 
     The analytic route applies for real activities and eta <= 0.1: if the
@@ -354,7 +369,7 @@ def certify_kp(
     vertex sums are monotone in eta, so any smaller eta inherits it).
     Otherwise the per-vertex sums up to size KP_DEPTH plus geometric tails
     are checked.  Each 2-linked set is enumerated once, from its minimum
-    vertex, and its term goes to every vertex it contains; ``per_vertex``
+    vertex, and its class is counted at every vertex it contains; ``per_vertex``
     equals ``kp_vertex_sum(g, v, lam, eta, KP_DEPTH)`` for each v.
     """
     if not eta > 0:
@@ -370,28 +385,18 @@ def certify_kp(
         # whose sums are still well defined
         cond = check_main_condition(prof, lam)
         if cond.satisfied:
-            return KPCertificate(
-                eta=eta,
-                mode="analytic",
-                margin=cond.ratio,
-                per_vertex=None,
-                provenance=(
-                    "main imbalance condition holds "
-                    f"(lhs={cond.lhs:.6g} <= rhs={cond.rhs:.6g}); "
-                    "vertex sums bounded at eta <= 0.1"
-                ),
+            provenance = (
+                f"main imbalance condition holds (lhs={cond.lhs:.6g} <= rhs={cond.rhs:.6g}); "
+                "vertex sums bounded at eta <= 0.1"
             )
-    terms: list[list[float]] = [[] for _ in range(g.n_R)]
-    for gamma in _two_linked_sets(_link_masks(g), (1 << g.n_R) - 1, KP_DEPTH):
-        verts = tuple(_bits(gamma))
-        t = _kp_term(g, verts, lam, eta)
-        for v in verts:
-            terms[v].append(t)
+            return KPCertificate(
+                eta=eta, mode="analytic", margin=cond.ratio, per_vertex=None, provenance=provenance
+            )
+    sets = _two_linked_sets(_link_masks(g), (1 << g.n_R) - 1, KP_DEPTH)
     tail, bound = _kp_tail_bound(prof, lam, eta, KP_DEPTH)
-    # fsum is correctly rounded, so the order of a vertex's terms is immaterial
     sums = tuple(
-        KPVertexSum(v, math.fsum(ts), tail, bound, KP_DEPTH, eta)
-        for v, ts in enumerate(terms)
+        KPVertexSum(v, _kp_partial(c, lam, eta), tail, bound, KP_DEPTH, eta)
+        for v, c in enumerate(_kp_classes(g, sets))
     )
     if any(s.partial > s.bound for s in sums):
         mode: CertificateMode = "failed"
@@ -400,13 +405,8 @@ def certify_kp(
         # an unbounded tail gives satisfied None and ratio inf
         mode = "empirical" if all(s.satisfied for s in sums) else "inconclusive"
         margin = max(s.ratio for s in sums)
-    return KPCertificate(
-        eta=eta,
-        mode=mode,
-        margin=margin,
-        per_vertex=sums,
-        provenance=f"per-vertex sums up to size {KP_DEPTH} plus geometric tails",
-    )
+    provenance = f"per-vertex sums up to size {KP_DEPTH} plus geometric tails"
+    return KPCertificate(eta=eta, mode=mode, margin=margin, per_vertex=sums, provenance=provenance)
 
 
 def check_complex_region(profile, region: ComplexRegion) -> ConditionCheck:

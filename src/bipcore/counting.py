@@ -17,7 +17,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .clusters import ExpansionEstimate, truncated_expansion
-from .conditions import KPCertificate, certify_kp, check_complex_region, choose_m
+from .conditions import KPCertificate, _check_epsilon, certify_kp, check_complex_region, choose_m
 from .errors import CertificationError, ClusterBudgetError
 from .graph import BipartiteGraph, degree_profile
 from .polymers import ComplexRegion, Fugacities
@@ -96,8 +96,7 @@ def approx_log_Z(
     """
     if not lam.is_real:
         raise ValueError("approx_log_Z takes real activities")
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    _check_epsilon(epsilon)  # choose_m's rule, whether or not m is given
     t0 = time.perf_counter()
     cert = certify_kp(g, lam, eta=eta).require(
         "refusing to emit an uncertified approximation (the exact oracle handles small graphs)"

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Mapping, Sequence
+from functools import lru_cache, wraps
+from typing import Callable, Mapping, Sequence
 
 from .clusters import SeriesEngine
 from .conditions import KPCertificate, certify_kp
@@ -225,6 +225,28 @@ def _neighborhood(g: BipartiteGraph, vs: Sequence[Vertex]) -> set[Vertex]:
     return out
 
 
+def _inf_past_float_range(bound: Callable[..., float]) -> Callable[..., float]:
+    """A decay bound that reads +inf (sound, and never NaN) where its
+    arithmetic passes the float range."""
+
+    @wraps(bound)
+    def guarded(*args) -> float:
+        try:
+            b = bound(*args)
+        except OverflowError:
+            return math.inf
+        return math.inf if math.isnan(b) else b
+
+    return guarded
+
+
+@_inf_past_float_range
+def _cumulant_bound(a: int, eta: float, mst: float) -> float:
+    """Bound on an a-vertex truncated cumulant: C(a) e^(-eta MST/2)."""
+    return cumulant_decay_constant(a, eta) * math.exp(-eta * mst / 2.0)
+
+
+@_inf_past_float_range
 def _set_pair_bound(
     g: BipartiteGraph, A: Sequence[Vertex], B: Sequence[Vertex], dist: float, eta: float
 ) -> float:
@@ -238,32 +260,29 @@ def _set_pair_bound(
     touching L reduce to the R-side case by inclusion-exclusion over
     neighborhoods, costing a 2^(|N(A_L)|+|N(B_L)|) factor, a distance loss
     of 2 (a factor e^eta, since e^(-eta (D-2)/2) = e^eta e^(-eta D/2)), and
-    enlarged set sizes.  A bound past the float range is +inf (sound).
+    enlarged set sizes.
     """
     a_L = [v for v in A if v[0] == "L"]
     b_L = [v for v in B if v[0] == "L"]
     n_plain = len(A) + len(B)
-    try:
-        if not a_L and not b_L:
-            if n_plain == 2:
-                return cumulant_decay_constant(2, eta) * math.exp(-eta * dist / 2.0)
-            return (
-                straddling_constant(n_plain)
-                * cumulant_decay_constant(n_plain, eta)
-                * math.exp(-eta * dist / 2.0)
-            )
-        nA = _neighborhood(g, a_L)
-        nB = _neighborhood(g, b_L)
-        n_hat = len(nA) + len(nB) + (len(A) - len(a_L)) + (len(B) - len(b_L))
-        n_hat = max(n_hat, 1)
+    if not a_L and not b_L:
+        if n_plain == 2:
+            return _cumulant_bound(2, eta, dist)
         return (
-            2.0 ** (len(nA) + len(nB))
-            * straddling_constant(n_hat)
-            * cumulant_decay_constant(n_hat, eta)
-            * math.exp(-eta * (dist - 2.0) / 2.0)
+            straddling_constant(n_plain)
+            * cumulant_decay_constant(n_plain, eta)
+            * math.exp(-eta * dist / 2.0)
         )
-    except OverflowError:
-        return math.inf
+    nA = _neighborhood(g, a_L)
+    nB = _neighborhood(g, b_L)
+    n_hat = len(nA) + len(nB) + (len(A) - len(a_L)) + (len(B) - len(b_L))
+    n_hat = max(n_hat, 1)
+    return (
+        2.0 ** (len(nA) + len(nB))
+        * straddling_constant(n_hat)
+        * cumulant_decay_constant(n_hat, eta)
+        * math.exp(-eta * (dist - 2.0) / 2.0)
+    )
 
 
 def decay_experiment(
@@ -299,9 +318,7 @@ def decay_experiment(
             q = truncated_cumulant(g, lam, verts, m, eta)
             value = abs(q.value)
             dist = mst
-            bound = cumulant_decay_constant(len(verts), cert.eta) * math.exp(
-                -cert.eta * mst / 2.0
-            )
+            bound = _cumulant_bound(len(verts), cert.eta, mst)
         elif kind in ("pair", "set_pair"):
             A, B = query[1:3]
             if kind == "pair":

@@ -35,7 +35,7 @@ from typing import Iterator, Literal
 import numpy as np
 
 from .clusters import SeriesEngine
-from .conditions import KPCertificate, certify_kp, choose_m
+from .conditions import KPCertificate, _check_epsilon, certify_kp, choose_m
 from .counting import _fit_depth
 from .errors import SizeCapError
 from .graph import BipartiteGraph, Vertex, _bits
@@ -91,10 +91,11 @@ class IndependentSetSampler:
     coefficient their draws read here.  The truncated backend steps m_step
     down as ``approx_log_Z`` steps its depth while they pass
     ``clusters.MAX_COEFFICIENTS``; the exact backend raises
-    ClusterBudgetError, and SizeCapError when a polymer weight overflows a
-    float.  During the draws the truncated backend memoises T_m per link
-    component of a state as one scalar each, on demand and outside that
-    budget.
+    ClusterBudgetError, and SizeCapError when a polymer weight, a
+    coefficient of Xi_R or their sum overflows a float: it refuses a Xi past
+    the float range rather than read inf / inf.  During the draws the
+    truncated backend memoises T_m per link component of a state as one
+    scalar each, on demand and outside that budget.
     """
 
     def __init__(
@@ -107,8 +108,7 @@ class IndependentSetSampler:
     ):
         if not lam.is_real:
             raise ValueError("sampling needs real activities")
-        if not 0 < epsilon < math.inf:  # choose_m's rule, for both backends
-            raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
+        _check_epsilon(epsilon)  # choose_m's rule, for both backends
         if backend == "auto":
             backend = "exact" if g.n_R <= SIDE_CAP else "truncated"
         self.graph = g
@@ -122,8 +122,14 @@ class IndependentSetSampler:
             self.m_requested = self.m_step = None
             # Xi_S has degree |S|: depth n_R + 1 keeps every coefficient
             self._engine = SeriesEngine(g, lam, g.n_R + 1)
-            # every series a draw reads lies in the recursion for Xi_R
-            self._engine.xi((1 << g.n_R) - 1)
+            # every series a draw reads lies in the recursion for Xi_R, and
+            # the weights being >= 0, each is coefficientwise at most Xi_R's
+            try:
+                xi_R = math.fsum(self._engine.xi((1 << g.n_R) - 1))
+            except (OverflowError, ValueError):
+                xi_R = math.inf
+            if not math.isfinite(xi_R):
+                raise SizeCapError("Xi past the float range: the exact backend cannot draw")
         elif backend == "truncated":
             self.certificate = cert = certify_kp(g, lam, eta=eta).require(
                 "the truncated sampling backend needs a valid certificate"

@@ -189,6 +189,19 @@ def test_count_refusal_json_error(edge_file, capsys):
     assert "try `exact`" in doc["error"]["message"]
 
 
+def test_count_refuses_an_infinite_epsilon_with_an_explicit_depth(cycle_file, capsys):
+    # --m skips choose_m, not its rule for epsilon
+    code, out, err = run(
+        capsys, "count", cycle_file, "--lambda-l", "10", "--lambda-r", "0.05",
+        "--eps", "inf", "--m", "5", "--json",
+    )
+    assert code == 1 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == {
+        "type": "ValueError", "message": "epsilon must be positive and finite, got inf"
+    }
+
+
 def _dumped_values(err):
     lines = [l for l in err.splitlines() if l]
     assert all(l.startswith("set=") and " value=" in l for l in lines)

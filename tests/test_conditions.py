@@ -239,6 +239,25 @@ def test_per_vertex_sums_match_brute_force(seed, complex_mode, eta):
     )
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.floats(60.0, 160.0).map(lambda e: 10.0**e),
+    st.floats(0.0, 3.0, exclude_min=True, allow_nan=False),
+)
+def test_vertex_sums_past_the_float_range_fail_the_certificate(seed, lam_R, eta):
+    # from lambda_R = 1e60 on, a term, a weight or a vertex's sum passes the
+    # float range on most graphs; each sum is inf then, never an exception
+    rng = np.random.Generator(np.random.Philox(seed))
+    g = random_bipartite(rng, 4, 7, 0.5)
+    lam = Fugacities(1.0, lam_R)
+    cert = certify_kp(g, lam, eta)
+    assert cert.mode == "failed"
+    assert cert.per_vertex == tuple(
+        kp_vertex_sum(g, v, lam, eta, 6) for v in range(g.n_R)
+    )
+
+
 def test_certificate_visits_each_two_linked_set_once(monkeypatch):
     real = polymers._connected_sets
     visited: list[int] = []

@@ -149,7 +149,7 @@ def test_epsilon_validation():
     g = bc.complete_bipartite(1, 1)
     with pytest.raises(ValueError):
         approx_log_Z(g, Fugacities(10.0, 0.1), epsilon=0.0)
-    with pytest.raises(ValueError, match="epsilon must be positive, got nan"):
+    with pytest.raises(ValueError, match="epsilon must be positive and finite, got nan"):
         approx_log_Z(g, Fugacities(10.0, 0.1), epsilon=math.nan, m=5)
     with pytest.raises(ValueError):
         approx_log_Z(g, Fugacities(complex(10.0), complex(0.1)), epsilon=0.1)

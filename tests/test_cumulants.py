@@ -435,3 +435,16 @@ def test_set_pair_bound_past_the_float_range_is_infinite(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.splitlines()[1].split(",")[4:] == ["inf", "true"]
+
+
+def test_cumulant_bound_past_the_float_range_is_infinite(tmp_path, capsys):
+    # C(2) = (1 - e**-1e-80)**-4 = 1e320 passes the float range
+    path = tmp_path / "c8.graph"
+    path.write_text(graph_to_text(bc.even_cycle(8)))
+    code = cli.main(
+        ["decay", str(path), "--lambda-l", "10", "--lambda-r", "0.05",
+         "--cumulant", "R:0,R:1", "--eta", "1e-80"]
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.splitlines()[1].split(",")[4:] == ["inf", "true"]

@@ -145,6 +145,21 @@ def test_a_rate_past_the_float_range_fails_the_certificate(eta):
     assert cert.mode == "empirical" and cert.margin == 0.0
 
 
+def test_a_vertex_sum_past_the_float_range_fails_the_certificate(tmp_path, capsys):
+    # K_{1,3} at lambda_R = 1e154: each 2-set's term is about 1.7e308, so the
+    # two through a vertex already sum past the float range
+    g, lam = bc.complete_bipartite(1, 3), Fugacities(1.0, 1e154)
+    cert = bc.certify_kp(g, lam)
+    assert cert.mode == "failed" and cert.margin == math.inf
+    assert cert.per_vertex == tuple(bc.kp_vertex_sum(g, v, lam, 0.1, 6) for v in range(3))
+    assert all(s.partial == math.inf for s in cert.per_vertex)
+    path = tmp_path / "k13.graph"
+    path.write_text(graph_to_text(g))
+    code = cli.main(["check", str(path), "--lambda-l", "1", "--lambda-r", "1e154", "--json"])
+    assert code == 0
+    assert _strict_json(capsys.readouterr().out)["kp_certificate"]["valid"] is False
+
+
 def test_a_subnormal_weight_times_an_overflowing_exponential_is_finite():
     # e**720.5 alone passes the float range, but 1e-320 / 4 * e**720.5 is
     # about 1e-8: the term is taken through logs, not rounded up to inf

@@ -417,3 +417,14 @@ def test_exact_backend_fills_its_memo_when_built(monkeypatch):
     monkeypatch.setattr(clusters, "MAX_COEFFICIENTS", stored - 1)
     with pytest.raises(bc.ClusterBudgetError):
         IndependentSetSampler(g, lam, backend="exact")
+
+
+def test_exact_backend_refuses_a_xi_past_the_float_range():
+    # two disjoint 4-leaf stars at lambda_R = 1e60: each star's polymer
+    # weighs 5e239, so the z**8 coefficient of Xi_R passes the float range
+    g = bc.BipartiteGraph(2, 8, [(0, j) for j in range(4)] + [(1, j) for j in range(4, 8)])
+    lam = Fugacities(1.0, 1e60)
+    with pytest.raises(SizeCapError):
+        bc.exact_Xi(g, lam)
+    with pytest.raises(SizeCapError, match="Xi past the float range"):
+        IndependentSetSampler(g, lam, backend="exact")
