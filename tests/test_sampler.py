@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import math
 import weakref
 from collections import Counter
@@ -109,14 +110,20 @@ def test_trace_masks_shrink_monotonically():
     g = bc.even_cycle(8)
     sampler = IndependentSetSampler(g, Fugacities(3.0, 0.6))
     rng = np.random.Generator(np.random.Philox(5))
+    plain = np.random.Generator(np.random.Philox(5))
     for _ in range(20):
         trace: list[tuple[int, int]] = []
-        sampler.sample_config(rng, trace=trace)
+        cfg = sampler.sample_config(rng, trace=trace)
+        # tracing changes neither the configuration nor the uniforms read
+        assert sampler.sample_config(plain) == cfg
+        assert plain.random() == rng.random()
         assert [v for v, _ in trace] == list(range(g.n_R))
         masks = [mask for _, mask in trace]
         assert masks[0] == (1 << g.n_R) - 1
         for a, b in zip(masks, masks[1:]):
             assert b & ~a == 0  # the allowed set only loses polymers
+        for v, mask in trace:
+            assert mask & ((1 << v) - 1) == 0  # every lower vertex is decided
 
 
 def test_config_pairwise_compatible_and_disjoint():
@@ -251,6 +258,44 @@ def test_one_draw_functions_equal_their_generator_definitions(g):
             cfg, fresh(seed)
         )
         assert sample_independent_set(g, lam, 0.05, rng_seed=seed) == s.sample(fresh(seed))
+
+
+def _draws_digest(draws) -> str:
+    h = hashlib.sha256()
+    for draw in draws:
+        h.update(repr(sorted(draw)).encode())
+    return h.hexdigest()
+
+
+_LAM = Fugacities(20.0, 0.1)
+_BIREG = Fugacities(50.0, 0.1)
+
+
+@pytest.mark.parametrize(
+    "g, lam, backend, n, seed, eta, digest",
+    [
+        (bc.even_cycle(12), Fugacities(1.0, 0.5), "exact", 400, 1, 0.1,
+         "4e487aea3dbcad9b7d4eebb9cac310020831362c4fdba759ecffad705eadd059"),
+        (bc.even_cycle(24), _LAM, "exact", 400, 2, 0.1,
+         "871327078576ca8d76e6124a558982a22e34d0e0f90050e4495b687c583b9ff4"),
+        (bc.random_biregular(2, 4, 16, seed=0), _BIREG, "exact", 400, 3, 0.1,
+         "aa4ab8349628e39633a4c42644c9f8bc6a67839bb7d1b499f70d4500f1228ca6"),
+        (bc.even_cycle(40), _LAM, "exact", 400, 6, 0.1,
+         "f39a9eb41445a5694a2abc96a20d3da412c35743e7e8b1be59e34652d80636db"),
+        (bc.even_cycle(44), _LAM, "auto", 1, 4, 0.1,
+         "07f81d711f3ee415268031f758c8c42a46b85d86c3897b3f1dc7ea3a3afa6f6e"),
+        (bc.even_cycle(30), Fugacities(2.0, 0.2), "truncated", 300, 7, 0.1,
+         "9c5f582ad6f1ca44f3ae4daff0fdcaf71d8d33fdb5df556e8a116ab47b3e80b3"),
+        (bc.random_biregular(2, 4, 60, seed=0), _BIREG, "truncated", 300, 5, 7.0,
+         "08b17a1fc59c4f648cb0fb4c78979def226492f35e35dc2c4cdde8674c319df1"),
+    ],
+    ids=["C12", "C24", "rb(2,4,16)", "C40", "C44-auto", "C30-truncated", "rb(2,4,60)-eta7"],
+)
+def test_golden_draws(g, lam, backend, n, seed, eta, digest):
+    # sha256 of the draws, pinned: a change to the sampler that alters any
+    # draw shows here even when draws() and sample() change alike
+    s = IndependentSetSampler(g, lam, backend=backend, eta=eta)
+    assert _draws_digest(s.draws(n, seed=seed)) == digest
 
 
 def test_draws_rejects_a_negative_count():

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 import bipcore as bc
 from bipcore import ClusterBudgetError, ClusterEngine, Fugacities, SeriesEngine
 from bipcore import clusters, kernels
-from bipcore.polymers import _fsum, _link_masks, _two_linked_sets
+from bipcore.graph import _bits, _components
+from bipcore.polymers import _connected_sets, _fsum, _link_masks, _two_linked_sets, _weight
 
 from conftest import random_bipartite
 
@@ -113,6 +114,45 @@ def test_log_xi_by_components_matches_the_set_sum(seed, m):
         got = engine.log_xi(S)
         assert _close(got, math.fsum(c for T, c in plain.items() if T & ~S == 0))
         assert _close(got, _truncated_log(engine.xi(S), m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.data(), st.booleans())
+def test_terms_match_their_definition(seed, data, complex_mode):
+    # two disjoint random pieces: the full R side spans at least two link
+    # components, and random subsets of it often do too
+    rng = np.random.Generator(np.random.Philox(seed))
+    a = random_bipartite(rng, 4, 5, float(rng.uniform(0.2, 0.6)))
+    b = random_bipartite(rng, 4, 5, float(rng.uniform(0.2, 0.6)))
+    g = bc.BipartiteGraph(
+        a.n_L + b.n_L,
+        a.n_R + b.n_R,
+        [*a.edges, *((u + a.n_L, v + a.n_R) for u, v in b.edges)],
+    )
+    lam_L, lam_R = float(rng.uniform(0.2, 5.0)), float(rng.uniform(0.05, 2.0))
+    if complex_mode:
+        lam = Fugacities(complex(lam_L, 0.5), complex(lam_R, -0.25))
+    else:
+        lam = Fugacities(lam_L, lam_R)
+    m = data.draw(st.integers(1, g.n_R + 1), label="m")
+    engine = SeriesEngine(g, lam, m)
+    links = _link_masks(g)
+    full = (1 << g.n_R) - 1
+    subsets = [full, *(int(rng.integers(1, full + 1)) for _ in range(8))]
+    assert len(list(_components(links, full))) >= 2
+    for S in subsets:
+        want = []
+        for gamma in _connected_sets(links, (S & -S).bit_length() - 1, m - 1, S):
+            blocked, nbhd = gamma, 0
+            for v in _bits(gamma):
+                blocked |= links[v]
+                nbhd |= g.adj_R[v]
+            want.append((gamma, S & ~blocked, _weight(lam, gamma.bit_count(), nbhd.bit_count())))
+        got = engine.terms(S)
+        assert got == want  # same order, same bits
+        assert [type(w) for _, _, w in got] == [type(w) for _, _, w in want]
+        if m == 1:
+            assert got == []
 
 
 def test_untruncated_xi_is_exact():
