@@ -39,6 +39,7 @@ from .polymers import (
     Scalar,
     _connected_sets,
     _fsum,
+    _grown_sets,
     _link_masks,
     _two_linked_sets,
     _weight,
@@ -418,6 +419,10 @@ class SeriesEngine:
         self.m = m
         self._budget = MAX_COEFFICIENTS
         self._links = _link_masks(g)
+        # per R-vertex v: {v} | N2(v) in the low n_R bits, N(v) above them
+        self._marks = tuple(
+            (1 << v) | link | nb << g.n_R for v, (link, nb) in enumerate(zip(self._links, g.adj_R))
+        )
         self._xi: dict[int, list[Scalar]] = {}
         self._stored = 0
         self._sets: list[int] | None = None
@@ -435,19 +440,16 @@ class SeriesEngine:
 
     def terms(self, S: int) -> list[tuple[int, int, Scalar]]:
         """(gamma, S minus gamma minus N2(gamma), w(gamma)) for every 2-linked
-        gamma in the nonempty set S with min gamma = min S and |gamma| < m."""
-        adj_R = self.graph.adj_R
-        links = self._links
-        out = []
-        for gamma in _connected_sets(links, (S & -S).bit_length() - 1, self.m - 1, S):
-            blocked = gamma
-            nbhd = 0
-            for v in _bits(gamma):
-                blocked |= links[v]
-                nbhd |= adj_R[v]
-            w = _weight(self.lam, gamma.bit_count(), nbhd.bit_count())
-            out.append((gamma, S & ~blocked, w))
-        return out
+        gamma in the nonempty set S with min gamma = min S and |gamma| < m,
+        in the order of ``polymers._connected_sets``.  The growth carries
+        gamma | N2(gamma) in the low n_R bits of each union and N(gamma)
+        above them (see ``_marks``)."""
+        lam, n_R = self.lam, self.graph.n_R
+        root = (S & -S).bit_length() - 1
+        return [
+            (gamma, S & ~reach, _weight(lam, gamma.bit_count(), (reach >> n_R).bit_count()))
+            for gamma, reach in _grown_sets(self._links, root, self.m - 1, S, self._marks)
+        ]
 
     def xi(self, S: int) -> list[Scalar]:
         """Coefficients of Xi_S(z) from z**0 to z**min(|S|, m - 1)."""

@@ -16,6 +16,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .errors import NotTwoLinkedError, SizeCapError
@@ -175,28 +176,47 @@ def _build_polymer(g: BipartiteGraph, mask: int, verts: tuple[int, ...], lam: Fu
     return Polymer(verts, mask, nb, _weight(lam, len(verts), nb))
 
 
-def _connected_sets(adj: Sequence[int], root: int, size_cap: int, allowed: int) -> Iterator[int]:
-    """Masks of connected sets containing ``root`` inside ``allowed``, each
-    exactly once, sizes up to ``size_cap``.  Canonical growth: candidates are
-    consumed in ascending order and barred from later branches, so no
-    deduplication table is needed.  Deterministic emission order."""
+def _grown_sets(
+    adj: Sequence[int], root: int, size_cap: int, allowed: int, marks: Sequence[int]
+) -> Iterator[tuple[int, int]]:
+    """(gamma, the union of marks[v] over v in gamma) for every connected set
+    gamma containing ``root`` inside ``allowed``, each exactly once, sizes up
+    to ``size_cap``.  Canonical growth: candidates are consumed in ascending
+    order and barred from later branches, so no deduplication table is
+    needed, and the union grows with the set, one OR per vertex added.
+    Depth first, each set before the sets grown from it: a deterministic
+    emission order.  The path is an explicit stack, so a set is yielded
+    once, not passed up through a generator per vertex."""
     rootbit = 1 << root
     if not (allowed & rootbit) or size_cap < 1:
         return
+    yield rootbit, marks[root]
+    if size_cap == 1:
+        return
+    # one frame per set on the path that may still grow:
+    # [set, its union, candidates left, barred vertices]
+    stack = [[rootbit, marks[root], adj[root] & allowed & ~rootbit, rootbit]]
+    while stack:
+        top = stack[-1]
+        smask, acc, ext, forb = top
+        if not ext:
+            stack.pop()
+            continue
+        bit = ext & -ext
+        ext ^= bit
+        top[2] = ext
+        top[3] = forb | bit
+        v = bit.bit_length() - 1
+        grown = smask | bit
+        acc |= marks[v]
+        yield grown, acc
+        if len(stack) + 1 < size_cap:  # the frame at depth i holds a set of i + 1 vertices
+            stack.append([grown, acc, (ext | (adj[v] & allowed)) & ~grown & ~forb, forb])
 
-    def rec(smask: int, size: int, ext: int, forb: int) -> Iterator[int]:
-        yield smask
-        while ext:
-            bit = ext & -ext
-            ext ^= bit
-            if size < size_cap:
-                v = bit.bit_length() - 1
-                grown = smask | bit
-                new_ext = (ext | (adj[v] & allowed)) & ~grown & ~forb
-                yield from rec(grown, size + 1, new_ext, forb)
-            forb |= bit
 
-    yield from rec(rootbit, 1, adj[root] & allowed & ~rootbit, rootbit)
+def _connected_sets(adj: Sequence[int], root: int, size_cap: int, allowed: int) -> Iterator[int]:
+    """The masks of ``_grown_sets``, in its order."""
+    return map(itemgetter(0), _grown_sets(adj, root, size_cap, allowed, adj))
 
 
 def _two_linked_sets(links: Sequence[int], within: int, size_cap: int) -> Iterator[int]:

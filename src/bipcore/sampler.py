@@ -1,17 +1,24 @@
 """Approximate sampling from the polymer measure and the hard-core measure.
 
-A polymer configuration is built one R-vertex at a time (ascending index).
-The state is the set S of R-vertices still free: every vertex below the
-current one has left it.  At a vertex v in S the candidates are the 2-linked
-gamma in S with min gamma = v; the chance of picking gamma is proportional
-to w(gamma) * Xi_{S minus gamma minus N2(gamma)} and of picking none to
-Xi_{S-v}, with N2(gamma) the R-vertices 2-linked to gamma.  These are the
-terms of the expansion engine's recursion for Xi_S (``clusters.SeriesEngine``),
-so this is the exact conditional factorization of the polymer measure nu
+A polymer configuration is built one decision at a time.  The state is the
+set S of R-vertices still free, and the walk decides only at v = min S:
+every vertex below v has left S, covered, blocked or vacant.  The
+candidates at v are the 2-linked gamma in S with min gamma = v; the chance
+of picking gamma is proportional to w(gamma) * Xi_{S minus gamma minus
+N2(gamma)} and of picking none to Xi_{S-v}, with N2(gamma) the R-vertices
+2-linked to gamma.  These are the terms of the expansion engine's
+recursion for Xi_S (``clusters.SeriesEngine``), so this is the exact
+conditional factorization of the polymer measure nu
 (Jenssen-Keevash-Perkins, arXiv 1807.04804).  The restricted partition
 functions come from the same engine, either summed untruncated (exact
 backend, small R sides) or as the truncated expansion T_m(S) (certified
 instances).
+
+Each conditional is cached per state and holds masks: every candidate is
+the pair (gamma, the state it leaves), with the cumulative probabilities
+and p_any, the chance that some polymer is picked.  A uniform at or above
+p_any is a vacancy and costs no search.  A ``Polymer`` is built only for a
+polymer a draw returns.
 
 A configuration extends to an independent set by occupying its polymers'
 vertices and then each unblocked L-vertex independently with probability
@@ -57,10 +64,32 @@ class PolymerConfig:
 
     @property
     def occupied_R(self) -> frozenset[int]:
-        out: set[int] = set()
-        for p in self.chosen:
-            out.update(p.vertices)
-        return frozenset(out)
+        return frozenset(_bits(_occupied(self)))
+
+
+def _occupied(config: PolymerConfig) -> int:
+    """The mask of the R-vertices the configuration's polymers cover."""
+    mask = 0
+    for p in config.chosen:
+        mask |= p.mask
+    return mask
+
+
+# at a state: p_any, the cumulative probabilities of the candidates, and the
+# candidates as (gamma, the state gamma leaves)
+_Conditional = tuple[float, list[float], list[tuple[int, int]]]
+
+
+_MEMBER_FIRST = str.maketrans("01", "10")
+
+
+def _lex_key(mask: int) -> str:
+    """A key that orders masks as their ascending vertex tuples order
+    lexicographically: one character per vertex from 0 up to the largest,
+    "0" for a member and "1" for a non-member, so a proper prefix sorts
+    first.  The same order as ``tuple(_bits(mask))``, built without a
+    Python-level loop."""
+    return bin(mask)[:1:-1].translate(_MEMBER_FIRST)
 
 
 class _BlockedUniforms:
@@ -79,7 +108,9 @@ class IndependentSetSampler:
     """Reusable sampling engine for one (graph, activities, epsilon) triple.
 
     Conditional distributions are cached per state, the set of R-vertices
-    still free, so repeated draws are cheap.  backend="exact" computes
+    still free, so repeated draws are cheap.  A draw decides only at
+    v = min state, and a cached conditional holds masks, not polymers (see
+    the module docstring).  backend="exact" computes
     restricted partition functions exactly and needs no certificate;
     "truncated" uses exp of the truncated expansion at depth m_step, chosen
     for a per-step error budget epsilon / (2 n_R) but capped at
@@ -147,8 +178,10 @@ class IndependentSetSampler:
         else:
             raise ValueError(f"unknown backend {backend!r}")
         self.degraded = self.m_step is not None and self.m_step < self.m_requested
-        self._conditional_cache: dict[int, tuple[list[tuple[Polymer, int]], list[float]]] = {}
-        self._decided = frozenset(range(g.n_R))  # one object, shared by every configuration
+        self._conditional_cache: dict[int, _Conditional] = {}
+        # one object, shared by every draw that picks no polymer
+        self._empty = PolymerConfig(chosen=(), decided_vertices=frozenset(range(g.n_R)))
+        self._p_in = lam.lambda_L / (1.0 + lam.lambda_L)
         self._names = _vertex_names(g)
 
     # -- restricted partition functions ------------------------------------
@@ -158,31 +191,20 @@ class IndependentSetSampler:
             return math.log(math.fsum(self._engine.xi(S)))
         return self._engine.log_xi(S)
 
-    def _conditional(self, state: int) -> tuple[list[tuple[Polymer, int]], list[float]]:
-        """Candidates at v = min state, each a polymer with the state it
-        leaves, plus cumulative probabilities; the final slot is the
-        no-polymer outcome."""
-        hit = self._conditional_cache.get(state)
-        if hit is not None:
-            return hit
-        g, lam = self.graph, self.lam
+    def _conditional(self, state: int) -> _Conditional:
+        """The law at v = min state: p_any, the candidates' cumulative
+        probabilities, and the candidates, each a 2-linked gamma with the
+        state it leaves; the rest of the mass is the vacancy at v."""
         log_none = self._log_xi(state & (state - 1))
-        candidates = []
-        raw = []
         # lexicographic in the vertex tuple: draws stay identical to earlier releases
-        for gamma, rest, w in sorted(
-            self._engine.terms(state), key=lambda t: tuple(_bits(t[0]))
-        ):
-            candidates.append((_build_polymer(g, gamma, tuple(_bits(gamma)), lam), rest))
-            raw.append(0.0 if w == 0.0 else w * math.exp(self._log_xi(rest) - log_none))
+        terms = sorted(self._engine.terms(state), key=lambda t: _lex_key(t[0]))
+        raw = [
+            0.0 if w == 0.0 else w * math.exp(self._log_xi(rest) - log_none)
+            for _, rest, w in terms
+        ]
         total = 1.0 + math.fsum(raw)
-        cum = []
-        acc = 0.0
-        for r in raw:
-            acc += r / total
-            cum.append(acc)
-        cum.append(1.0)
-        out = (candidates, cum)
+        cum = list(itertools.accumulate(r / total for r in raw))
+        out = (cum[-1] if cum else 0.0, cum, [(gamma, rest) for gamma, rest, _ in terms])
         self._conditional_cache[state] = out
         return out
 
@@ -193,29 +215,42 @@ class IndependentSetSampler:
     ) -> PolymerConfig:
         """One polymer configuration; ``trace`` receives (v, state) at every
         vertex, the state being the mask of R-vertices still free."""
-        g = self.graph
-        state = (1 << g.n_R) - 1
-        chosen: list[Polymer] = []
-        cached = self._conditional_cache.get
+        state = (1 << self.graph.n_R) - 1
+        chosen: list[int] = []
+        cache = self._conditional_cache
         random = rng.random
-        for v in range(g.n_R):
-            if trace is not None:
-                trace.append((v, state))
-            if not (state >> v) & 1:
-                continue  # covered or blocked by a chosen polymer
-            candidates, cum = cached(state) or self._conditional(state)
-            pick = bisect.bisect_right(cum, random(), 0, len(candidates))
-            if pick == len(candidates):
-                state &= ~(1 << v)
+        traced = 0  # the vertices below this one are in the trace
+        while state:
+            if trace is not None:  # v = min state, and the vertices skipped before it
+                v = (state & -state).bit_length()
+                trace.extend((u, state) for u in range(traced, v))
+                traced = v
+            try:
+                p_any, cum, candidates = cache[state]
+            except KeyError:
+                p_any, cum, candidates = self._conditional(state)
+            x = random()
+            if x >= p_any:  # the vacancy at v: no search
+                state &= state - 1
             else:
-                polymer, state = candidates[pick]
-                chosen.append(polymer)
-        return PolymerConfig(chosen=tuple(chosen), decided_vertices=self._decided)
+                gamma, state = candidates[bisect.bisect_right(cum, x)]
+                chosen.append(gamma)
+        if trace is not None:
+            trace.extend((u, 0) for u in range(traced, self.graph.n_R))
+        if not chosen:
+            return self._empty
+        g, lam = self.graph, self.lam
+        return PolymerConfig(
+            chosen=tuple(_build_polymer(g, gamma, tuple(_bits(gamma)), lam) for gamma in chosen),
+            decided_vertices=self._empty.decided_vertices,
+        )
 
     def extend(self, config: PolymerConfig, rng: np.random.Generator) -> frozenset[Vertex]:
-        return _extend(self.graph, self.lam, config, rng, self._names)
+        return _extend(self.graph, self._p_in, _occupied(config), rng, self._names)
 
     def sample(self, rng: np.random.Generator) -> frozenset[Vertex]:
+        # through the two public steps, so that what wraps either one (the
+        # spans of perfbench/spans.py) sees every draw
         return self.extend(self.sample_config(rng), rng)
 
     def draws(self, n: int, seed: int) -> Iterator[frozenset[Vertex]]:
@@ -237,22 +272,19 @@ def _vertex_names(g: BipartiteGraph) -> _Names:
 
 
 def _extend(
-    g: BipartiteGraph,
-    lam: Fugacities,
-    config: PolymerConfig,
-    rng: np.random.Generator,
-    names: _Names,
+    g: BipartiteGraph, p_in: float, occupied_R: int, rng: np.random.Generator, names: _Names
 ) -> frozenset[Vertex]:
-    """Occupy the configuration's polymers, then each unblocked L-vertex
-    independently with probability lambda_L / (1 + lambda_L)."""
+    """Occupy the R-vertices in ``occupied_R``, then each unblocked L-vertex
+    independently with probability ``p_in``: one uniform per unblocked
+    L-vertex, in L order.  With no R-vertex occupied every L-vertex is
+    free, and the prebuilt name tuple is walked as it is."""
     l_names, r_names = names
-    occupied_R = 0
-    for p in config.chosen:
-        occupied_R |= p.mask
-    p_in = lam.lambda_L / (1.0 + lam.lambda_L)
+    free = l_names
+    if occupied_R:
+        # an L-vertex with an occupied neighbour is blocked and reads no uniform
+        free = [u for u, nb in zip(l_names, g.adj_L) if not nb & occupied_R]
     random = rng.random
-    # an L-vertex with an occupied neighbour is blocked and reads no uniform
-    out = {u for u, nb in zip(l_names, g.adj_L) if not nb & occupied_R and random() < p_in}
+    out = {u for u in free if random() < p_in}
     out.update(r_names[v] for v in _bits(occupied_R))
     return frozenset(out)
 
@@ -277,7 +309,8 @@ def extend_to_independent_set(
     independently with probability lambda_L / (1 + lambda_L)."""
     if not lam.is_real:
         raise ValueError("sampling needs real activities")
-    return _extend(g, lam, config, _BlockedUniforms(rng_seed), _vertex_names(g))
+    p_in = lam.lambda_L / (1.0 + lam.lambda_L)
+    return _extend(g, p_in, _occupied(config), _BlockedUniforms(rng_seed), _vertex_names(g))
 
 
 def sample_independent_set(

@@ -167,6 +167,43 @@ def test_enumerate_polymers_rooted(seed):
     assert got == want
 
 
+def _recursive_growth(adj, root, size_cap, allowed, marks):
+    """The canonical growth as a recursion, one generator per vertex: the
+    reference for the explicit-stack ``_grown_sets``."""
+    def rec(smask, size, ext, forb, acc):
+        yield smask, acc
+        while ext:
+            bit = ext & -ext
+            ext ^= bit
+            if size < size_cap:
+                v = bit.bit_length() - 1
+                grown = smask | bit
+                new_ext = (ext | (adj[v] & allowed)) & ~grown & ~forb
+                yield from rec(grown, size + 1, new_ext, forb, acc | marks[v])
+            forb |= bit
+
+    rootbit = 1 << root
+    if allowed & rootbit and size_cap >= 1:
+        yield from rec(rootbit, 1, adj[root] & allowed & ~rootbit, rootbit, marks[root])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_grown_sets_match_the_recursive_growth(seed):
+    # same sets, same unions, same order: the series and the sampler's
+    # conditionals sum in this order, so their bits depend on it
+    rng = np.random.Generator(np.random.Philox(seed))
+    g = random_bipartite(rng, 5, 9, float(rng.uniform(0.2, 0.6)))
+    links = _link_masks(g)
+    marks = [int(rng.integers(0, 2**20)) for _ in range(g.n_R)]
+    for _ in range(4):
+        root = int(rng.integers(0, g.n_R))
+        size_cap = int(rng.integers(0, g.n_R + 2))
+        allowed = int(rng.integers(0, 1 << g.n_R)) | (1 << root) * int(rng.integers(0, 2))
+        args = (links, root, size_cap, allowed, marks)
+        assert list(polymers._grown_sets(*args)) == list(_recursive_growth(*args))
+
+
 def test_polymer_count_k11():
     g = bc.complete_bipartite(1, 1)
     assert len(all_polymers(g, LAM, 1)) == 1

@@ -10,6 +10,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bipcore as bc
 from bipcore import (
@@ -22,6 +24,7 @@ from bipcore import (
     sample_polymer_config,
 )
 from bipcore import clusters
+from bipcore.graph import _bits
 
 
 def is_independent(g, vs) -> bool:
@@ -124,6 +127,16 @@ def test_trace_masks_shrink_monotonically():
             assert b & ~a == 0  # the allowed set only loses polymers
         for v, mask in trace:
             assert mask & ((1 << v) - 1) == 0  # every lower vertex is decided
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 2**16), min_size=1, max_size=30))
+def test_lex_key_orders_as_vertex_tuples(masks):
+    # the conditionals list their candidates in this order, and draws depend
+    # on it; the truncations below each vertex put proper prefixes beside them
+    masks = {m & ((2 << k) - 1) for m in masks for k in range(m.bit_length())} - {0}
+    by_tuple = sorted(masks, key=lambda m: tuple(_bits(m)))
+    assert sorted(masks, key=bc.sampler._lex_key) == by_tuple
 
 
 def test_config_pairwise_compatible_and_disjoint():
