@@ -79,9 +79,9 @@ from dataclasses import dataclass
 from typing import Iterable, Literal, Mapping
 
 from .errors import CertificationError, SizeCapError, StructuralMismatchError
-from .graph import BipartiteGraph, DegreeProfile, _bits, degree_profile
+from .graph import BipartiteGraph, DegreeProfile, degree_profile
 from .polymers import (
-    ComplexRegion, Fugacities, _connected_sets, _link_masks, _nbhd_size, _two_linked_sets, _weight
+    ComplexRegion, Fugacities, _grown_sets, _grown_two_linked, _link_masks, _weight
 )
 
 BOUNDARY_REL_TOL = 1e-12
@@ -228,16 +228,29 @@ def _times_exp(w: float, x: float) -> float:
             return math.inf
 
 
-def _kp_classes(g: BipartiteGraph, sets: Iterable[int]) -> list[dict[tuple[int, int], int]]:
-    """For each R-vertex v, how many of the 2-linked ``sets`` containing v
-    have each class (|gamma|, |N(gamma)|), which fixes |w(gamma)|."""
-    by_class: defaultdict[tuple[int, int], list[int]] = defaultdict(lambda: [0] * g.n_R)
-    for gamma in sets:
-        verts = tuple(_bits(gamma))
-        row = by_class[len(verts), _nbhd_size(g, verts)]
-        for v in verts:
-            row[v] += 1
-    return [{cls: row[v] for cls, row in by_class.items() if row[v]} for v in range(g.n_R)]
+def _kp_classes(n_R: int, grown: Iterable[tuple[int, int]]) -> list[dict[tuple[int, int], int]]:
+    """For each R-vertex v, how many of the 2-linked sets containing v have
+    each class (|gamma|, |N(gamma)|), which fixes |w(gamma)|.  ``grown``
+    holds the pairs (gamma, N(gamma)).  Each class keeps its per-vertex
+    counts in binary, one mask per bit ("planes"), so adding a set is a
+    carry through the planes and never visits gamma's vertices."""
+    planes_of: defaultdict[tuple[int, int], list[int]] = defaultdict(list)
+    for gamma, nbhd in grown:
+        planes = planes_of[gamma.bit_count(), nbhd.bit_count()]
+        for i, plane in enumerate(planes):
+            planes[i] = plane ^ gamma
+            gamma &= plane
+            if not gamma:
+                break
+        else:
+            planes.append(gamma)
+    out: list[dict[tuple[int, int], int]] = [{} for _ in range(n_R)]
+    for cls, planes in planes_of.items():
+        for v in range(n_R):
+            count = sum(((plane >> v) & 1) << i for i, plane in enumerate(planes))
+            if count:
+                out[v][cls] = count
+    return out
 
 
 def _kp_partial(counts: Mapping[tuple[int, int], int], lam: Fugacities, eta: float) -> float:
@@ -288,8 +301,8 @@ def kp_vertex_sum(g: BipartiteGraph, v: int, lam: Fugacities, eta: float, k_max:
         raise ValueError("k_max must be at least 1")
     if not 0 <= v < g.n_R:
         raise ValueError(f"no R-vertex {v}")
-    sets = _connected_sets(_link_masks(g), v, k_max, (1 << g.n_R) - 1)
-    partial = _kp_partial(_kp_classes(g, sets)[v], lam, eta)
+    grown = _grown_sets(_link_masks(g), v, k_max, (1 << g.n_R) - 1, g.adj_R)
+    partial = _kp_partial(_kp_classes(g.n_R, grown)[v], lam, eta)
     tail, bound = _kp_tail_bound(degree_profile(g), lam, eta, k_max)
     return KPVertexSum(v, partial, tail, bound, k_max, eta)
 
@@ -392,11 +405,11 @@ def certify_kp(g: BipartiteGraph, lam: Fugacities, eta: float = ANALYTIC_ETA) ->
             return KPCertificate(
                 eta=eta, mode="analytic", margin=cond.ratio, per_vertex=None, provenance=provenance
             )
-    sets = _two_linked_sets(_link_masks(g), (1 << g.n_R) - 1, KP_DEPTH)
+    grown = _grown_two_linked(_link_masks(g), (1 << g.n_R) - 1, KP_DEPTH, g.adj_R)
     tail, bound = _kp_tail_bound(prof, lam, eta, KP_DEPTH)
     sums = tuple(
         KPVertexSum(v, _kp_partial(c, lam, eta), tail, bound, KP_DEPTH, eta)
-        for v, c in enumerate(_kp_classes(g, sets))
+        for v, c in enumerate(_kp_classes(g.n_R, grown))
     )
     if any(s.partial > s.bound for s in sums):
         mode: CertificateMode = "failed"

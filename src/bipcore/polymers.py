@@ -219,12 +219,20 @@ def _connected_sets(adj: Sequence[int], root: int, size_cap: int, allowed: int) 
     return map(itemgetter(0), _grown_sets(adj, root, size_cap, allowed, adj))
 
 
-def _two_linked_sets(links: Sequence[int], within: int, size_cap: int) -> Iterator[int]:
-    """Every 2-linked subset of ``within`` with at most ``size_cap``
-    vertices, each exactly once, grown from its minimum vertex in ascending
-    order of that vertex."""
+def _grown_two_linked(
+    links: Sequence[int], within: int, size_cap: int, marks: Sequence[int]
+) -> Iterator[tuple[int, int]]:
+    """(gamma, the union of marks[v] over v in gamma) for every 2-linked
+    subset gamma of ``within`` with at most ``size_cap`` vertices, each
+    exactly once, grown from its minimum vertex in ascending order of that
+    vertex."""
     for root in _bits(within):
-        yield from _connected_sets(links, root, size_cap, within & (-1 << root))
+        yield from _grown_sets(links, root, size_cap, within & (-1 << root), marks)
+
+
+def _two_linked_sets(links: Sequence[int], within: int, size_cap: int) -> Iterator[int]:
+    """The masks of ``_grown_two_linked``, in its order."""
+    return map(itemgetter(0), _grown_two_linked(links, within, size_cap, links))
 
 
 def enumerate_polymers(

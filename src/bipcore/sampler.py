@@ -18,7 +18,7 @@ Each conditional is cached per state and holds masks: every candidate is
 the pair (gamma, the state it leaves), with the cumulative probabilities
 and p_any, the chance that some polymer is picked.  A uniform at or above
 p_any is a vacancy and costs no search.  A ``Polymer`` is built only for a
-polymer a draw returns.
+polymer a draw returns, once per gamma and sampler.
 
 A configuration extends to an independent set by occupying its polymers'
 vertices and then each unblocked L-vertex independently with probability
@@ -26,9 +26,19 @@ lambda_L / (1 + lambda_L).
 
 Every decision reads one uniform through ``rng.random()``.  A sampler that
 owns its generator (``IndependentSetSampler.draws`` and the one-draw
-functions) fetches the uniforms UNIFORM_BLOCK at a time; they are the
-doubles repeated scalar calls return, so its draws equal repeated
+functions) fetches the uniforms UNIFORM_BLOCK or more at a time; they are
+the doubles repeated scalar calls return, so its draws equal repeated
 ``sample(rng)`` calls on a fresh ``Generator(Philox(seed))``.
+
+In the paper's regime polymers are rare, and most draws pick none: the walk
+then passes the all-vacant chain of states, full, full & (full - 1), ...,
+and leaves every L-vertex free.  Such a draw is decided by n_R comparisons
+against that chain's p_any and n_L against lambda_L / (1 + lambda_L), so
+when P(no polymer) is at least BATCH_CUTOVER, ``draws`` makes those
+comparisons for a block of draws in one numpy operation and walks only the
+draws that pick a polymer.  The uniforms read, their order and every draw
+stay those of the walk.  Below the cut-over, where blocks would be cut
+short too often to pay, every draw is walked.
 """
 
 from __future__ import annotations
@@ -36,6 +46,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Literal
 
@@ -51,6 +62,14 @@ from .polymers import Fugacities, Polymer, _build_polymer
 
 TRUNCATION_DEPTH_CAP = 24
 UNIFORM_BLOCK = 1024  # doubles per generator call where a sampler owns the generator
+# draws() decides the draws in blocks of rows when P(no polymer) is at least
+# this.  Batching broke even at P(no polymer) = 0.81 on even_cycle(12), 0.88
+# on even_cycle(24) and 0.90 on random_biregular(2,4,16), all at
+# lambda_L = 1, where L-sets rarely repeat; on even_cycle(40) at
+# lambda_L = 20 it was already 1.7x faster at 0.855 (4,000 draws, best of 9)
+BATCH_CUTOVER = 0.9
+BATCH_DOUBLES = 1 << 15  # the most uniforms in one block of rows
+L_SET_MEMO = 1024  # distinct L-sets one draws() call keeps for sharing, past one block's
 
 Backend = Literal["auto", "exact", "truncated"]
 
@@ -92,16 +111,58 @@ def _lex_key(mask: int) -> str:
     return bin(mask)[:1:-1].translate(_MEMBER_FIRST)
 
 
-class _BlockedUniforms:
-    """The ``random()`` of Generator(Philox(seed)), served from blocks of
-    UNIFORM_BLOCK doubles: the same doubles, without a generator call each."""
+class _Uniforms:
+    """The doubles of Generator(Philox(seed)) in stream order, fetched at
+    least UNIFORM_BLOCK at a time: the doubles repeated ``random()`` calls
+    on the generator return.  ``random()`` reads the next one through a list
+    iterator's ``__next__``, with no Python frame per read, once ``listed(k)``
+    has listed at least k of them; ``rows`` hands the next ones over as a
+    numpy array and ``skip`` reads them."""
 
-    __slots__ = ("random",)
+    __slots__ = ("random", "_rng", "_block", "_at", "_listed", "_n_listed")
 
-    def __init__(self, seed: int):
-        rng = np.random.Generator(np.random.Philox(seed))
-        blocks = iter(lambda: rng.random(UNIFORM_BLOCK).tolist(), None)  # endless
-        self.random = itertools.chain.from_iterable(blocks).__next__
+    def __init__(self, seed: int, listed: int = 0):
+        self._rng = np.random.Generator(np.random.Philox(seed))
+        self._block = np.empty(0)
+        self._at = 0  # the first double of the list, or the next one to read when none is listed
+        self._listed: Iterator[float] = iter(())
+        self._n_listed = 0
+        self.random = self._listed.__next__
+        if listed:
+            self.listed(listed)
+
+    def _fetch(self, k: int) -> None:
+        """At least k unread doubles in the block; no list open."""
+        self._at += self._n_listed - operator.length_hint(self._listed)
+        self._n_listed = 0
+        self._listed = iter(())
+        self.random = self._listed.__next__  # nothing listed: no stale read
+        have = len(self._block) - self._at
+        if have < k:
+            fresh = self._rng.random(max(UNIFORM_BLOCK, k - have))
+            self._block = np.concatenate((self._block[self._at :], fresh))
+            self._at = 0
+
+    def listed(self, k: int, to_block_end: bool = True) -> None:
+        """Make sure ``random()`` can read the next k doubles.  A new list
+        runs to the block's end, or holds just k doubles."""
+        if operator.length_hint(self._listed) >= k:
+            return
+        self._fetch(k)
+        stop = len(self._block) if to_block_end else self._at + k
+        run = self._block[self._at : stop].tolist()
+        self._listed = iter(run)
+        self._n_listed = len(run)
+        self.random = self._listed.__next__
+
+    def rows(self, j: int, k: int) -> np.ndarray:
+        """The next j * k doubles as j rows of k, still unread."""
+        self._fetch(j * k)
+        return self._block[self._at : self._at + j * k].reshape(j, k)
+
+    def skip(self, n: int) -> None:
+        """Read the next n doubles handed over by ``rows``."""
+        self._at += n
 
 
 class IndependentSetSampler:
@@ -179,6 +240,8 @@ class IndependentSetSampler:
             raise ValueError(f"unknown backend {backend!r}")
         self.degraded = self.m_step is not None and self.m_step < self.m_requested
         self._conditional_cache: dict[int, _Conditional] = {}
+        self._vacant: np.ndarray | None = None  # p_any along the all-vacant chain
+        self._polymers: dict[int, Polymer] = {}  # one per gamma a draw has returned
         # one object, shared by every draw that picks no polymer
         self._empty = PolymerConfig(chosen=(), decided_vertices=frozenset(range(g.n_R)))
         self._p_in = lam.lambda_L / (1.0 + lam.lambda_L)
@@ -239,11 +302,17 @@ class IndependentSetSampler:
             trace.extend((u, 0) for u in range(traced, self.graph.n_R))
         if not chosen:
             return self._empty
-        g, lam = self.graph, self.lam
+        polymers = self._polymers
         return PolymerConfig(
-            chosen=tuple(_build_polymer(g, gamma, tuple(_bits(gamma)), lam) for gamma in chosen),
+            chosen=tuple(polymers.get(gamma) or self._polymer(gamma) for gamma in chosen),
             decided_vertices=self._empty.decided_vertices,
         )
+
+    def _polymer(self, gamma: int) -> Polymer:
+        p = self._polymers[gamma] = _build_polymer(
+            self.graph, gamma, tuple(_bits(gamma)), self.lam
+        )
+        return p
 
     def extend(self, config: PolymerConfig, rng: np.random.Generator) -> frozenset[Vertex]:
         return _extend(self.graph, self._p_in, _occupied(config), rng, self._names)
@@ -256,11 +325,91 @@ class IndependentSetSampler:
     def draws(self, n: int, seed: int) -> Iterator[frozenset[Vertex]]:
         """n independent sets from one deterministic stream: the sets n
         repeated ``sample(rng)`` calls give on a fresh
-        ``Generator(Philox(seed))``, with the uniforms fetched in blocks."""
+        ``Generator(Philox(seed))``, reading the same uniforms.
+
+        P(no polymer) is the product of 1 - p_any over the all-vacant
+        chain.  When it is at least BATCH_CUTOVER (0.9, where batching
+        broke even on the slowest case measured; see the constant), the
+        draws are decided in blocks: the next rows of n_R + n_L uniforms
+        form one numpy array, and a row whose first n_R uniforms are each
+        at or above the p_any of the chain's state is a draw with no
+        polymer, its L-set ``row[n_R:] < p_in``.  Those are the uniforms
+        and the comparisons of the walk, so the draw is the same.  At the
+        first row that fails, the walk and the extension run from that
+        row's first uniform (a draw reads at most n_R + n_L), and batching
+        resumes after the uniforms they read.  So the uniforms read, their
+        order and every draw are those of repeated ``sample``.  Equal
+        L-sets of one call may be one shared frozenset, from a memo of at
+        most L_SET_MEMO sets past the current block's.  Batched draws do
+        not go through ``sample_config`` and ``extend``."""
         if n < 0:
             raise ValueError(f"cannot draw {n} sets")
-        rng = _BlockedUniforms(seed)
-        return (self.sample(rng) for _ in range(n))
+        return self._draws(n, _Uniforms(seed))  # the seed is checked here, not at the first draw
+
+    def _vacant_chain(self) -> np.ndarray:
+        """p_any at each state of the all-vacant chain, full, full & (full - 1), ..."""
+        if self._vacant is None:
+            cache, p_any = self._conditional_cache, []
+            state = (1 << self.graph.n_R) - 1
+            while state:
+                p_any.append((cache.get(state) or self._conditional(state))[0])
+                state &= state - 1
+            self._vacant = np.array(p_any, dtype=float)
+        return self._vacant
+
+    def _draws(self, n: int, src: _Uniforms) -> Iterator[frozenset[Vertex]]:
+        n_R, n_L = self.graph.n_R, self.graph.n_L
+        k = n_R + n_L  # the most uniforms a draw reads
+        vacant = self._vacant_chain()
+        p_none = float(np.prod(1.0 - vacant))
+        if p_none < BATCH_CUTOVER:
+            for _ in range(n):
+                src.listed(k)
+                yield self.sample(src)
+            return
+        per_block = _block_rows(p_none, k)
+        l_names, p_in = self._names[0], self._p_in
+        memo: dict[bytes, frozenset[Vertex]] = {}
+        done = 0
+        while done < n:
+            j = min(n - done, per_block)
+            rows = src.rows(j, k)
+            walked = np.flatnonzero((rows[:, :n_R] < vacant).any(axis=1))
+            m = int(walked[0]) if len(walked) else j  # rows before the first walked draw
+            if m:
+                bits = rows[:m, n_R:] < p_in
+                keys = _row_keys(bits)
+                new = set(keys).difference(memo)
+                if len(memo) + len(new) > L_SET_MEMO:
+                    memo.clear()
+                    new = set(keys)
+                if new:
+                    row_of = dict(zip(keys, range(m)))
+                    new = list(new)
+                    for key, row in zip(new, bits[[row_of[key] for key in new]].tolist()):
+                        memo[key] = frozenset({*itertools.compress(l_names, row)})
+                yield from map(memo.__getitem__, keys)
+                src.skip(m * k)
+                done += m
+            if m < j:
+                src.listed(k, to_block_end=False)
+                yield self.sample(src)
+                done += 1
+
+
+def _block_rows(p_none: float, k: int) -> int:
+    """Rows per block: enough for about four runs of no-polymer draws, and
+    at most BATCH_DOUBLES uniforms of k per row."""
+    rows = max(1, BATCH_DOUBLES // max(k, 1))
+    return rows if p_none == 1.0 else max(1, min(rows, int(4.0 / (1.0 - p_none))))
+
+
+def _row_keys(bits: np.ndarray) -> list[bytes]:
+    """One bytes key per row of a boolean array, equal for equal rows."""
+    packed = np.packbits(bits, axis=1)
+    if not packed.shape[1]:
+        return [b""] * len(packed)
+    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
 
 
 _Names = tuple[tuple[Vertex, ...], tuple[Vertex, ...]]
@@ -299,7 +448,7 @@ def sample_polymer_config(
     """One polymer configuration, deterministic in the seed.  Builds a
     sampler for this one draw; reuse an IndependentSetSampler for many."""
     sampler = IndependentSetSampler(g, lam, epsilon, backend)
-    return sampler.sample_config(_BlockedUniforms(rng_seed))
+    return sampler.sample_config(_Uniforms(rng_seed, listed=g.n_R))
 
 
 def extend_to_independent_set(
@@ -310,7 +459,7 @@ def extend_to_independent_set(
     if not lam.is_real:
         raise ValueError("sampling needs real activities")
     p_in = lam.lambda_L / (1.0 + lam.lambda_L)
-    return _extend(g, p_in, _occupied(config), _BlockedUniforms(rng_seed), _vertex_names(g))
+    return _extend(g, p_in, _occupied(config), _Uniforms(rng_seed, listed=g.n_L), _vertex_names(g))
 
 
 def sample_independent_set(
@@ -325,4 +474,4 @@ def sample_independent_set(
     sampler is ``degraded`` (see IndependentSetSampler).  Builds a sampler for
     this one draw; reuse an IndependentSetSampler for many."""
     sampler = IndependentSetSampler(g, lam, epsilon, backend)
-    return sampler.sample(_BlockedUniforms(rng_seed))
+    return sampler.sample(_Uniforms(rng_seed, listed=g.n_R + g.n_L))

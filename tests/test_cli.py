@@ -5,8 +5,10 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -449,6 +451,43 @@ def test_sample_failing_before_the_first_draw_creates_no_out_file(
     assert got == code and out == ""
     assert message in err
     assert not dest.exists()
+
+
+# peak RSS of the CLI, run in its own process
+_PEAK_RSS = """
+import resource, sys
+from bipcore.cli import main
+code = main(sys.argv[1:])
+# ru_maxrss is in KiB on Linux, in bytes on macOS
+scale = 1 if sys.platform == "darwin" else 1024
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * scale)
+sys.exit(code)
+"""
+STREAM_RSS_SLACK_MB = 4.0
+
+
+def test_sample_streams_in_bounded_memory(tmp_path):
+    # 16 L-vertices at p_in = 1/2 and P(no polymer) = 0.96: batched draws
+    # whose L-sets are nearly all distinct.  Blocks of rows, the L-set memo
+    # and the line-by-line writer are bounded, so 200,000 draws peak
+    # within a few MB of 1,000 draws; keeping the draws or every L-set
+    # would take tens of MB more
+    graph = tmp_path / "c32.txt"
+    graph.write_text(graph_to_text(bc.even_cycle(32)))
+    path = [str(Path(bc.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+    def peak_mb(draws: int) -> float:
+        proc = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS, "sample", str(graph), "--lambda-l", "1",
+             "--lambda-r", "0.01", "--draws", str(draws), "--out", str(tmp_path / "s.jsonl")],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return int(proc.stdout) / 2**20
+
+    small = peak_mb(1_000)
+    assert peak_mb(200_000) - small < STREAM_RSS_SLACK_MB
 
 
 # ---------------------------------------------------------------------------

@@ -259,19 +259,20 @@ def test_vertex_sums_past_the_float_range_fail_the_certificate(seed, lam_R, eta)
 
 
 def test_certificate_visits_each_two_linked_set_once(monkeypatch):
-    real = polymers._connected_sets
+    real = polymers._grown_sets
     visited: list[int] = []
 
     def counting(*args):
-        for mask in real(*args):
-            visited.append(mask)
-            yield mask
+        for gamma, union in real(*args):
+            visited.append(gamma)
+            yield gamma, union
 
     def no_polymer(*args):
         raise AssertionError("the certificate built a Polymer")
 
-    monkeypatch.setattr(polymers, "_connected_sets", counting)
-    monkeypatch.setattr(conditions, "_connected_sets", counting, raising=False)
+    # the walk grows each set once, carrying N(gamma), through _grown_sets
+    monkeypatch.setattr(polymers, "_grown_sets", counting)
+    monkeypatch.setattr(conditions, "_grown_sets", counting)
     monkeypatch.setattr(polymers, "_build_polymer", no_polymer)
     # 8 R-vertices: some 2-linked sets exceed the depth of 6
     g = bc.random_biregular(3, 3, 8, seed=0)
@@ -279,6 +280,25 @@ def test_certificate_visits_each_two_linked_set_once(monkeypatch):
     assert cert.per_vertex is not None
     assert sorted(visited) == sorted(_brute_polymer_masks(g, 6))
     assert any(m.bit_count() > 6 for m in _brute_polymer_masks(g, g.n_R))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 7))
+def test_class_counts_match_a_rescan(seed, size_cap):
+    # the counts carried through the growth, against each set's vertices
+    # re-scanned for |gamma| and |N(gamma)|; dense graphs on up to 9
+    # R-vertices give counts of several bits
+    rng = np.random.Generator(np.random.Philox(seed))
+    g = random_bipartite(rng, 5, 9, float(rng.uniform(0.2, 0.9)))
+    links, full = polymers._link_masks(g), (1 << g.n_R) - 1
+    want: list[dict] = [{} for _ in range(g.n_R)]
+    for gamma in polymers._two_linked_sets(links, full, size_cap):
+        verts = tuple(_bits(gamma))
+        cls = (len(verts), polymers._nbhd_size(g, verts))
+        for v in verts:
+            want[v][cls] = want[v].get(cls, 0) + 1
+    grown = polymers._grown_two_linked(links, full, size_cap, g.adj_R)
+    assert conditions._kp_classes(g.n_R, grown) == want
 
 
 def _log_tree_count(k: int, d: int) -> float:

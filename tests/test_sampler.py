@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import math
+import sys
 import weakref
 from collections import Counter
 
@@ -25,6 +26,7 @@ from bipcore import (
 )
 from bipcore import clusters
 from bipcore.graph import _bits
+from bipcore.sampler import BATCH_CUTOVER, UNIFORM_BLOCK, _block_rows
 
 
 def is_independent(g, vs) -> bool:
@@ -253,6 +255,51 @@ def test_draws_equal_repeated_sample_calls(g, lam, backend, n):
     assert list(s.draws(n, seed=8)) == [s.sample(rng) for _ in range(n)]
 
 
+# on both sides of the batching cut-over, for both backends; a K_{70,3}
+# row's 70 L-uniforms pack into a key of more than 64 bits
+_CUTOVER_CASES = [
+    (bc.even_cycle(12), Fugacities(1.0, 0.5), "exact", False),
+    (bc.even_cycle(12), Fugacities(1.0, 0.05), "exact", True),
+    (bc.complete_bipartite(70, 3), Fugacities(1.0, 1e7), "exact", False),
+    (bc.complete_bipartite(70, 3), Fugacities(1.0, 4e6), "exact", True),
+    (bc.even_cycle(16), Fugacities(2.0, 0.2), "truncated", False),
+    (bc.even_cycle(16), Fugacities(10.0, 0.05), "truncated", True),
+]
+
+
+@pytest.mark.parametrize(
+    "g, lam, backend, batched",
+    _CUTOVER_CASES,
+    ids=["C12-walk", "C12-batch", "K70,3-walk", "K70,3-batch", "C16-trunc-walk", "C16-trunc-batch"],
+)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_draws_equal_sample_calls_on_both_sides_of_the_cutover(g, lam, backend, batched, data):
+    s = IndependentSetSampler(g, lam, backend=backend)
+    p_none = math.prod(1.0 - p for p in s._vacant_chain())
+    assert (p_none >= BATCH_CUTOVER) == batched
+    k = g.n_R + g.n_L
+    rows = _block_rows(p_none, k)
+    # n may cross several blocks of rows, and UNIFORM_BLOCK uniforms
+    n = data.draw(st.integers(0, 2 * rows + 2 + UNIFORM_BLOCK // k), label="n")
+    seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+    rng = np.random.Generator(np.random.Philox(seed))
+    assert list(s.draws(n, seed)) == [s.sample(rng) for _ in range(n)]
+
+
+def test_batched_draws_share_identical_l_sets():
+    # a walked draw picks a polymer, so a draw with no R-vertex was batched;
+    # fewer distinct L-sets than L_SET_MEMO: each is one object
+    s = IndependentSetSampler(bc.even_cycle(24), Fugacities(20.0, 0.1), backend="exact")
+    draws = list(s.draws(2000, seed=2))
+    batched = [d for d in draws if not any(side == "R" for side, _ in d)]
+    assert len(batched) > 1900 and len(set(batched)) < 500
+    assert len({id(d) for d in batched}) == len(set(batched))
+    # built from a set: the table a copy of a set gets, not the larger one
+    # a frozenset grown from an iterator may keep
+    assert all(sys.getsizeof(d) == sys.getsizeof(frozenset(set(d))) for d in set(batched))
+
+
 @pytest.mark.parametrize(
     "g", [bc.even_cycle(8), bc.complete_bipartite(1500, 1)], ids=["C8", "K1500,1"]
 )
@@ -315,6 +362,8 @@ def test_draws_rejects_a_negative_count():
     s = IndependentSetSampler(bc.even_cycle(4), Fugacities(1.0, 1.0))
     with pytest.raises(ValueError):
         s.draws(-1, seed=0)
+    with pytest.raises(ValueError):  # before the first draw is asked for
+        s.draws(5, seed=-1)
     assert list(s.draws(0, seed=0)) == []
 
 
