@@ -6,7 +6,9 @@ Subcommands: check (convergence conditions and certificates), count
 CSV), zeros (complex zero-free-region probe), gen (graph generation).
 
 Exit status: 0 on success, 2 when a certification refusal blocks the
-request, 1 on input errors.  With --json, errors are emitted to standard
+request, 1 on input errors.  With --json, check, count, exact and zeros
+print JSON instead of text; decay, gen and sample keep their CSV, edge-list
+and JSON-lines output.  Every command then emits its errors to standard
 error as one JSON object {"error": {"type": ..., "message": ...}}.  JSON
 output is strict: a number past the float range prints as null.
 """
@@ -320,7 +322,8 @@ def _add_activity_flags(p: _Parser) -> None:
 def _add_common(p: _Parser, graph_arg: bool = True) -> None:
     if graph_arg:
         p.add_argument("graph", help="graph file (header 'n_L n_R', one edge per line)")
-    p.add_argument("--json", action="store_true", help="emit JSON instead of text")
+    p.add_argument("--json", action="store_true",
+                   help="emit JSON instead of text; decay, gen and sample: errors only")
     p.add_argument("--out", default=None, help="write output to this file")
 
 

@@ -27,7 +27,7 @@ from typing import Callable, Mapping, Sequence
 
 from .clusters import SeriesEngine
 from .conditions import KPCertificate, certify_kp
-from .graph import BipartiteGraph, Vertex, graph_distance, steiner_tree_size
+from .graph import BipartiteGraph, Vertex, _global_mask, _union, graph_distance, steiner_tree_size
 from .polymers import Fugacities
 from . import oracle
 from .oracle import SET_PARTITION_CAP, set_partitions  # the cap is re-exported
@@ -218,13 +218,6 @@ def _as_vertex(g: BipartiteGraph, v) -> Vertex:
     return (side, int(i))
 
 
-def _neighborhood(g: BipartiteGraph, vs: Sequence[Vertex]) -> set[Vertex]:
-    out: set[Vertex] = set()
-    for v in vs:
-        out |= g.neighbors(v)
-    return out
-
-
 def _inf_past_float_range(bound: Callable[..., float]) -> Callable[..., float]:
     """A decay bound that reads +inf (sound, and never NaN) where its
     arithmetic passes the float range."""
@@ -273,12 +266,11 @@ def _set_pair_bound(
             * cumulant_decay_constant(n_plain, eta)
             * math.exp(-eta * dist / 2.0)
         )
-    nA = _neighborhood(g, a_L)
-    nB = _neighborhood(g, b_L)
-    n_hat = len(nA) + len(nB) + (len(A) - len(a_L)) + (len(B) - len(b_L))
-    n_hat = max(n_hat, 1)
+    # |N(A_L)| + |N(B_L)|; an L-vertex's global id is its index
+    n_nb = sum(_union(g.adj_L, _global_mask(g, X)).bit_count() for X in (a_L, b_L))
+    n_hat = max(n_nb + (len(A) - len(a_L)) + (len(B) - len(b_L)), 1)
     return (
-        2.0 ** (len(nA) + len(nB))
+        2.0 ** n_nb
         * straddling_constant(n_hat)
         * cumulant_decay_constant(n_hat, eta)
         * math.exp(-eta * (dist - 2.0) / 2.0)

@@ -132,16 +132,27 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _union(adj: Sequence[int], mask: int) -> int:
+    """The union of ``adj[v]`` over the vertices v of ``mask``."""
+    out = 0
+    for v in _bits(mask):
+        out |= adj[v]
+    return out
+
+
+def _global_mask(g: BipartiteGraph, vertices: Iterable[Vertex]) -> int:
+    """The global-id mask of ``vertices``, each checked by ``global_id``:
+    the sum of their distinct bits."""
+    return sum({1 << g.global_id(v) for v in vertices})
+
+
 def _components(adj: Sequence[int], mask: int) -> Iterator[int]:
     """Connected components of the subgraph that the adjacency bitmasks
     ``adj`` induce on ``mask``, as masks, by ascending lowest vertex."""
     while mask:
         comp = frontier = mask & -mask
         while frontier:
-            nxt = 0
-            for v in _bits(frontier):
-                nxt |= adj[v]
-            frontier = nxt & mask & ~comp
+            frontier = _union(adj, frontier) & mask & ~comp
             comp |= frontier
         yield comp
         mask &= ~comp
@@ -241,10 +252,7 @@ def _bfs_from(adj: tuple[int, ...], sources: int, n: int) -> list[float]:
     while frontier:
         for v in _bits(frontier):
             dist[v] = d
-        nxt = 0
-        for v in _bits(frontier):
-            nxt |= adj[v]
-        frontier = nxt & ~seen
+        frontier = _union(adj, frontier) & ~seen
         seen |= frontier
         d += 1
     return dist
@@ -252,12 +260,7 @@ def _bfs_from(adj: tuple[int, ...], sources: int, n: int) -> list[float]:
 
 def graph_distance(g: BipartiteGraph, a: Iterable[Vertex], b: Iterable[Vertex]) -> float:
     """Shortest path length between vertex sets (math.inf if disconnected)."""
-    amask = 0
-    for v in a:
-        amask |= 1 << g.global_id(v)
-    bmask = 0
-    for v in b:
-        bmask |= 1 << g.global_id(v)
+    amask, bmask = _global_mask(g, a), _global_mask(g, b)
     if amask == 0 or bmask == 0:
         raise ValueError("distance needs nonempty vertex sets")
     if amask & bmask:
@@ -275,7 +278,7 @@ def steiner_tree_size(g: BipartiteGraph, terminals: Iterable[Vertex]) -> float:
     8 terminals; returns math.inf when the terminals do not share a
     component.  A single terminal gives 0.
     """
-    gids = sorted({g.global_id(v) for v in terminals})
+    gids = list(_bits(_global_mask(g, terminals)))
     if not gids:
         raise ValueError("steiner tree needs at least one terminal")
     if len(gids) > STEINER_TERMINAL_CAP:

@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import SizeCapError
-from .graph import BipartiteGraph, Vertex, _bits, _components
+from .graph import BipartiteGraph, Vertex, _bits, _components, _global_mask, _union
 from .polymers import Fugacities, Scalar, _fsum, _link_masks
 
 SIDE_CAP = 20  # vertices in one walked set: 2**20 subsets
@@ -175,23 +175,18 @@ def exact_occupancy(g: BipartiteGraph, lam: Fugacities, vertices) -> float:
     """
     if not lam.is_real:
         raise ValueError("occupation probabilities need real activities")
-    gids = sorted(g.global_id(v) for v in set(vertices))
+    target = _global_mask(g, vertices)
     adj = g.global_adjacency()
-    target = 0
-    for gid in gids:
-        target |= 1 << gid
-    if any(adj[gid] & target for gid in gids):
+    reach = _union(adj, target)
+    if reach & target:
         return 0.0
     factor = 1.0
-    for gid in gids:
+    for gid in _bits(target):
         factor *= lam.lambda_L if gid < g.n_L else lam.lambda_R
     if factor == 0.0:
         return 0.0
     profiles = _graph_profile(g)
-    blocked = target
-    for gid in gids:
-        blocked |= adj[gid]
-    free = ((1 << g.n_vertices) - 1) & ~blocked
+    free = ((1 << g.n_vertices) - 1) & ~(target | reach)
     log_num = math.log(factor) + math.fsum(
         _log_z(_side_profile(adj, g.n_L, c), lam) for c in _components(adj, free)
     )

@@ -20,7 +20,7 @@ from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .errors import NotTwoLinkedError, SizeCapError
-from .graph import BipartiteGraph, _bits, _components
+from .graph import BipartiteGraph, _bits, _components, _union
 
 DEFAULT_MAX_POLYMERS = 200_000
 
@@ -113,14 +113,7 @@ class Polymer:
 def _link_masks(g: BipartiteGraph) -> tuple[int, ...]:
     """For each R-vertex, the bitmask of other R-vertices sharing an
     L-neighbor with it (adjacency of the 2-linked relation)."""
-    masks = [0] * g.n_R
-    for u in range(g.n_L):
-        ru = g.adj_L[u]
-        for v in _bits(ru):
-            masks[v] |= ru
-    for v in range(g.n_R):
-        masks[v] &= ~(1 << v)
-    return tuple(masks)
+    return tuple(_union(g.adj_L, nb) & ~(1 << v) for v, nb in enumerate(g.adj_R))
 
 
 def two_linked_adjacency(g: BipartiteGraph) -> dict[int, frozenset[int]]:
@@ -262,12 +255,7 @@ def all_polymers(g: BipartiteGraph, lam: Fugacities, max_size: int) -> list[Poly
 def incompatible(p1: Polymer, p2: Polymer, links: Sequence[int]) -> bool:
     """True when the union of the two polymers is 2-linked, i.e. they share a
     vertex or some cross pair is 2-linked.  Always true for p1 == p2."""
-    if p1.mask & p2.mask:
-        return True
-    reach = 0
-    for v in p1.vertices:
-        reach |= links[v]
-    return bool(reach & p2.mask)
+    return bool((p1.mask | _union(links, p1.mask)) & p2.mask)
 
 
 # ---------------------------------------------------------------------------

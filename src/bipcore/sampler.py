@@ -24,11 +24,11 @@ A configuration extends to an independent set by occupying its polymers'
 vertices and then each unblocked L-vertex independently with probability
 lambda_L / (1 + lambda_L).
 
-Every decision reads one uniform through ``rng.random()``.  A sampler that
-owns its generator (``IndependentSetSampler.draws`` and the one-draw
-functions) fetches the uniforms UNIFORM_BLOCK or more at a time; they are
-the doubles repeated scalar calls return, so its draws equal repeated
-``sample(rng)`` calls on a fresh ``Generator(Philox(seed))``.
+Every decision reads one uniform through ``rng.random()``.  Only
+``IndependentSetSampler.draws`` fetches its uniforms in blocks,
+UNIFORM_BLOCK or more at a time; they are the doubles repeated scalar calls
+return, so its draws equal repeated ``sample(rng)`` calls on a fresh
+``Generator(Philox(seed))``, the generator the one-draw functions pass.
 
 In the paper's regime polymers are rare, and most draws pick none: the walk
 then passes the all-vacant chain of states, full, full & (full - 1), ...,
@@ -61,7 +61,7 @@ from .oracle import SIDE_CAP
 from .polymers import Fugacities, Polymer, _build_polymer
 
 TRUNCATION_DEPTH_CAP = 24
-UNIFORM_BLOCK = 1024  # doubles per generator call where a sampler owns the generator
+UNIFORM_BLOCK = 1024  # doubles per generator call in draws()
 # draws() decides the draws in blocks of rows when P(no polymer) is at least
 # this.  Batching broke even at P(no polymer) = 0.81 on even_cycle(12), 0.88
 # on even_cycle(24) and 0.90 on random_biregular(2,4,16), all at
@@ -121,15 +121,13 @@ class _Uniforms:
 
     __slots__ = ("random", "_rng", "_block", "_at", "_listed", "_n_listed")
 
-    def __init__(self, seed: int, listed: int = 0):
+    def __init__(self, seed: int):
         self._rng = np.random.Generator(np.random.Philox(seed))
         self._block = np.empty(0)
         self._at = 0  # the first double of the list, or the next one to read when none is listed
         self._listed: Iterator[float] = iter(())
         self._n_listed = 0
         self.random = self._listed.__next__
-        if listed:
-            self.listed(listed)
 
     def _fetch(self, k: int) -> None:
         """At least k unread doubles in the block; no list open."""
@@ -214,10 +212,13 @@ class IndependentSetSampler:
             self.m_requested = self.m_step = None
             # Xi_S has degree |S|: depth n_R + 1 keeps every coefficient
             self._engine = SeriesEngine(g, lam, g.n_R + 1)
+            xi = self._engine.xi
+            # log Xi_S, the restricted partition function a conditional reads
+            self._log_xi = lambda S: math.log(math.fsum(xi(S)))
             # every series a draw reads lies in the recursion for Xi_R, and
             # the weights being >= 0, each is coefficientwise at most Xi_R's
             try:
-                xi_R = math.fsum(self._engine.xi((1 << g.n_R) - 1))
+                xi_R = math.fsum(xi((1 << g.n_R) - 1))
             except (OverflowError, ValueError):
                 xi_R = math.inf
             if not math.isfinite(xi_R):
@@ -236,6 +237,7 @@ class IndependentSetSampler:
 
             self._engine = _fit_depth(build, min(self.m_requested, TRUNCATION_DEPTH_CAP))
             self.m_step = self._engine.m
+            self._log_xi = self._engine.log_xi
         else:
             raise ValueError(f"unknown backend {backend!r}")
         self.degraded = self.m_step is not None and self.m_step < self.m_requested
@@ -247,12 +249,7 @@ class IndependentSetSampler:
         self._p_in = lam.lambda_L / (1.0 + lam.lambda_L)
         self._names = _vertex_names(g)
 
-    # -- restricted partition functions ------------------------------------
-
-    def _log_xi(self, S: int) -> float:
-        if self.backend == "exact":
-            return math.log(math.fsum(self._engine.xi(S)))
-        return self._engine.log_xi(S)
+    # -- conditionals -------------------------------------------------------
 
     def _conditional(self, state: int) -> _Conditional:
         """The law at v = min state: p_any, the candidates' cumulative
@@ -448,7 +445,7 @@ def sample_polymer_config(
     """One polymer configuration, deterministic in the seed.  Builds a
     sampler for this one draw; reuse an IndependentSetSampler for many."""
     sampler = IndependentSetSampler(g, lam, epsilon, backend)
-    return sampler.sample_config(_Uniforms(rng_seed, listed=g.n_R))
+    return sampler.sample_config(np.random.Generator(np.random.Philox(rng_seed)))
 
 
 def extend_to_independent_set(
@@ -459,7 +456,8 @@ def extend_to_independent_set(
     if not lam.is_real:
         raise ValueError("sampling needs real activities")
     p_in = lam.lambda_L / (1.0 + lam.lambda_L)
-    return _extend(g, p_in, _occupied(config), _Uniforms(rng_seed, listed=g.n_L), _vertex_names(g))
+    rng = np.random.Generator(np.random.Philox(rng_seed))
+    return _extend(g, p_in, _occupied(config), rng, _vertex_names(g))
 
 
 def sample_independent_set(
@@ -474,4 +472,4 @@ def sample_independent_set(
     sampler is ``degraded`` (see IndependentSetSampler).  Builds a sampler for
     this one draw; reuse an IndependentSetSampler for many."""
     sampler = IndependentSetSampler(g, lam, epsilon, backend)
-    return sampler.sample(_Uniforms(rng_seed, listed=g.n_R + g.n_L))
+    return sampler.sample(np.random.Generator(np.random.Philox(rng_seed)))

@@ -204,6 +204,14 @@ def test_count_refuses_an_infinite_epsilon_with_an_explicit_depth(cycle_file, ca
     }
 
 
+def test_count_depth_below_one_exits_1(cycle_file, capsys):
+    code, out, err = run(
+        capsys, "count", cycle_file, "--lambda-l", "10", "--lambda-r", "0.05", "--m", "0"
+    )
+    assert code == 1 and out == ""
+    assert err == "error: m must be at least 1\n"
+
+
 def _dumped_values(err):
     lines = [l for l in err.splitlines() if l]
     assert all(l.startswith("set=") and " value=" in l for l in lines)

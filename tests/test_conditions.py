@@ -258,6 +258,24 @@ def test_vertex_sums_past_the_float_range_fail_the_certificate(seed, lam_R, eta)
     )
 
 
+def test_a_vertex_sum_past_the_float_range_of_finite_terms_reads_inf():
+    # path(15) at lambda_R = 2e51: vertex 3 lies in the two 6-vertex sets of
+    # class (6, 7), whose terms are about 1.37e308 each.  Every term is
+    # finite, and only the exact sum passes the float range
+    g, lam, eta = bc.path(15), Fugacities(0.5, 2e51), 0.1
+    grown = polymers._grown_sets(
+        polymers._link_masks(g), 3, conditions.KP_DEPTH, (1 << g.n_R) - 1, g.adj_R
+    )
+    counts = conditions._kp_classes(g.n_R, grown)[3]
+    assert counts[6, 7] == 2
+    for k, nb in counts:
+        t = conditions._times_exp(abs(polymers._weight(lam, k, nb)), (0.5 + eta) * k)
+        assert t < math.inf
+    cert = certify_kp(g, lam, eta)
+    assert cert.mode == "failed"
+    assert cert.per_vertex[3].partial == math.inf
+
+
 def test_certificate_visits_each_two_linked_set_once(monkeypatch):
     real = polymers._grown_sets
     visited: list[int] = []

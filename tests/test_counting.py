@@ -155,6 +155,11 @@ def test_epsilon_validation():
         approx_log_Z(g, Fugacities(complex(10.0), complex(0.1)), epsilon=0.1)
 
 
+def test_depth_below_one_is_refused():
+    with pytest.raises(ValueError, match="m must be at least 1"):
+        approx_log_Z(bc.even_cycle(8), Fugacities(10.0, 0.05), epsilon=0.1, m=0)
+
+
 # ---------------------------------------------------------------------------
 # zero probe
 

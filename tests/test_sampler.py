@@ -287,6 +287,29 @@ def test_draws_equal_sample_calls_on_both_sides_of_the_cutover(g, lam, backend, 
     assert list(s.draws(n, seed)) == [s.sample(rng) for _ in range(n)]
 
 
+def test_batched_draws_with_no_l_vertices():
+    # rows of no L-uniforms: each batched draw has the empty L-set's key
+    g, lam = bc.BipartiteGraph(0, 3, []), Fugacities(1.0, 0.01)
+    s = IndependentSetSampler(g, lam)
+    assert math.prod(1.0 - p for p in s._vacant_chain()) >= BATCH_CUTOVER
+    for seed in range(3):
+        rng = np.random.Generator(np.random.Philox(seed))
+        assert list(s.draws(3000, seed)) == [s.sample(rng) for _ in range(3000)]
+
+
+def test_batched_draws_clear_the_l_set_memo(monkeypatch):
+    # 256 possible L-sets against a memo of 4: every run of batched draws
+    # brings more new L-sets than the memo holds, so it is cleared, and the
+    # draws stay those of repeated sample calls
+    monkeypatch.setattr("bipcore.sampler.L_SET_MEMO", 4)
+    s = IndependentSetSampler(bc.even_cycle(16), Fugacities(1.0, 0.001), backend="exact")
+    assert math.prod(1.0 - p for p in s._vacant_chain()) >= BATCH_CUTOVER
+    rng = np.random.Generator(np.random.Philox(5))
+    draws = list(s.draws(2000, seed=5))
+    assert draws == [s.sample(rng) for _ in range(2000)]
+    assert len(set(draws)) > 100
+
+
 def test_batched_draws_share_identical_l_sets():
     # a walked draw picks a polymer, so a draw with no R-vertex was batched;
     # fewer distinct L-sets than L_SET_MEMO: each is one object
@@ -304,7 +327,7 @@ def test_batched_draws_share_identical_l_sets():
     "g", [bc.even_cycle(8), bc.complete_bipartite(1500, 1)], ids=["C8", "K1500,1"]
 )
 def test_one_draw_functions_equal_their_generator_definitions(g):
-    # K_{1500,1} reads up to 1,501 uniforms in one draw, past one block
+    # K_{1500,1} reads up to 1,501 uniforms in one draw
     lam = Fugacities(1.5, 0.7)
     s = IndependentSetSampler(g, lam, 0.05)
 
