@@ -361,6 +361,15 @@ class ClusterEngine:
 # ---------------------------------------------------------------------------
 # the expansion engine: power series over R-vertex sets
 
+def _pivot(links: Sequence[int], S: int) -> int:
+    """The lowest vertex of S with at most one link inside S, or min S when
+    S has no such vertex: the vertex ``SeriesEngine`` recurses on."""
+    for v in _bits(S):
+        if (links[v] & S).bit_count() <= 1:
+            return v
+    return (S & -S).bit_length() - 1
+
+
 class SeriesEngine:
     """Power series of restricted partition functions, indexed by sets of
     R-vertices (bitmasks), and the truncated expansion of log Xi built on
@@ -368,7 +377,8 @@ class SeriesEngine:
 
     With z marking polymer size, Xi_S(z) sums prod w(gamma) z**|gamma| over
     the pairwise compatible polymer collections inside S.  ``xi`` keeps its
-    coefficients below z**m, memoised on S, by one recursion on v = min S:
+    coefficients below z**m, memoised on S, by one recursion on a vertex v
+    of S:
 
         Xi_S = Xi_{S-v} + sum over 2-linked gamma in S containing v of
                w(gamma) z**|gamma| Xi_{S minus gamma minus N2(gamma)}
@@ -376,12 +386,19 @@ class SeriesEngine:
     with N2(gamma) the R-vertices 2-linked to gamma.  The clusters whose
     polymers cover exactly the 2-linked set T sum to a series f_T starting
     at z**|T|, with log Xi_T the sum of f_T' over the 2-linked T' in T.  The
-    T' that miss v = min T are the 2-linked sets of the components C of
-    T - v, so
+    T' that miss v are the 2-linked sets of the components C of T - v, so
 
         f_T = log Xi_T - sum over C of log Xi_C
                        - sum over 2-linked T' strictly inside T with v in T'
                          of f_T'.
+
+    Both identities hold for any v in the set.  The engine takes the
+    pivot: the lowest vertex with at most one link inside the set, or the
+    set's minimum when no vertex has (``_pivot``).  Removing a leaf never
+    splits a set, so the memo of a 2-linked T stays on connected sets: on
+    a cycle, an arc that wraps past vertex 0 would split at its minimum
+    into two arcs, each a further memo entry.  A leafless set keeps its
+    minimum, the vertex the sampler's walk decides at (``terms``).
 
     The expansion of log Xi_S truncated at total cluster size m is
 
@@ -444,8 +461,11 @@ class SeriesEngine:
         in the order of ``polymers._connected_sets``.  The growth carries
         gamma | N2(gamma) in the low n_R bits of each union and N(gamma)
         above them (see ``_marks``)."""
+        return self._terms(S, (S & -S).bit_length() - 1)
+
+    def _terms(self, S: int, root: int) -> list[tuple[int, int, Scalar]]:
+        """``terms`` of the gamma through ``root``, a vertex of S."""
         lam, n_R = self.lam, self.graph.n_R
-        root = (S & -S).bit_length() - 1
         return [
             (gamma, S & ~reach, _weight(lam, gamma.bit_count(), (reach >> n_R).bit_count()))
             for gamma, reach in _grown_sets(self._links, root, self.m - 1, S, self._marks)
@@ -458,8 +478,9 @@ class SeriesEngine:
         hit = self._xi.get(S)
         if hit is not None:
             return hit
-        terms = self.terms(S)
-        out = list(self.xi(S & (S - 1)))
+        v = _pivot(self._links, S)
+        terms = self._terms(S, v)
+        out = list(self.xi(S & ~(1 << v)))
         if len(out) < self.m:
             out.append(0.0)
         for gamma, rest, w in terms:
@@ -486,7 +507,18 @@ class SeriesEngine:
         """[t^A] of log of the (1 + t_v)-weighted Xi_T, z**0 to z**(m-1).
 
         Algebra elements are lists indexed by subsets B of A (bit i of B for
-        the vertex A[i]); products are subset convolutions."""
+        the vertex A[i]); products are subset convolutions.  With A empty
+        they are plain floats: the same operations in the same order."""
+        if not A:
+            G = self.xi(T)
+            deg = len(G) - 1
+            F = [0.0]
+            for k in range(1, self.m):
+                acc = k * G[k] if k <= deg else 0.0
+                for j in range(max(1, k - deg), k):
+                    acc -= j * (F[j] * G[k - j])
+                F.append(acc / k)
+            return F
         d = 1 << len(A)
         rows = []
         for C in range(d):
@@ -524,7 +556,7 @@ class SeriesEngine:
         z**|T| to z**(m-1).
 
         Each f_T subtracts only the 2-linked proper subsets of T through
-        v = min A, or v = min T when A is empty (see the class docstring):
+        v = min A, or the pivot of T when A is empty (see the class docstring):
         the others miss A, or, with A empty, add up to the log Xi_C of the
         components C of T - v, which ``logs`` keeps while the table is
         built.  With A empty, T_m(T), the sum of log Xi_T's coefficients, is
@@ -538,7 +570,7 @@ class SeriesEngine:
                 continue
             t = T.bit_count()
             f = self._log_coefficients(T, a_verts)
-            v = a_verts[0] if A else (T & -T).bit_length() - 1
+            v = a_verts[0] if A else _pivot(links, T)
             if not A:
                 logs[T] = list(f)
                 self._tm[T] = _fsum(f)

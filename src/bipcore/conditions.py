@@ -351,11 +351,15 @@ class KPCertificate:
         return n_R * math.exp(-m * self.eta) if self.valid else None
 
     def cumulant_tail(self, a: int, m: int) -> float:
-        """An a-vertex cumulant's tail bound at depth m, sup_{t>=m} t**a e**(-eta t); inf if invalid."""
+        """An a-vertex cumulant's tail bound at depth m, sup_{t>=m} t**a e**(-eta t);
+        inf if invalid or past the float range."""
         if not self.valid:
             return math.inf
         t = max(float(m), a / self.eta)
-        return t**a * math.exp(-self.eta * t)
+        try:
+            return t**a * math.exp(-self.eta * t)
+        except OverflowError:  # t**a alone passes the float range; the product may not
+            return _times_exp(1.0, a * math.log(t) - self.eta * t)
 
 
 def _check_epsilon(epsilon: float) -> None:

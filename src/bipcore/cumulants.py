@@ -107,12 +107,16 @@ def cumulant_decay_constant(a: int, eta: float) -> float:
 
         sum over clusters of |w| prod Y_v <= C e^(-eta MST(A)/2),
 
-    C = (sum_{y>=1} y e^(-eta (y-1)))^a = (1 - e^(-eta))^(-2a)."""
+    C = (sum_{y>=1} y e^(-eta (y-1)))^a = (1 - e^(-eta))^(-2a), +inf past
+    the float range."""
     if a < 1:
         raise ValueError("need at least one vertex")
     if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta!r}")
-    return (-math.expm1(-eta)) ** (-2 * a)
+    try:
+        return (-math.expm1(-eta)) ** (-2 * a)
+    except OverflowError:
+        return math.inf
 
 
 def straddling_constant(n: int) -> float:

@@ -404,6 +404,16 @@ def test_require_returns_a_valid_certificate(g, lam, eta, mode):
     assert cert.cumulant_tail(2, 5) == t**2 * math.exp(-eta * t)
 
 
+def test_cumulant_tail_past_the_float_range():
+    g, lam = bc.random_biregular(2, 4, 4, seed=1), Fugacities(50.0, 0.1)
+    # t = 4/eta = 2e77: t**4 passes the float range, (t/e)**4 does not
+    eta = 2e-77
+    cert = certify_kp(g, lam, eta=eta)
+    assert cert.valid
+    assert cert.cumulant_tail(4, 5) == pytest.approx((2e77 / math.e) ** 4, rel=1e-12)
+    assert certify_kp(g, lam, eta=1e-80).cumulant_tail(4, 5) == math.inf
+
+
 @pytest.mark.parametrize("lam, eta, mode", UNCERTIFIED_C8)
 def test_an_invalid_certificate_refuses_and_bounds_nothing(lam, eta, mode):
     cert = certify_kp(bc.even_cycle(8), Fugacities(*lam), eta=eta)

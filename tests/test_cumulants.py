@@ -96,6 +96,14 @@ def test_decay_constant_closed_form():
         cumulant_decay_constant(1, math.nan)
 
 
+def test_decay_constant_past_the_float_range_is_infinite():
+    # (1 - e**-1e-80)**-6 = 1e480
+    assert cumulant_decay_constant(3, 1e-80) == math.inf
+    assert cumulant_decay_constant(1, 1e-80) == pytest.approx(1e160)
+    with pytest.raises(ValueError):
+        cumulant_decay_constant(3, -1e-80)
+
+
 def test_straddling_constant_composition():
     for n in (1, 2, 3, 4):
         assert straddling_constant(n) == bell_number(n) * (
@@ -444,6 +452,22 @@ def test_cumulant_bound_past_the_float_range_is_infinite(tmp_path, capsys):
     code = cli.main(
         ["decay", str(path), "--lambda-l", "10", "--lambda-r", "0.05",
          "--cumulant", "R:0,R:1", "--eta", "1e-80"]
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.splitlines()[1].split(",")[4:] == ["inf", "true"]
+
+
+def test_four_vertex_cumulant_tail_past_the_float_range_is_infinite(tmp_path, capsys):
+    # t = a/eta = 4e80, and t**4 passes the float range; so does the bound
+    q = truncated_cumulant(bc.even_cycle(16), Fugacities(10.0, 0.05), [0, 1, 2, 3], 5, eta=1e-80)
+    assert q.tail_bound == math.inf
+    assert math.isfinite(q.value)
+    path = tmp_path / "c8.graph"
+    path.write_text(graph_to_text(bc.even_cycle(8)))
+    code = cli.main(
+        ["decay", str(path), "--lambda-l", "10", "--lambda-r", "0.05",
+         "--cumulant", "R:0,R:1,R:2,R:3", "--eta", "1e-80"]
     )
     out = capsys.readouterr().out
     assert code == 0

@@ -497,9 +497,10 @@ def test_truncated_backend_draws_past_the_exact_cap():
 
 
 def test_truncated_backend_steps_its_depth_down_under_the_budget(monkeypatch):
-    # depths 24, 19 and 15 pass 10,000 coefficients and 12 fits; every
-    # coefficient the draws read is then stored before the first draw
-    monkeypatch.setattr(clusters, "MAX_COEFFICIENTS", 10_000)
+    # depths 24, 19 and 15 pass 4,000 coefficients (they store 11,575, 7,920
+    # and 4,928) and 12 fits (3,146); every coefficient the draws read is
+    # then stored before the first draw
+    monkeypatch.setattr(clusters, "MAX_COEFFICIENTS", 4_000)
     g = bc.even_cycle(44)
     s = IndependentSetSampler(g, Fugacities(20.0, 0.1))
     assert (s.m_requested, s.m_step, s.degraded) == (99, 12, True)

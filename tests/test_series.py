@@ -155,6 +155,90 @@ def test_terms_match_their_definition(seed, data, complex_mode):
             assert got == []
 
 
+def _xi_by_min_vertex(engine: SeriesEngine, S: int, memo: dict[int, list]) -> list:
+    """Xi_S by the recursion on v = min S: the engine before it pivoted on a
+    leaf, kept as the reference."""
+    if S == 0:
+        return [1.0]
+    if S not in memo:
+        out = list(_xi_by_min_vertex(engine, S & (S - 1), memo))
+        if len(out) < engine.m:
+            out.append(0.0)
+        for gamma, rest, w in engine.terms(S):
+            k0 = gamma.bit_count()
+            for k, c in enumerate(_xi_by_min_vertex(engine, rest, memo)[: len(out) - k0]):
+                out[k0 + k] += w * c
+        memo[S] = out
+    return memo[S]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["cycle", "biregular"]), st.booleans(), st.data())
+def test_xi_pivot_matches_the_min_vertex_recursion(seed, family, complex_mode, data):
+    # an arc of a cycle's link graph that wraps past vertex 0 splits at its
+    # minimum, not at its pivot
+    rng = np.random.Generator(np.random.Philox(seed))
+    if family == "cycle":
+        g = bc.even_cycle(2 * int(rng.integers(2, 13)))
+    else:
+        d_L, d_R, n_L = [(2, 4, 8), (2, 2, 10), (3, 3, 8), (2, 3, 12)][int(rng.integers(4))]
+        g = bc.random_biregular(d_L, d_R, n_L, seed=int(rng.integers(100)))
+    lam_L, lam_R = float(rng.uniform(0.2, 5.0)), float(rng.uniform(0.05, 2.0))
+    if complex_mode:
+        lam = Fugacities(complex(lam_L, 0.5), complex(lam_R, -0.25))
+    else:
+        lam = Fugacities(lam_L, lam_R)
+    m = data.draw(st.integers(1, g.n_R + 1), label="m")
+    engine = SeriesEngine(g, lam, m)
+    memo: dict[int, list] = {}
+    full = (1 << g.n_R) - 1
+    for S in [full, *(int(rng.integers(1, full + 1)) for _ in range(6))]:
+        got, want = engine.xi(S), _xi_by_min_vertex(engine, S, memo)
+        assert len(got) == len(want)
+        assert all(_close(a, b) for a, b in zip(got, want))
+
+
+def _log_by_recurrence(xi: list, m: int) -> list:
+    """[z^k] log of the series xi (xi[0] = 1) for k < m, by
+    k F_k = k G_k - sum_j j (F_j G_{k-j}), the t-algebra's order of operations."""
+    deg = len(xi) - 1
+    F = [0.0]
+    for k in range(1, m):
+        acc = k * xi[k] if k <= deg else 0.0
+        for j in range(max(1, k - deg), k):
+            acc -= j * (F[j] * xi[k - j])
+        F.append(acc / k)
+    return F
+
+
+@pytest.mark.parametrize(
+    "g, lam, m",
+    [
+        (bc.even_cycle(20), Fugacities(3.0, 0.4), 8),
+        (bc.random_biregular(2, 4, 12, seed=3), Fugacities(1.5, 0.7), 5),
+        (bc.random_biregular(3, 3, 8, seed=1), Fugacities(complex(2.0, 0.5), complex(0.3, -0.2)), 6),
+    ],
+)
+def test_plain_log_is_the_recurrence_bit_for_bit(g, lam, m):
+    engine = SeriesEngine(g, lam, m)
+    for T in engine.connected_sets():
+        got = engine._log_coefficients(T, [])
+        want = _log_by_recurrence(engine.xi(T), m)
+        assert got == want
+        assert [type(c) for c in got] == [type(c) for c in want]
+
+
+def test_xi_memo_stays_on_connected_sets_of_a_cycle():
+    # 22 R-vertices on a 22-cycle of links: 462 proper arcs and the whole
+    # cycle; recursing on min S would also memoise 6,175 disconnected sets,
+    # left by splitting the arcs that wrap past vertex 0
+    engine = SeriesEngine(bc.even_cycle(44), Fugacities(20.0, 0.1), 24)
+    engine.set_contributions()
+    assert len(engine._xi) == len(engine.connected_sets()) == 463
+    assert set(engine._xi) == set(engine.connected_sets())
+    assert engine._stored == 11_575
+
+
 def test_untruncated_xi_is_exact():
     g = bc.random_biregular(2, 4, 8, seed=1)
     lam = Fugacities(3.0, 0.4)
