@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from . import kernels
 from .errors import ClusterBudgetError, SizeCapError
@@ -361,13 +361,18 @@ class ClusterEngine:
 # ---------------------------------------------------------------------------
 # the expansion engine: power series over R-vertex sets
 
+def _lowest(links: Sequence[int], S: int) -> int:
+    """min S, the vertex the sampler's walk decides at."""
+    return (S & -S).bit_length() - 1
+
+
 def _pivot(links: Sequence[int], S: int) -> int:
     """The lowest vertex of S with at most one link inside S, or min S when
-    S has no such vertex: the vertex ``SeriesEngine`` recurses on."""
+    S has no such vertex: the vertex ``SeriesEngine.xi`` recurses on."""
     for v in _bits(S):
         if (links[v] & S).bit_count() <= 1:
             return v
-    return (S & -S).bit_length() - 1
+    return _lowest(links, S)
 
 
 class SeriesEngine:
@@ -395,10 +400,14 @@ class SeriesEngine:
     Both identities hold for any v in the set.  The engine takes the
     pivot: the lowest vertex with at most one link inside the set, or the
     set's minimum when no vertex has (``_pivot``).  Removing a leaf never
-    splits a set, so the memo of a 2-linked T stays on connected sets: on
-    a cycle, an arc that wraps past vertex 0 would split at its minimum
-    into two arcs, each a further memo entry.  A leafless set keeps its
-    minimum, the vertex the sampler's walk decides at (``terms``).
+    disconnects S - v.  The sets S minus gamma minus N2(gamma) of the
+    other branch can still be disconnected; on a path or a cycle of links
+    they are not, and the memo of a 2-linked T holds only connected sets.
+    At min S instead, a cycle's arc that wraps past vertex 0 splits into
+    two arcs, each a further memo entry.  The sampler's walk decides at
+    min S (``terms``), so its exact backend builds its memo by the
+    recursion on min S (``_xi_on`` with ``_lowest``): then the memo holds
+    every set a draw reads.
 
     The expansion of log Xi_S truncated at total cluster size m is
 
@@ -461,7 +470,7 @@ class SeriesEngine:
         in the order of ``polymers._connected_sets``.  The growth carries
         gamma | N2(gamma) in the low n_R bits of each union and N(gamma)
         above them (see ``_marks``)."""
-        return self._terms(S, (S & -S).bit_length() - 1)
+        return self._terms(S, _lowest(self._links, S))
 
     def _terms(self, S: int, root: int) -> list[tuple[int, int, Scalar]]:
         """``terms`` of the gamma through ``root``, a vertex of S."""
@@ -473,19 +482,24 @@ class SeriesEngine:
 
     def xi(self, S: int) -> list[Scalar]:
         """Coefficients of Xi_S(z) from z**0 to z**min(|S|, m - 1)."""
+        return self._xi_on(S, _pivot)
+
+    def _xi_on(self, S: int, vertex: Callable[[Sequence[int], int], int]) -> list[Scalar]:
+        """``xi``, recursing on vertex(links, S') for each set S' it adds to
+        the memo."""
         if S == 0:
             return [1.0]
         hit = self._xi.get(S)
         if hit is not None:
             return hit
-        v = _pivot(self._links, S)
+        v = vertex(self._links, S)
         terms = self._terms(S, v)
-        out = list(self.xi(S & ~(1 << v)))
+        out = list(self._xi_on(S & ~(1 << v), vertex))
         if len(out) < self.m:
             out.append(0.0)
         for gamma, rest, w in terms:
             k0 = gamma.bit_count()
-            for k, c in enumerate(self.xi(rest)[: len(out) - k0]):
+            for k, c in enumerate(self._xi_on(rest, vertex)[: len(out) - k0]):
                 out[k0 + k] += w * c
         self._charge(len(out))
         self._xi[S] = out
@@ -503,22 +517,24 @@ class SeriesEngine:
             self._sets = sets
         return self._sets
 
+    def _plain_log(self, T: int) -> list[Scalar]:
+        """log Xi_T, z**0 to z**(m-1): ``_log_coefficients(T, [])`` in plain
+        floats, the same operations in the same order."""
+        G = self.xi(T)
+        deg = len(G) - 1
+        F = [0.0]
+        for k in range(1, self.m):
+            acc = k * G[k] if k <= deg else 0.0
+            for j in range(max(1, k - deg), k):
+                acc -= j * (F[j] * G[k - j])
+            F.append(acc / k)
+        return F
+
     def _log_coefficients(self, T: int, A: list[int]) -> list[Scalar]:
         """[t^A] of log of the (1 + t_v)-weighted Xi_T, z**0 to z**(m-1).
 
         Algebra elements are lists indexed by subsets B of A (bit i of B for
-        the vertex A[i]); products are subset convolutions.  With A empty
-        they are plain floats: the same operations in the same order."""
-        if not A:
-            G = self.xi(T)
-            deg = len(G) - 1
-            F = [0.0]
-            for k in range(1, self.m):
-                acc = k * G[k] if k <= deg else 0.0
-                for j in range(max(1, k - deg), k):
-                    acc -= j * (F[j] * G[k - j])
-                F.append(acc / k)
-            return F
+        the vertex A[i]); products are subset convolutions."""
         d = 1 << len(A)
         rows = []
         for C in range(d):
@@ -569,7 +585,7 @@ class SeriesEngine:
             if T & A != A:
                 continue
             t = T.bit_count()
-            f = self._log_coefficients(T, a_verts)
+            f = self._log_coefficients(T, a_verts) if A else self._plain_log(T)
             v = a_verts[0] if A else _pivot(links, T)
             if not A:
                 logs[T] = list(f)

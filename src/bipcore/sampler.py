@@ -52,7 +52,7 @@ from typing import Iterator, Literal
 
 import numpy as np
 
-from .clusters import SeriesEngine
+from .clusters import SeriesEngine, _lowest
 from .conditions import KPCertificate, _check_epsilon, certify_kp, choose_m
 from .counting import _fit_depth
 from .errors import SizeCapError
@@ -215,10 +215,12 @@ class IndependentSetSampler:
             xi = self._engine.xi
             # log Xi_S, the restricted partition function a conditional reads
             self._log_xi = lambda S: math.log(math.fsum(xi(S)))
-            # every series a draw reads lies in the recursion for Xi_R, and
-            # the weights being >= 0, each is coefficientwise at most Xi_R's
+            # the walk's states are the sets of the recursion for Xi_R on
+            # v = min S, so building Xi_R by it memoises every series a draw
+            # reads; the weights being >= 0, each is coefficientwise at most
+            # Xi_R's
             try:
-                xi_R = math.fsum(xi((1 << g.n_R) - 1))
+                xi_R = math.fsum(self._engine._xi_on((1 << g.n_R) - 1, _lowest))
             except (OverflowError, ValueError):
                 xi_R = math.inf
             if not math.isfinite(xi_R):

@@ -550,6 +550,22 @@ def test_exact_backend_fills_its_memo_when_built(monkeypatch):
         IndependentSetSampler(g, lam, backend="exact")
 
 
+@pytest.mark.parametrize("n_L", [16, 20])
+def test_exact_backend_draws_under_the_budget_it_was_built_under(monkeypatch, n_L):
+    # Xi's own recursion turns at a leaf of the set, the walk at min S, and
+    # on these graphs the two reach different sets: the walk reads only sets
+    # its build memoised, so a budget that fits the build fits the draws
+    g = bc.random_biregular(2, 4, n_L, seed=0)
+    lam = Fugacities(1.0, 0.5)
+    stored = IndependentSetSampler(g, lam, backend="exact")._engine._stored
+    monkeypatch.setattr(clusters, "MAX_COEFFICIENTS", stored)
+    sampler = IndependentSetSampler(g, lam, backend="exact")
+    memo = set(sampler._engine._xi)
+    for draw in sampler.draws(500, seed=0):
+        assert is_independent(g, draw)
+    assert set(sampler._engine._xi) == memo
+
+
 def test_exact_backend_refuses_a_xi_past_the_float_range():
     # two disjoint 4-leaf stars at lambda_R = 1e60: each star's polymer
     # weighs 5e239, so the z**8 coefficient of Xi_R passes the float range
