@@ -17,6 +17,8 @@ from collections import Counter
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import SizeCapError
 from .graph import BipartiteGraph, Vertex, _bits, _components, _global_mask, _union
 from .polymers import Fugacities, Scalar, _fsum, _link_masks
@@ -24,6 +26,9 @@ from .polymers import Fugacities, Scalar, _fsum, _link_masks
 SIDE_CAP = 20  # vertices in one walked set: 2**20 subsets
 DISTRIBUTION_CAP = 14  # total vertices for full-distribution enumeration
 SET_PARTITION_CAP = 8  # Bell(8) = 4140 partitions
+# terms per numpy pass of the complex evaluator: its arrays stay a few MB
+# however many points one call evaluates
+_BLOCK_TERMS = 1 << 15
 
 # The (|S|, |N(S)|, count) triples over the subsets S of a walked set.
 _Histogram = tuple[tuple[int, int, int], ...]
@@ -125,25 +130,64 @@ def exact_Z(g: BipartiteGraph, lam: Fugacities) -> float:
         raise SizeCapError(f"Z overflows a float (log Z = {log_z:.1f})") from None
 
 
+def _cprod(ar, ai, br, bi):
+    """Parts of (ar + i ai)(br + i bi), rounded as Python's complex product
+    rounds them (numpy's complex multiply may fuse them)."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _z_complex_at(g: BipartiteGraph, lam_L, lam_R) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of exact Z at each point (lam_L[i],
+    lam_R[i]) of two equal-length sequences of complex activities.
+
+    Per component, each block of points is one numpy pass over the terms
+    count * x**|S| * (1 + y)**(|Y| - |N(S)|), at most _BLOCK_TERMS of them;
+    each point's real and imaginary parts are then summed by fsum.  The
+    powers, products and sums round as Python's complex arithmetic on one
+    point does, except powers of exponent 100 or more.  SizeCapError when
+    a power, a sum or Z at any point does not fit a complex float."""
+    lam_L = np.asarray(lam_L, dtype=complex)
+    lam_R = np.asarray(lam_R, dtype=complex)
+    n = len(lam_L)
+    zr, zi = np.ones(n), np.zeros(n)
+    with np.errstate(all="ignore"):  # overflow shows as inf or nan, caught below
+        for x_is_L, n_Y, hist in _graph_profile(g):
+            x, y1 = (lam_L, 1 + lam_R) if x_is_L else (lam_R, 1 + lam_L)
+            a, b, c = np.array(hist).T
+            e = n_Y - b  # the exponent of 1 + y
+            x_exp, y_exp = np.arange(a.max() + 1), np.arange(e.min(), e.max() + 1)
+            e -= e.min()
+            step = max(1, _BLOCK_TERMS // len(hist))
+            for lo in range(0, n, step):
+                blk = slice(lo, lo + step)
+                xa = np.power(x[blk, None], x_exp)[:, a]
+                yb = np.power(y1[blk, None], y_exp)[:, e]
+                tr, ti = _cprod(c, 0.0, xa.real, xa.imag)
+                tr, ti = _cprod(tr, ti, yb.real, yb.imag)
+                try:
+                    sr = [math.fsum(row) for row in tr.tolist()]
+                    si = [math.fsum(row) for row in ti.tolist()]
+                except (OverflowError, ValueError):  # past the float range, or inf - inf
+                    raise SizeCapError("Z overflows a complex float") from None
+                zr[blk], zi[blk] = _cprod(zr[blk], zi[blk], np.array(sr), np.array(si))
+    if not (np.isfinite(zr).all() and np.isfinite(zi).all()):
+        raise SizeCapError("Z overflows a complex float")
+    return zr, zi
+
+
 def exact_Z_complex(g: BipartiteGraph, lam: Fugacities) -> complex:
     """Exact partition function for complex (or real) activities.
 
     Factorizes over connected components, with the same cap as exact_log_Z.
     The graph's side-subset profiles are memoised, so a call at new
-    activities costs one small polynomial evaluation per component.  Raises
-    SizeCapError when Z does not fit a complex float.
+    activities costs one small polynomial evaluation per component.  This
+    is the one-point case of the block evaluator ``zero_probe`` uses, so Z
+    is computed in complex arithmetic even for real activities.  Raises
+    SizeCapError when Z, a power of the activities, or a sum of terms does
+    not fit a complex float.
     """
-    out = 1.0 + 0.0j
-    try:
-        for p in _graph_profile(g):
-            x, y = _activities(p, lam)
-            y1, n_Y = 1 + y, p[1]
-            out *= _fsum([c * x**a * y1 ** (n_Y - b) for a, b, c in p[2]])
-    except (OverflowError, ValueError):  # a power, or fsum meeting inf - inf
-        out = complex(math.inf)
-    if not cmath.isfinite(out):
-        raise SizeCapError("Z overflows a complex float")
-    return out
+    zr, zi = _z_complex_at(g, [lam.lambda_L], [lam.lambda_R])
+    return complex(zr[0], zi[0])
 
 
 # ---------------------------------------------------------------------------

@@ -3,21 +3,25 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import bipcore as bc
 from bipcore import (
+    BipartiteGraph,
     CertificationError,
     ComplexRegion,
     Fugacities,
+    SizeCapError,
     approx_log_Z,
     choose_m,
     truncated_expansion,
     zero_probe,
 )
-from bipcore import clusters
+from bipcore import clusters, counting, oracle
+from bipcore.counting import region_points
 
 from conftest import random_bipartite
 
@@ -221,3 +225,102 @@ def test_zero_probe_points_lie_in_region():
         else:
             assert abs(lam_R) <= region.bound_R
             assert abs(1 + lam_L) >= 1 + region.bound_L
+
+
+def _region_points_per_uniform(region, samples, seed):
+    """region_points with one rng.uniform call per coordinate: the reference
+    for the points drawn from one block of doubles."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    pts = []
+    for i in range(samples):
+        th_L, th_R = rng.uniform(0.0, 2.0 * math.pi, 2)
+        if i % 2 == 0:
+            rad_R = region.bound_R
+            rad_L = 1.0 + region.bound_L
+        else:
+            rad_R = region.bound_R * rng.uniform(0.0, 1.0)
+            rad_L = (1.0 + region.bound_L) * (1.0 + 2.0 * rng.uniform(0.0, 1.0))
+        dir_L = complex(math.cos(th_L), math.sin(th_L))
+        lam_R = rad_R * complex(math.cos(th_R), math.sin(th_R))
+        while abs(lam_R) > region.bound_R:
+            lam_R *= 1.0 - 2.0**-52
+        while abs(-1.0 + rad_L * dir_L + 1.0) < 1.0 + region.bound_L:
+            rad_L *= 1.0 + 2.0**-52
+        pts.append((-1.0 + rad_L * dir_L, lam_R))
+    return pts
+
+
+@pytest.mark.parametrize("seed", [0, 4, 41])
+def test_region_points_are_the_per_uniform_points_bit_for_bit(seed):
+    for region in (ComplexRegion(5.0, 0.3), ComplexRegion(10.0, 0.05)):
+        for samples in (1, 2, 7, 200):
+            got = np.array(region_points(region, samples, seed), dtype=complex)
+            want = np.array(_region_points_per_uniform(region, samples, seed), dtype=complex)
+            assert got.shape == want.shape == (samples, 2)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _disjoint_union(pieces: list[BipartiteGraph]) -> BipartiteGraph:
+    n_L = n_R = 0
+    edges = []
+    for p in pieces:
+        edges += [(u + n_L, v + n_R) for u, v in p.edges]
+        n_L += p.n_L
+        n_R += p.n_R
+    return BipartiteGraph(n_L, n_R, edges)
+
+
+@pytest.mark.parametrize("block_terms", [None, 1, 50])
+def test_zero_probe_reports_the_minimum_of_one_point_evaluations(monkeypatch, block_terms):
+    # with a small block the points span many blocks: 50 terms hold one
+    # point of even_cycle(24)'s 38 terms and 8 to 25 of the union's
+    # components, whose smaller sides lie on both sides
+    if block_terms is not None:
+        monkeypatch.setattr(oracle, "_BLOCK_TERMS", block_terms)
+    region = ComplexRegion(10.0, 0.05)
+    union = _disjoint_union(
+        [bc.even_cycle(8), bc.complete_bipartite(3, 2), bc.complete_bipartite(1, 2)]
+    )
+    for g, samples, seed in ((bc.even_cycle(24), 41, 0), (union, 60, 3)):
+        rep = zero_probe(g, region, samples=samples, seed=seed)
+        pts = region_points(region, samples, seed)
+        abs_z = [abs(bc.exact_Z_complex(g, Fugacities(*pt))) for pt in pts]
+        assert rep.min_abs_Z == min(abs_z)
+        assert rep.argmin == pts[abs_z.index(min(abs_z))]
+        assert rep.zeros_found == 0
+
+
+def test_exact_Z_complex_rounds_as_the_per_point_sum():
+    # the per-point evaluation: Python's complex powers and products, parts
+    # summed by fsum
+    g = bc.random_biregular(2, 4, 16, seed=1)
+    for pt in region_points(ComplexRegion(10.0, 0.05), 40, 7):
+        lam = Fugacities(*pt)
+        want = 1.0 + 0.0j
+        for x_is_L, n_Y, hist in oracle._graph_profile(g):
+            x, y = (lam.lambda_L, lam.lambda_R) if x_is_L else (lam.lambda_R, lam.lambda_L)
+            terms = [c * x**a * (1 + y) ** (n_Y - b) for a, b, c in hist]
+            want *= complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+        assert abs(bc.exact_Z_complex(g, lam) - want) <= 1e-15 * abs(want)
+
+
+def test_zero_probe_overflow_is_a_size_cap_error():
+    # the smaller side is the one R-vertex, so Z carries (1 + lambda_L)**200,
+    # and |1 + lambda_L| >= 51 puts it past the float range at every point;
+    # the overflow surfaces as SizeCapError, with no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SizeCapError):
+            zero_probe(bc.complete_bipartite(200, 1), ComplexRegion(50.0, 0.1), samples=4)
+
+
+def test_zero_probe_abs_z_past_the_float_range_is_a_size_cap_error(monkeypatch):
+    # both parts fit a float, their modulus does not
+    def huge(g, lam_L, lam_R):
+        return np.full(len(lam_L), 1.5e308), np.full(len(lam_L), 1.5e308)
+
+    monkeypatch.setattr(counting, "_z_complex_at", huge)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SizeCapError):
+            zero_probe(bc.even_cycle(8), ComplexRegion(10.0, 0.05), samples=3)

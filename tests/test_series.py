@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -86,15 +88,29 @@ def _moebius_over_all_subsets(engine: SeriesEngine) -> dict[int, float]:
     return {T: _fsum(f) for T, f in table.items()}
 
 
-def _truncated_log(xi: list[float], m: int) -> float:
-    """Sum over k < m of [z^k] log of the series xi (xi[0] = 1)."""
-    F = [0.0] * m
+def _exact_log_xi(g: bc.BipartiteGraph, lam: Fugacities, S: int, m: int) -> Fraction:
+    """T_m(S) in exact rationals: Xi_S(z) sums lambda_R**|U| r**|N(U)| z**|U|
+    over the subsets U of S, r = 1/(1 + lambda_L), and the coefficients F_k
+    of its log, k F_k = k X_k - sum_j j F_j X_{k-j}, are summed below z**m."""
+    counts: Counter[tuple[int, int]] = Counter()
+    U = S
+    while True:
+        nb = 0
+        for v in _bits(U):
+            nb |= g.adj_R[v]
+        counts[U.bit_count(), nb.bit_count()] += 1
+        if U == 0:
+            break
+        U = (U - 1) & S
+    lam_R, r = Fraction(lam.lambda_R), 1 / (1 + Fraction(lam.lambda_L))
+    X = [Fraction(0)] * m
+    for (k, b), c in counts.items():
+        if k < m:
+            X[k] += c * lam_R**k * r**b
+    F = [Fraction(0)] * m
     for k in range(1, m):
-        acc = k * xi[k] if k < len(xi) else 0.0
-        for j in range(max(1, k - len(xi) + 1), k):
-            acc -= j * F[j] * xi[k - j]
-        F[k] = acc / k
-    return math.fsum(F)
+        F[k] = X[k] - sum((j * F[j] * X[k - j] for j in range(1, k)), Fraction(0)) / k
+    return sum(F, Fraction(0))
 
 
 @settings(max_examples=40, deadline=None)
@@ -113,7 +129,7 @@ def test_log_xi_by_components_matches_the_set_sum(seed, m):
     for S in [0, full, *(int(rng.integers(0, full + 1)) for _ in range(8))]:
         got = engine.log_xi(S)
         assert _close(got, math.fsum(c for T, c in plain.items() if T & ~S == 0))
-        assert _close(got, _truncated_log(engine.xi(S), m))
+        assert _close(got, float(_exact_log_xi(g, lam, S, m)))
 
 
 @settings(max_examples=60, deadline=None)
