@@ -138,7 +138,7 @@ def cmd_check(args) -> int:
             "eta": cert.eta,
             "margin": cert.margin,
             "valid": cert.valid,
-            "per_vertex_margins": cert.per_vertex_margins,
+            "per_vertex_margins": cert.margin,  # kept key: the same worst-case ratio
         },
     }
     if args.corollary is not None:

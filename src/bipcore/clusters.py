@@ -250,6 +250,8 @@ def _mult_vectors(sizes: Sequence[int], cap: int) -> Iterator[tuple[int, ...]]:
     yield from rec(0, cap, ())
 
 
+# perfbench/spans.py:74 wraps ClusterEngine.truncated_log_xi by name, so the
+# reference stays in this module until that span goes
 class ClusterEngine:
     """Cluster enumeration over an explicit polymer universe: the reference
     for ``SeriesEngine``.
@@ -674,10 +676,6 @@ class ExpansionEstimate:
     eta: float | None
     error_bound: float | None
     cluster_count: int  # the 2-linked sets summed
-
-    @property
-    def bounded(self) -> bool:
-        return self.error_bound is not None
 
 
 def enumerate_clusters(

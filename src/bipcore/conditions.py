@@ -76,6 +76,7 @@ import math
 import sys
 from collections import defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Literal, Mapping
 
 from .errors import CertificationError, SizeCapError, StructuralMismatchError
@@ -255,10 +256,9 @@ def _kp_classes(n_R: int, grown: Iterable[tuple[int, int]]) -> list[dict[tuple[i
 
 def _kp_partial(counts: Mapping[tuple[int, int], int], lam: Fugacities, eta: float) -> float:
     """A vertex's partial sum from its class counts, count times |w(gamma)|
-    e**((1/2 + eta) k) over the classes (k, nb): correctly rounded, as the
-    fsum of one term per set, and +inf past the float range.  Each term is
-    p / 2**j, so the exact sum is one integer over the largest such 2**j."""
-    num, den = 0, 1
+    e**((1/2 + eta) k) over the classes (k, nb): the exact sum rounded once,
+    as the fsum of one term per set, and +inf past the float range."""
+    total = Fraction(0)
     for (k, nb), n in counts.items():
         try:
             t = _times_exp(abs(_weight(lam, k, nb)), (0.5 + eta) * k)
@@ -266,12 +266,9 @@ def _kp_partial(counts: Mapping[tuple[int, int], int], lam: Fugacities, eta: flo
             t = math.inf
         if not t < math.inf:  # past every bound
             return math.inf
-        p, q = t.as_integer_ratio()
-        if q > den:
-            num, den = num * (q // den), q
-        num += n * p * (den // q)
+        total += n * Fraction(t)
     try:
-        return num / den  # int / int rounds correctly
+        return float(total)  # numerator / denominator, one correct rounding
     except OverflowError:
         return math.inf
 
@@ -330,11 +327,6 @@ class KPCertificate:
     margin: float
     per_vertex: tuple[KPVertexSum, ...] | None
     provenance: str
-
-    @property
-    def per_vertex_margins(self) -> float:
-        """Worst-case ratio of a certified sum to its bound (alias)."""
-        return self.margin
 
     @property
     def valid(self) -> bool:
@@ -430,8 +422,3 @@ def check_complex_region(profile, region: ComplexRegion) -> ConditionCheck:
     """Zero-freeness condition for a complex region: the main condition
     arithmetic applied to the region bounds."""
     return _imbalance(profile, region.bound_L, region.bound_R)
-
-
-def in_region(lam: Fugacities, region: ComplexRegion) -> bool:
-    """Membership of an activity pair in the region."""
-    return region.contains(lam)

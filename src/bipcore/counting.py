@@ -189,7 +189,7 @@ def zero_probe(
     region: ComplexRegion,
     samples: int = 500,
     seed: int = 0,
-    threads: int = 1,
+    threads: int = 1,  # perfbench/workloads.py:322-323 passes 1 and 2
 ) -> ZeroProbeReport:
     """Evaluate exact Z at sampled points of a zero-free region.
 

@@ -102,6 +102,22 @@ def indicator_cumulant_bound(k: int) -> float:
     return float(sum(row[j] * math.factorial(j - 1) for j in range(1, k + 1)))
 
 
+def _inf_past_float_range(bound: Callable[..., float]) -> Callable[..., float]:
+    """A decay bound that reads +inf (sound, and never NaN) where its
+    arithmetic passes the float range."""
+
+    @wraps(bound)
+    def guarded(*args, **kwargs) -> float:
+        try:
+            b = bound(*args, **kwargs)
+        except OverflowError:
+            return math.inf
+        return math.inf if math.isnan(b) else b
+
+    return guarded
+
+
+@_inf_past_float_range
 def cumulant_decay_constant(a: int, eta: float) -> float:
     """The explicit constant in the cumulant decay bound
 
@@ -113,10 +129,7 @@ def cumulant_decay_constant(a: int, eta: float) -> float:
         raise ValueError("need at least one vertex")
     if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta!r}")
-    try:
-        return (-math.expm1(-eta)) ** (-2 * a)
-    except OverflowError:
-        return math.inf
+    return (-math.expm1(-eta)) ** (-2 * a)
 
 
 def straddling_constant(n: int) -> float:
@@ -220,21 +233,6 @@ def _as_vertex(g: BipartiteGraph, v) -> Vertex:
     side, i = v
     g.global_id((side, int(i)))
     return (side, int(i))
-
-
-def _inf_past_float_range(bound: Callable[..., float]) -> Callable[..., float]:
-    """A decay bound that reads +inf (sound, and never NaN) where its
-    arithmetic passes the float range."""
-
-    @wraps(bound)
-    def guarded(*args) -> float:
-        try:
-            b = bound(*args)
-        except OverflowError:
-            return math.inf
-        return math.inf if math.isnan(b) else b
-
-    return guarded
 
 
 @_inf_past_float_range

@@ -30,13 +30,15 @@ class NotTwoLinkedError(BipcoreError, ValueError):
 class ClusterBudgetError(BipcoreError):
     """Raised when the series coefficients an expansion engine would store
     pass ``clusters.MAX_COEFFICIENTS``, or the clusters the Ursell
-    reference (``ClusterEngine``) would enumerate pass its own limit.
+    reference (``clusters.ClusterEngine``) would enumerate pass its own limit.
 
     The expansion never truncates silently.  ``approx_log_Z`` and the
-    truncated sampler retry at smaller depths and flag ``degraded``; they
-    raise this only when depth 1 does not fit either.  Samplers of both
-    backends raise it when they are built, never during a draw.
-    ``clusters_seen`` is the count that passed the budget.
+    truncated sampler retry at smaller depths and flag ``degraded``; depth 1
+    stores no coefficient, so they never raise this.  The exact sampler
+    backend (when it is built, never during a draw), ``truncated_cumulant``
+    and ``decay_experiment`` do.  ``clusters_seen`` is the count that passed
+    the budget: the coefficient total when an expansion engine raises it,
+    the cluster count when the Ursell reference does.
     """
 
     def __init__(self, message: str, clusters_seen: int = 0):

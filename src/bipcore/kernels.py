@@ -10,6 +10,8 @@ sums against; ``ursell_edge_sum`` serves the Ursell reference in
 BACKEND = "python"
 
 
+# perfbench/spans.py:84-86 wraps is_sum_real, is_sum_complex and
+# ursell_edge_sum by these names in this module
 def is_sum_real(adj, weights, free):
     """Weighted independent-set sum over the vertices set in ``free``.
 

@@ -156,16 +156,8 @@ def _weight(lam: Fugacities, size: int, nbhd: float) -> Scalar:
         raise SizeCapError(f"a polymer weight overflows a float (|gamma| = {size})") from None
 
 
-def _nbhd_size(g: BipartiteGraph, verts: Sequence[int]) -> int:
-    """|N(gamma)| for gamma on the R-vertices ``verts``."""
-    nb = 0
-    for v in verts:
-        nb |= g.adj_R[v]
-    return nb.bit_count()
-
-
 def _build_polymer(g: BipartiteGraph, mask: int, verts: tuple[int, ...], lam: Fugacities) -> Polymer:
-    nb = _nbhd_size(g, verts)
+    nb = _union(g.adj_R, mask).bit_count()
     return Polymer(verts, mask, nb, _weight(lam, len(verts), nb))
 
 
@@ -261,6 +253,8 @@ def incompatible(p1: Polymer, p2: Polymer, links: Sequence[int]) -> bool:
 # ---------------------------------------------------------------------------
 # explicit polymer universes
 
+# perfbench/spans.py:69 wraps PolymerSystem.xi by name, so the class stays
+# in this module until that span goes
 class PolymerSystem:
     """Explicit list of polymers with incompatibility bitmasks.
 

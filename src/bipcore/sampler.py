@@ -79,7 +79,7 @@ class PolymerConfig:
     """A pairwise-compatible polymer collection plus the processed vertices."""
 
     chosen: tuple[Polymer, ...]
-    decided_vertices: frozenset[int]
+    decided_vertices: frozenset[int]  # perfbench/test_perfbench.py:144 builds it by name
 
     @property
     def occupied_R(self) -> frozenset[int]:
@@ -277,6 +277,8 @@ class IndependentSetSampler:
     ) -> PolymerConfig:
         """One polymer configuration; ``trace`` receives (v, state) at every
         vertex, the state being the mask of R-vertices still free."""
+        # perfbench/spans.py:137-139 passes ``trace`` to read the states, and
+        # perfbench/test_perfbench.py:143 patches in this signature
         state = (1 << self.graph.n_R) - 1
         chosen: list[int] = []
         cache = self._conditional_cache

@@ -111,6 +111,18 @@ def test_check_json_with_corollary(biregular_file, capsys):
     assert doc["corollary"] == {"part": 2, "satisfied": True}
 
 
+def test_check_json_keeps_the_per_vertex_margins_key(cycle_file, capsys):
+    # the key stays in the pinned check --json document, filled from margin
+    code, out, _ = run(
+        capsys, "check", cycle_file, "--json", "--lambda-l", "10", "--lambda-r", "0.05",
+        "--eta", "0.5",
+    )
+    assert code == 0
+    cert = json.loads(out)["kp_certificate"]
+    assert cert["mode"] == "empirical"
+    assert cert["per_vertex_margins"] == cert["margin"]
+
+
 def test_check_corollary_structural_mismatch_exits_1(biregular_file, capsys):
     code, _, err = run(
         capsys, "check", biregular_file,
@@ -348,6 +360,30 @@ def test_exact_bad_vertex_token(edge_file, capsys):
         "--marginal", "Q:0",
     )
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("exact", "--marginal", "R:x"), "bad vertex index in 'R:x'"),
+        (("decay", "--cumulant", ""), "--cumulant needs at least one vertex"),
+        (("decay", "--set-pair", "R:0"), "--set-pair takes two sets separated by '|', got 'R:0'"),
+        (("decay", "--set-pair", "R:0|"), "--set-pair sets must be nonempty"),
+    ],
+    ids=["marginal-index", "empty-cumulant", "set-pair-no-bar", "set-pair-empty-side"],
+)
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_bad_vertex_specs_exit_1(cycle_file, capsys, argv, message, as_json):
+    command, *rest = argv
+    flags = ["--json"] if as_json else []
+    code, out, err = run(
+        capsys, command, cycle_file, "--lambda-l", "10", "--lambda-r", "0.05", *rest, *flags
+    )
+    assert code == 1 and out == ""
+    if as_json:
+        assert json.loads(err)["error"]["message"] == message
+    else:
+        assert err == f"error: {message}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,12 @@ from bipcore import (
     check_corollary,
     check_main_condition,
     conditions,
-    in_region,
     kp_vertex_sum,
     polymer_weight,
     polymers,
 )
 from bipcore.conditions import SERIES_RATIO_LIMIT
-from bipcore.graph import _bits
+from bipcore.graph import _bits, _union
 
 from conftest import random_bipartite
 from test_polymers import _brute_polymer_masks
@@ -70,6 +69,20 @@ def test_main_condition_rejects_complex():
         check_main_condition((1, 1, 1), Fugacities(complex(1), complex(0.1)))
 
 
+def test_main_condition_needs_positive_maximum_degrees():
+    with pytest.raises(StructuralMismatchError, match="positive maximum degrees"):
+        check_main_condition((0, 1, 1), Fugacities(1.0, 0.1))
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [({"v": 0, "k_max": 0}, "k_max must be at least 1"), ({"v": 8, "k_max": 6}, "no R-vertex 8")],
+)
+def test_vertex_sum_argument_errors(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        bc.kp_vertex_sum(bc.even_cycle(16), lam=Fugacities(10.0, 0.05), eta=0.1, **kwargs)
+
+
 def test_certificates_reject_a_nan_rate():
     # a NaN rate used to give an "inconclusive" certificate with NaN margins
     g, lam = bc.even_cycle(8), Fugacities(10.0, 0.05)
@@ -106,6 +119,27 @@ def test_corollary_part3():
         check_corollary((6, 76), Fugacities(2.0, 2.0), 3)
     with pytest.raises(StructuralMismatchError):
         check_corollary((2, 76), one, 3)  # below the d_L floor
+
+
+def test_corollary_reads_a_graph_as_its_degree_profile():
+    g = bc.even_cycle(8)  # (2, 2)-biregular
+    for lam in (Fugacities(24.0, 1.0), Fugacities(23.0, 1.0)):
+        assert check_corollary(g, lam, 1) == check_corollary((2, 2), lam, 1)
+
+
+@pytest.mark.parametrize(
+    "profile, lam, part, error, message",
+    [
+        ((3, 3), Fugacities(complex(54.0), complex(1.0)), 1, ValueError, "real activities"),
+        (bc.path(5), Fugacities(54.0, 1.0), 1, StructuralMismatchError, "biregular"),
+        ((0, 3), Fugacities(54.0, 1.0), 1, StructuralMismatchError, "positive"),
+        ((3, 3), Fugacities(54.0, 1.0), 4, ValueError, "part must be"),
+    ],
+    ids=["complex", "not-biregular", "zero-degree", "part-4"],
+)
+def test_corollary_argument_errors(profile, lam, part, error, message):
+    with pytest.raises(error, match=message):
+        check_corollary(profile, lam, part)
 
 
 def test_corollary_implies_main_condition_samples(rng):
@@ -150,7 +184,6 @@ def test_certificate_analytic_route():
     assert cert.eta == 0.1
     assert cert.per_vertex is None
     assert 0 < cert.margin < 1
-    assert cert.per_vertex_margins == cert.margin
 
 
 def test_certificate_zero_right_activity():
@@ -312,7 +345,7 @@ def test_class_counts_match_a_rescan(seed, size_cap):
     want: list[dict] = [{} for _ in range(g.n_R)]
     for gamma in polymers._two_linked_sets(links, full, size_cap):
         verts = tuple(_bits(gamma))
-        cls = (len(verts), polymers._nbhd_size(g, verts))
+        cls = (len(verts), _union(g.adj_R, gamma).bit_count())
         for v in verts:
             want[v][cls] = want[v].get(cls, 0) + 1
     grown = polymers._grown_two_linked(links, full, size_cap, g.adj_R)
@@ -448,6 +481,6 @@ def test_complex_region_condition():
 
 def test_in_region_membership():
     region = ComplexRegion(10.0, 0.1)
-    assert in_region(Fugacities(complex(-12.0), complex(0.1)), region)
-    assert not in_region(Fugacities(complex(-1.5), complex(0.05)), ComplexRegion(1.0, 0.1))
-    assert not in_region(Fugacities(complex(5.0), complex(0.2)), region)
+    assert region.contains(Fugacities(complex(-12.0), complex(0.1)))
+    assert not ComplexRegion(1.0, 0.1).contains(Fugacities(complex(-1.5), complex(0.05)))
+    assert not region.contains(Fugacities(complex(5.0), complex(0.2)))

@@ -12,6 +12,7 @@ import bipcore as bc
 from bipcore import (
     BipartiteGraph,
     CertificationError,
+    ClusterBudgetError,
     ComplexRegion,
     Fugacities,
     SizeCapError,
@@ -119,6 +120,30 @@ def test_degradation_flag_under_budget(monkeypatch):
     assert abs(res.log_Z_estimate - bc.exact_log_Z(g, lam)) <= res.error_bound
 
 
+def test_depth_one_always_fits(monkeypatch):
+    # depth 1 stores no coefficient, so under a budget of 0 the count and
+    # the truncated sampler degrade to m = 1 and never raise
+    monkeypatch.setattr(clusters, "MAX_COEFFICIENTS", 0)
+    g, lam = bc.even_cycle(8), Fugacities(10.0, 0.05)
+    res = approx_log_Z(g, lam, epsilon=0.01)
+    assert res.m_used == 1 and res.degraded
+    s = bc.IndependentSetSampler(g, lam, backend="truncated")
+    assert s.m_step == 1 and s.degraded
+
+
+def test_fit_depth_reraises_at_depth_one():
+    # unreachable from the drivers (see above), so a build that always fails
+    tried = []
+
+    def build(m):
+        tried.append(m)
+        raise ClusterBudgetError("over budget", clusters_seen=m)
+
+    with pytest.raises(ClusterBudgetError):
+        counting._fit_depth(build, 5)
+    assert tried == [5, 4, 3, 2, 1]
+
+
 def test_even_cycle_10_reaches_the_requested_depth():
     # asks for m = 29, where cluster enumeration used to exhaust memory;
     # lambda_R is 0.9 of the main condition's limit for degrees (2, 2)
@@ -167,6 +192,11 @@ def test_depth_below_one_is_refused():
 # ---------------------------------------------------------------------------
 # zero probe
 
+def test_zero_probe_needs_a_sample():
+    with pytest.raises(ValueError, match="at least one sample"):
+        zero_probe(bc.even_cycle(8), ComplexRegion(10.0, 0.05), samples=0)
+
+
 def test_zero_probe_refuses_bad_region():
     g = bc.even_cycle(6)  # degrees 2,2: need 24 * bound_R <= (1+bound_L)
     with pytest.raises(CertificationError):
@@ -178,7 +208,7 @@ def test_zero_probe_k11_region_admits_negative_Z():
     region = ComplexRegion(10.0, 0.1)
     # the region admits lambda_L = -12 (|1-12| = 11 >= 11): Z = -10.9 there
     lam = Fugacities(complex(-12.0), complex(0.1))
-    assert bc.in_region(lam, region)
+    assert region.contains(lam)
     assert bc.exact_Z_complex(g, lam) == pytest.approx(-10.9 + 0j)
     rep = zero_probe(g, region, samples=100, seed=0)
     assert rep.zeros_found == 0
@@ -216,7 +246,7 @@ def test_zero_probe_points_lie_in_region():
     pts = region_points(region, 200, seed=4)
     assert pts == region_points(region, 200, seed=4)
     for lam_L, lam_R in pts:
-        assert bc.in_region(Fugacities(lam_L, lam_R), region)
+        assert region.contains(Fugacities(lam_L, lam_R))
     # even indices sit on the region boundary, odd ones strictly inside
     for i, (lam_L, lam_R) in enumerate(pts):
         if i % 2 == 0:

@@ -14,6 +14,7 @@ from bipcore import (
     BipartiteGraph,
     DegenerateGraphError,
     GraphFormatError,
+    SizeCapError,
     connected_components,
     degree_profile,
     graph_distance,
@@ -50,6 +51,18 @@ def test_rejects_bad_edges():
 def test_duplicate_edges_rejected():
     with pytest.raises(ValueError):
         BipartiteGraph(1, 2, [(0, 0), (0, 0)])
+
+
+@pytest.mark.parametrize("vertex", [("L", 2), ("R", -1), ("X", 0)], ids=["L-range", "R-range", "side"])
+def test_global_id_rejects_a_missing_vertex(vertex):
+    with pytest.raises(GraphFormatError):
+        bc.complete_bipartite(2, 3).global_id(vertex)
+
+
+@pytest.mark.parametrize("gid", [-1, 5])
+def test_vertex_of_rejects_an_id_out_of_range(gid):
+    with pytest.raises(GraphFormatError, match="out of range"):
+        bc.complete_bipartite(2, 3).vertex_of(gid)
 
 
 def test_neighbors_and_degree():
@@ -90,6 +103,17 @@ def test_load_errors_carry_line_numbers(text, line):
         load_graph(text)
     if line:
         assert exc.value.line == line
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("1 x\n", "expected two integers"), ("-1 1\n", "nonnegative")],
+    ids=["token", "negative-header"],
+)
+def test_load_rejects_bad_tokens_and_negative_sizes(text, message):
+    with pytest.raises(GraphFormatError, match=message) as exc:
+        load_graph(text)
+    assert exc.value.line == 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -163,6 +187,19 @@ def test_distance_triangle_inequality(seed):
 # ---------------------------------------------------------------------------
 # Steiner trees
 
+def test_distance_needs_nonempty_sets():
+    with pytest.raises(ValueError, match="nonempty"):
+        graph_distance(bc.path(5), [], [("L", 0)])
+
+
+def test_steiner_needs_one_to_eight_terminals():
+    g = bc.path(18)
+    with pytest.raises(ValueError, match="at least one terminal"):
+        steiner_tree_size(g, [])
+    with pytest.raises(SizeCapError, match="at most 8 terminals"):
+        steiner_tree_size(g, [("L", i) for i in range(9)])
+
+
 def test_steiner_single_and_pair():
     g = bc.path(7)
     assert steiner_tree_size(g, [("L", 0)]) == 0
@@ -231,6 +268,21 @@ def test_random_biregular_is_biregular_and_deterministic():
 def test_random_biregular_rejects_impossible():
     with pytest.raises(ValueError):
         bc.random_biregular(2, 3, 4, seed=0)  # 8 stubs not divisible by 3
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [((0, 1, 1), "must be positive"), ((3, 3, 2), "no simple graph")],  # d_R = 3 > n_L = 2
+)
+def test_random_biregular_argument_errors(args, message):
+    with pytest.raises(ValueError, match=message):
+        bc.random_biregular(*args, seed=0)
+
+
+@pytest.mark.parametrize("make, n", [(bc.even_cycle, 5), (bc.path, 0)])
+def test_family_sizes_out_of_range(make, n):
+    with pytest.raises(ValueError):
+        make(n)
 
 
 def test_generate_dispatch():

@@ -336,6 +336,39 @@ def test_distribution_matches_occupancy(rng):
         assert direct == pytest.approx(summed, rel=1e-11, abs=1e-15)
 
 
+def test_distribution_at_zero_right_activity_lives_on_L():
+    # every set with an R-vertex weighs 0 and is left out
+    g, lam = bc.even_cycle(4), Fugacities(1.0, 0.0)
+    dist = bc.exact_distribution(g, lam)
+    assert dist == {
+        frozenset(s): 0.25 for s in ((), (("L", 0),), (("L", 1),), (("L", 0), ("L", 1)))
+    }
+
+
+@pytest.mark.parametrize(
+    "oracle_fn, args",
+    [
+        (bc.exact_log_Z, ()),
+        (bc.exact_occupancy, ([("R", 0)],)),
+        (bc.exact_distribution, ()),
+        (bc.exact_nu, ()),
+    ],
+    ids=["log_Z", "occupancy", "distribution", "nu"],
+)
+def test_real_only_oracles_refuse_complex_activities(oracle_fn, args):
+    lam = Fugacities(complex(1.0), complex(0.5))
+    with pytest.raises(ValueError, match="real activities"):
+        oracle_fn(bc.even_cycle(4), lam, *args)
+
+
+def test_complex_z_whose_terms_sum_past_the_float_range():
+    # the one L-vertex is the smaller side: the terms (1 + lambda_R)**20 =
+    # 9.1e307 and lambda_L = 1e308 fit a float, their sum does not
+    g = bc.star_center_L(20)
+    with pytest.raises(SizeCapError, match="Z overflows a complex float"):
+        bc.exact_Z_complex(g, Fugacities(complex(1e308), complex(2.5e15)))
+
+
 def test_distribution_cap():
     with pytest.raises(SizeCapError):
         bc.exact_distribution(bc.complete_bipartite(8, 8), Fugacities(1.0, 1.0))

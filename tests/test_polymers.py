@@ -14,11 +14,9 @@ from hypothesis import strategies as st
 import bipcore as bc
 from bipcore import (
     BipartiteGraph,
-    ClusterEngine,
     ComplexRegion,
     Fugacities,
     NotTwoLinkedError,
-    PolymerSystem,
     SizeCapError,
     all_polymers,
     enumerate_polymers,
@@ -27,7 +25,10 @@ from bipcore import (
     polymer_weight,
     polymers,
 )
-from bipcore.polymers import _is_two_linked, _link_masks, make_polymer, two_linked_adjacency
+from bipcore.clusters import ClusterEngine
+from bipcore.polymers import (
+    PolymerSystem, _is_two_linked, _link_masks, make_polymer, two_linked_adjacency
+)
 
 from conftest import random_bipartite, random_fugacities
 
@@ -151,6 +152,12 @@ def test_all_polymers_matches_brute_force(seed):
     assert len(set(masks)) == len(masks)  # exactly once
     assert set(masks) == _brute_polymer_masks(g, max_size)
     assert [p.vertices for p in ps] == sorted(p.vertices for p in ps)
+
+
+def test_enumerate_polymers_needs_an_existing_root():
+    g = bc.even_cycle(8)
+    with pytest.raises(ValueError, match="no R-vertex 4"):
+        list(enumerate_polymers(g, LAM, 4, 3))
 
 
 @settings(max_examples=40, deadline=None)

@@ -575,3 +575,19 @@ def test_exact_backend_refuses_a_xi_past_the_float_range():
         bc.exact_Xi(g, lam)
     with pytest.raises(SizeCapError, match="Xi past the float range"):
         IndependentSetSampler(g, lam, backend="exact")
+
+
+def test_exact_backend_refuses_a_xi_whose_coefficient_sum_overflows():
+    # one R-vertex joined to all 50 L-vertices, 19 isolated ones: every
+    # coefficient of Xi_R fits a float (the largest is 1.67e308), their sum
+    # does not
+    g = bc.BipartiteGraph(50, 20, [(u, 0) for u in range(50)])
+    with pytest.raises(SizeCapError, match="Xi past the float range"):
+        IndependentSetSampler(g, Fugacities(1.0, 1.458e16), backend="exact")
+
+
+def test_extend_refuses_complex_activities():
+    g = bc.even_cycle(8)
+    config = bc.sampler.PolymerConfig(chosen=(), decided_vertices=frozenset())
+    with pytest.raises(ValueError, match="real activities"):
+        bc.extend_to_independent_set(g, config, Fugacities(complex(10.0), complex(0.05)), 0)

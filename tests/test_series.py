@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bipcore as bc
-from bipcore import ClusterBudgetError, ClusterEngine, Fugacities, SeriesEngine
+from bipcore import ClusterBudgetError, Fugacities, SeriesEngine
 from bipcore import clusters, kernels
+from bipcore.clusters import ClusterEngine
 from bipcore.graph import _bits, _components
 from bipcore.polymers import _connected_sets, _fsum, _link_masks, _two_linked_sets, _weight
 
@@ -266,9 +267,14 @@ def test_budget_counts_stored_coefficients(monkeypatch):
     assert len(engine.connected_sets()) == 63
 
 
+def test_engine_needs_a_positive_depth():
+    with pytest.raises(ValueError, match="m must be at least 1"):
+        SeriesEngine(bc.even_cycle(8), Fugacities(10.0, 0.05), 0)
+
+
 def test_reference_caches_live_with_their_engine():
     g = bc.complete_bipartite(3, 3)
-    assert len(list(bc.enumerate_clusters(g, Fugacities(1.0, 1.0), 6))) > 0
+    assert len(list(clusters.enumerate_clusters(g, Fugacities(1.0, 1.0), 6))) > 0
     bc.ursell_deletion_contraction(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
     for name, value in vars(clusters).items():
         if not name.startswith("__") and isinstance(value, (dict, list, set)):
