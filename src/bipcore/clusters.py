@@ -651,9 +651,9 @@ class SeriesEngine:
 
         Earlier queries' series stay memoised.  When they leave this query
         too little room, the memo is dropped and the query runs again on an
-        empty one, so it is charged what a fresh engine would store: a memo
-        holds every series its entries were built from, so success on a
-        full memo implies success on an empty one."""
+        empty one, charging the 2-linked sets again through ``connected_sets``
+        as a fresh engine would.  A memo holds every series its entries were
+        built from, so success on a full memo implies success on an empty one."""
         warm = bool(self._xi)
         try:
             table = self._cluster_series(A)
@@ -661,7 +661,7 @@ class SeriesEngine:
             if not warm:
                 raise
             self._xi.clear()
-            self._stored = sum(self.m - T.bit_count() for T in self._sets or ())
+            self._sets, self._stored = None, 0
             table = self._cluster_series(A)
         return _fsum([c for f in table.values() for c in f]), len(table)
 

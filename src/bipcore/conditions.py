@@ -88,6 +88,7 @@ from .polymers import (
 BOUNDARY_REL_TOL = 1e-12
 ANALYTIC_ETA = 0.1
 KP_DEPTH = 6  # the per-vertex route sums 2-linked sets up to this size exactly
+# no library path reads it; release criterion 6 pins it
 SERIES_RATIO_LIMIT = 0.832  # sum_{k>=1} s^k / k^(3/2) < e/2 for s up to here
 
 
@@ -100,18 +101,22 @@ class ConditionCheck:
     boundary: bool
 
 
-def _profile_tuple(profile) -> tuple[int, int, int]:
-    if isinstance(profile, DegreeProfile):
-        return profile.delta_L_max, profile.delta_R_min, profile.delta_R_max
+def _profile_tuple(profile) -> DegreeProfile:
+    """The DegreeProfile of each shape check_main_condition takes; a pair is biregular."""
     if isinstance(profile, BipartiteGraph):
-        return _profile_tuple(degree_profile(profile))
-    d_L, d_R_min, d_R_max = profile
-    return int(d_L), int(d_R_min), int(d_R_max)
+        return degree_profile(profile)
+    if isinstance(profile, DegreeProfile):
+        return profile
+    degs = [int(x) for x in profile]
+    if len(degs) not in (2, 3):
+        raise ValueError(f"a profile tuple is (d_L, d_R) or (d_L, d_R_min, d_R_max), not {profile!r}")
+    return DegreeProfile(degs[0], degs[0], degs[1], degs[-1])
 
 
 def _imbalance(profile, act_L: float, act_R: float) -> ConditionCheck:
     """6 d_L d_R_max act_R against (1 + act_L)**(d_R_min / d_L)."""
-    d_L, d_R_min, d_R_max = _profile_tuple(profile)
+    prof = _profile_tuple(profile)
+    d_L, d_R_min, d_R_max = prof.delta_L_max, prof.delta_R_min, prof.delta_R_max
     if d_L < 1 or d_R_max < 1:
         raise StructuralMismatchError("condition needs positive maximum degrees")
     lhs = 6.0 * d_L * d_R_max * act_R
@@ -128,9 +133,9 @@ def _imbalance(profile, act_L: float, act_R: float) -> ConditionCheck:
 def check_main_condition(profile, lam: Fugacities) -> ConditionCheck:
     """The imbalance condition above for real activities.
 
-    ``profile`` may be a graph, a DegreeProfile, or a (max_deg_L, min_deg_R,
-    max_deg_R) tuple.  Near-boundary comparisons (relative gap below 1e-12)
-    are flagged as boundary and counted as satisfied.
+    ``profile`` may be a graph, a DegreeProfile, a biregular pair (d_L, d_R)
+    or a (max_deg_L, min_deg_R, max_deg_R) triple.  Near-boundary comparisons
+    (relative gap below 1e-12) are flagged as boundary and counted as satisfied.
     """
     if not lam.is_real:
         raise ValueError("main condition takes real activities; see check_complex_region")
@@ -145,24 +150,21 @@ def check_corollary(profile, lam: Fugacities, part: Literal[1, 2, 3]) -> bool:
             lambda > (6 d_L d_R) ** (d_L / (d_R - d_L)).
     part 3: biregular, both activities 1, d_L >= 6; d_R >= 7 d_L ln(d_L).
 
-    Raises StructuralMismatchError when the graph or activities do not match
-    the part's shape.  For part 3 the d_L >= 6 floor is structural: below
-    it this criterion does not imply the main condition.
+    ``profile`` is a graph, a DegreeProfile, a pair (d_L, d_R) or a triple
+    (d_L, d_R_min, d_R_max).  Raises StructuralMismatchError when it or the
+    activities do not match the part's shape.  For part 3 the d_L >= 6 floor
+    is structural: below it this criterion does not imply the main condition.
     """
     if not lam.is_real:
         raise ValueError("corollary checks take real activities")
-    if isinstance(profile, BipartiteGraph):
-        profile = degree_profile(profile)
-    if isinstance(profile, DegreeProfile):
-        if not profile.is_biregular:
-            raise StructuralMismatchError("corollary parts need biregular degrees")
-        d_L, d_R = profile.delta_L_max, profile.delta_R_max
-    else:
-        d_L, d_R = (int(x) for x in profile)
+    prof = _profile_tuple(profile)
+    if not prof.is_biregular:
+        raise StructuralMismatchError("corollary parts need biregular degrees")
+    d_L, d_R = prof.delta_L_max, prof.delta_R_max
     if d_L < 1 or d_R < 1:
         raise StructuralMismatchError("degrees must be positive")
     if part == 1:
-        if d_L != d_R:
+        if not prof.is_regular:
             raise StructuralMismatchError("part 1 needs a regular graph")
         return lam.lambda_L >= 6.0 * d_L * d_L * lam.lambda_R
     if part == 2:
@@ -420,5 +422,6 @@ def certify_kp(g: BipartiteGraph, lam: Fugacities, eta: float = ANALYTIC_ETA) ->
 
 def check_complex_region(profile, region: ComplexRegion) -> ConditionCheck:
     """Zero-freeness condition for a complex region: the main condition
-    arithmetic applied to the region bounds."""
+    arithmetic applied to the region bounds; ``profile`` is a graph, a
+    DegreeProfile, a pair (d_L, d_R) or a triple (d_L, d_R_min, d_R_max)."""
     return _imbalance(profile, region.bound_L, region.bound_R)

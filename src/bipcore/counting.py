@@ -19,7 +19,7 @@ import numpy as np
 from .clusters import ExpansionEstimate, truncated_expansion
 from .conditions import KPCertificate, _check_epsilon, certify_kp, check_complex_region, choose_m
 from .errors import CertificationError, ClusterBudgetError, SizeCapError
-from .graph import BipartiteGraph, degree_profile
+from .graph import BipartiteGraph
 from .polymers import ComplexRegion, Fugacities
 # exact_Z_complex stays bound here, where perfbench/spans.py wraps it
 from .oracle import _z_complex_at, exact_Z_complex  # noqa: F401
@@ -103,8 +103,6 @@ def approx_log_Z(
         "refusing to emit an uncertified approximation (the exact oracle handles small graphs)"
     )
     m_requested = choose_m(g.n_R, epsilon, cert.eta) if m is None else m
-    if m_requested < 1:
-        raise ValueError("m must be at least 1")
     est = _fit_depth(
         lambda m_try: truncated_expansion(g, lam, m_try, certificate=cert), m_requested
     )
@@ -204,8 +202,7 @@ def zero_probe(
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    prof = degree_profile(g)
-    cond = check_complex_region(prof, region)
+    cond = check_complex_region(g, region)
     if not cond.satisfied:
         raise CertificationError(
             "region fails the zero-freeness condition "

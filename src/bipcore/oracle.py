@@ -229,12 +229,11 @@ def exact_occupancy(g: BipartiteGraph, lam: Fugacities, vertices) -> float:
         factor *= lam.lambda_L if gid < g.n_L else lam.lambda_R
     if factor == 0.0:
         return 0.0
-    profiles = _graph_profile(g)
+    log_den = exact_log_Z(g, lam)
     free = ((1 << g.n_vertices) - 1) & ~(target | reach)
     log_num = math.log(factor) + math.fsum(
         _log_z(_side_profile(adj, g.n_L, c), lam) for c in _components(adj, free)
     )
-    log_den = math.fsum(_log_z(p, lam) for p in profiles)
     return math.exp(log_num - log_den)
 
 

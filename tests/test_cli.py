@@ -551,6 +551,21 @@ def test_decay_csv_output(cycle_file, capsys):
     assert all(l.endswith("true") for l in lines[1:])
 
 
+def test_decay_rows_across_components_hold(tmp_path, capsys):
+    two_squares = [(i, j) for c in (0, 2) for i in (c, c + 1) for j in (c, c + 1)]
+    path = tmp_path / "c4c4.graph"
+    path.write_text(graph_to_text(bc.BipartiteGraph(4, 4, two_squares)))
+    code, out, _ = run(
+        capsys, "decay", str(path), "--lambda-l", "10", "--lambda-r", "0.05",
+        "--pair", "R:0,R:2", "--pair", "R:0,R:1", "--set-pair", "R:0|R:2,L:3",
+    )
+    assert code == 0
+    rows = out.splitlines()[1:]
+    # rows 0 and 2 join the two squares; row 1 stays inside one
+    assert [r.split(",")[2:] for r in rows[::2]] == [["inf", "0.0", "0.0", "true"]] * 2
+    assert all(r.endswith(",true") for r in rows) and len(rows) == 3
+
+
 def test_decay_needs_a_query(cycle_file, capsys):
     code, _, _ = run(
         capsys, "decay", cycle_file, "--lambda-l", "10", "--lambda-r", "0.05"

@@ -142,6 +142,62 @@ def test_corollary_argument_errors(profile, lam, part, error, message):
         check_corollary(profile, lam, part)
 
 
+# ---------------------------------------------------------------------------
+# the one degree-profile reader: each check reads every shape alike
+
+PROFILE_CHECKS = {
+    "main": lambda p: check_main_condition(p, Fugacities(54.0, 1.0)),
+    "complex": lambda p: check_complex_region(p, ComplexRegion(10.0, 0.1)),
+    "corollary": lambda p: check_corollary(p, Fugacities(54.0, 1.0), 1),
+}
+
+
+def _outcome(check, profile):
+    try:
+        return check(profile)
+    except StructuralMismatchError as e:
+        return f"StructuralMismatchError: {e}"
+
+
+@pytest.mark.parametrize("check", PROFILE_CHECKS.values(), ids=PROFILE_CHECKS.keys())
+@pytest.mark.parametrize(
+    "g",
+    [
+        bc.even_cycle(8),  # 2-regular
+        bc.complete_bipartite(3, 3),  # 3-regular
+        bc.complete_bipartite(5, 2),  # (2, 5)-biregular
+        bc.BipartiteGraph(2, 3, [(0, 0), (0, 1), (1, 1), (1, 2)]),  # R-degrees 1 and 2
+    ],
+    ids=["c8", "k33", "k52", "r-spread"],
+)
+def test_every_profile_shape_gives_the_graphs_result(check, g):
+    prof = bc.degree_profile(g)
+    triple = (prof.delta_L_max, prof.delta_R_min, prof.delta_R_max)
+    shapes = [prof, triple]
+    if prof.is_biregular:
+        shapes.append((prof.delta_L_max, prof.delta_R_max))
+    expected = _outcome(check, g)
+    assert all(_outcome(check, shape) == expected for shape in shapes)
+
+
+def test_corollary_reads_a_triple():
+    lam = Fugacities(54.0, 1.0)
+    assert check_corollary((3, 3, 3), lam, 1) is True
+    assert check_corollary((3, 3, 3), lam, 1) == check_corollary((3, 3), lam, 1)
+    assert check_main_condition((3, 3), lam) == check_main_condition((3, 3, 3), lam)
+    region = ComplexRegion(10.0, 0.1)
+    assert check_complex_region((1, 1), region) == check_complex_region((1, 1, 1), region)
+    with pytest.raises(StructuralMismatchError, match="biregular"):
+        check_corollary((3, 3, 4), lam, 1)
+
+
+@pytest.mark.parametrize("check", PROFILE_CHECKS.values(), ids=PROFILE_CHECKS.keys())
+@pytest.mark.parametrize("profile", [(3,), (2, 3, 3, 3)], ids=["1-tuple", "4-tuple"])
+def test_profile_tuples_of_other_lengths_are_refused(check, profile):
+    with pytest.raises(ValueError, match=r"\(d_L, d_R\) or \(d_L, d_R_min, d_R_max\)"):
+        check(profile)
+
+
 def test_corollary_implies_main_condition_samples(rng):
     # randomized soundness of each special case
     for _ in range(60):

@@ -350,13 +350,33 @@ def test_decay_rejects_a_depth_below_one_before_any_query(m, monkeypatch):
         decay_experiment(CERT_G, CERT_LAM, queries, m=m)
 
 
-def test_disconnected_pair_distance_inf():
+def test_disconnected_pair_distance_inf(monkeypatch):
     g = bc.BipartiteGraph(2, 2, [(0, 0), (1, 1)])
     rows = decay_experiment(
         g, Fugacities(10.0, 0.05), [("pair", ("R", 0), ("R", 1))]
     )
     assert math.isinf(rows[0].distance_or_mst)
     assert rows[0].bound == 0.0
+    # sets in different components are independent: each row reads 0 and
+    # holds, with no oracle call; complex activities define no measure, and
+    # the oracle still refuses them
+    g = bc.BipartiteGraph(2, 3, [(0, 0), (1, 1)])  # R:2 is isolated
+    with pytest.raises(ValueError, match="real activities"):
+        decay_experiment(g, Fugacities(10.0 + 0j, 0.05 + 0j), [("pair", ("R", 0), ("R", 2))])
+
+    def no_query(*args):
+        raise AssertionError("an oracle query ran")
+
+    monkeypatch.setattr(bc.oracle, "exact_marginal", no_query)
+    queries = [
+        ("pair", ("R", 0), ("R", 2)),
+        ("set_pair", [("R", 0)], [("R", 2)]),
+        ("pair", ("L", 0), ("R", 1)),
+        ("set_pair", [("L", 0), ("R", 0)], [("L", 1), ("R", 2)]),
+    ]
+    rows = decay_experiment(g, Fugacities(10.0, 0.05), queries)
+    assert [r.distance_or_mst for r in rows] == [math.inf] * 4
+    assert [(r.value, r.bound, r.satisfied) for r in rows] == [(0.0, 0.0, True)] * 4
 
 
 def test_csv_format():
