@@ -21,6 +21,7 @@ sets, including sets that touch L (via an inclusion-exclusion factor
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 from typing import Callable, Mapping, Sequence
@@ -162,7 +163,10 @@ def _normalize_R_set(g: BipartiteGraph, A) -> tuple[int, ...]:
             if side != "R":
                 raise ValueError(f"cluster-formula cumulants take R-vertices, got {v!r}")
             v = i
-        v = int(v)
+        try:
+            v = operator.index(v)
+        except TypeError:
+            raise ValueError(f"R-vertex index {v!r} is not an integer") from None
         if not 0 <= v < g.n_R:
             raise ValueError(f"no R-vertex {v}")
         out.append(v)
@@ -231,8 +235,8 @@ class DecayRow:
 
 def _as_vertex(g: BipartiteGraph, v) -> Vertex:
     side, i = v
-    g.global_id((side, int(i)))
-    return (side, int(i))
+    g.global_id(v)  # raises GraphFormatError for a missing or non-integer index
+    return (side, operator.index(i))
 
 
 @_inf_past_float_range
@@ -306,7 +310,12 @@ def decay_experiment(
     )
     rows: list[DecayRow] = []
     for qid, query in enumerate(queries):
-        kind = query[0]
+        kind = query[0] if len(query) else None
+        if (kind, len(query)) not in (("pair", 3), ("cumulant", 2), ("set_pair", 3)):
+            raise ValueError(
+                "a decay query is ('pair', u, v), ('cumulant', A) or ('set_pair', A, B), "
+                f"not {query!r}"
+            )
         if kind == "cumulant":
             verts = _normalize_R_set(g, query[1])
             mst = steiner_tree_size(g, [("R", i) for i in verts])
@@ -314,8 +323,8 @@ def decay_experiment(
             value = abs(q.value)
             dist = mst
             bound = _cumulant_bound(len(verts), cert.eta, mst)
-        elif kind in ("pair", "set_pair"):
-            A, B = query[1:3]
+        else:
+            A, B = query[1:]
             if kind == "pair":
                 A, B = [A], [B]
             A = [_as_vertex(g, x) for x in A]
@@ -330,8 +339,6 @@ def decay_experiment(
                 mu_ab, mu_a, mu_b = (oracle.exact_marginal(g, lam, X) for X in (set(A) | set(B), A, B))
                 value = abs(mu_ab - mu_a * mu_b)
             bound = _set_pair_bound(g, A, B, dist, cert.eta)
-        else:
-            raise ValueError(f"unknown query kind {kind!r}")
         rows.append(
             DecayRow(
                 query_id=qid,

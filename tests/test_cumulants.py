@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from bipcore import (
     CertificationError,
     ClusterBudgetError,
     Fugacities,
+    GraphFormatError,
     SizeCapError,
     bell_number,
     cumulant_decay_constant,
@@ -244,6 +246,8 @@ def test_vertex_set_validation():
         truncated_cumulant(CERT_G, CERT_LAM, [("L", 0)], m=4)
     with pytest.raises(ValueError):
         truncated_cumulant(CERT_G, CERT_LAM, [99], m=4)
+    with pytest.raises(ValueError, match="not an integer"):
+        truncated_cumulant(CERT_G, CERT_LAM, [("R", 1.5)], m=4)
     with pytest.raises(ValueError):
         truncated_cumulant(CERT_G, CERT_LAM, [0], m=0)
     with pytest.raises(ValueError):
@@ -251,7 +255,7 @@ def test_vertex_set_validation():
 
 
 def test_accepts_side_tuples_and_sorts():
-    q = truncated_cumulant(CERT_G, CERT_LAM, [("R", 3), ("R", 1)], m=6)
+    q = truncated_cumulant(CERT_G, CERT_LAM, [("R", 3), ("R", np.int64(1))], m=6)
     assert q.vertices == (1, 3)
 
 
@@ -336,6 +340,26 @@ def test_decay_rejects_bad_queries():
         )
     with pytest.raises(CertificationError):
         decay_experiment(bc.star_center_L(2), Fugacities(1.0, 1.0), [("cumulant", [0])])
+
+
+@pytest.mark.parametrize(
+    "query",
+    [("cumulant",), (), ("pair", ("R", 0)), ("pair", ("R", 0), ("R", 1), ("R", 2))],
+    ids=["cumulant-short", "empty", "pair-short", "pair-long"],
+)
+def test_decay_rejects_a_query_of_the_wrong_shape(query):
+    with pytest.raises(ValueError, match=r"\('pair', u, v\), \('cumulant', A\) or \('set_pair', A, B\)"):
+        decay_experiment(CERT_G, CERT_LAM, [query])
+
+
+def test_decay_rejects_a_non_integer_vertex_index():
+    with pytest.raises(GraphFormatError, match="not an integer"):
+        decay_experiment(CERT_G, CERT_LAM, [("pair", ("R", 1.5), ("R", 0))])
+    with pytest.raises(ValueError, match="not an integer"):
+        decay_experiment(CERT_G, CERT_LAM, [("cumulant", [("R", 1.5)])])
+    # NumPy integers are integers
+    (row,) = decay_experiment(CERT_G, CERT_LAM, [("pair", ("R", np.int64(1)), ("R", 0))])
+    assert row.distance_or_mst == 2
 
 
 @pytest.mark.parametrize("m", [0, -5])

@@ -53,7 +53,11 @@ def test_duplicate_edges_rejected():
         BipartiteGraph(1, 2, [(0, 0), (0, 0)])
 
 
-@pytest.mark.parametrize("vertex", [("L", 2), ("R", -1), ("X", 0)], ids=["L-range", "R-range", "side"])
+@pytest.mark.parametrize(
+    "vertex",
+    [("L", 2), ("R", -1), ("X", 0), ("R", 1.5)],
+    ids=["L-range", "R-range", "side", "non-integer"],
+)
 def test_global_id_rejects_a_missing_vertex(vertex):
     with pytest.raises(GraphFormatError):
         bc.complete_bipartite(2, 3).global_id(vertex)
@@ -217,6 +221,29 @@ def test_steiner_star_three_leaves():
     g = bc.star_center_L(3)
     verts = [("R", 0), ("R", 1), ("R", 2)]
     assert steiner_tree_size(g, verts) == 3
+
+
+@pytest.mark.parametrize("n", [8, 40, 2000])
+def test_steiner_on_an_even_cycle_is_the_cycle_less_its_largest_gap(n):
+    # R-vertex i sits at cycle position 2i + 1, so the tree is the cycle
+    # less the largest gap between cyclically consecutive terminals
+    g = bc.even_cycle(n)
+    rng = np.random.Generator(np.random.Philox(n))
+    for t in range(1, min(8, n // 2) + 1):
+        terms = sorted(int(i) for i in rng.choice(n // 2, t, replace=False))
+        pos = [2 * i + 1 for i in terms]
+        gaps = [b - a for a, b in zip(pos, pos[1:])] + [pos[0] + n - pos[-1]]
+        assert steiner_tree_size(g, [("R", i) for i in terms]) == n - max(gaps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_steiner_of_two_terminals_is_their_distance(seed):
+    rng = np.random.Generator(np.random.Philox(seed))
+    g = random_bipartite(rng, 8, 8, 0.3)
+    vs = list(g.vertices())
+    a, b = (vs[int(i)] for i in rng.choice(len(vs), 2, replace=False))
+    assert steiner_tree_size(g, [a, b]) == graph_distance(g, [a], [b])
 
 
 @settings(max_examples=40, deadline=None)
