@@ -28,7 +28,7 @@ from .clusters import SeriesEngine
 from .conditions import certify_kp, check_corollary, check_main_condition
 from .counting import approx_log_Z, zero_probe
 from .cumulants import decay_experiment, decay_rows_to_csv
-from .errors import BipcoreError, CertificationError
+from .errors import BipcoreError, CertificationError, ClusterBudgetError
 from .graph import BipartiteGraph, Vertex, _bits, degree_profile, load_graph
 from .polymers import ComplexRegion, Fugacities
 from .sampler import IndependentSetSampler
@@ -169,8 +169,18 @@ def cmd_count(args) -> int:
     except CertificationError as exc:
         raise CertificationError(f"{exc}; try `exact`") from None
     if args.dump_clusters:
-        engine = SeriesEngine(g, lam, res.m_used)
-        for T, value in engine.set_contributions().items():
+        # the estimate needs the table only for link components of m or more
+        # vertices, so m_used can be a depth whose table does not fit
+        try:
+            table = SeriesEngine(g, lam, res.m_used).set_contributions()
+        except ClusterBudgetError:
+            print(
+                f"warning: the cluster table at m={res.m_used} passes the cluster budget; "
+                "no clusters dumped",
+                file=sys.stderr,
+            )
+            table = {}
+        for T, value in table.items():
             print(f"set={','.join(map(str, _bits(T)))} value={value!r}", file=sys.stderr)
     if res.degraded:
         print(

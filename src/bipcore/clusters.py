@@ -25,6 +25,7 @@ with multiplicity) strictly below m.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
@@ -417,9 +418,11 @@ class SeriesEngine:
                  the coefficients of f_T from z**|T| to z**(m-1),
 
     the coefficient-extraction route of Helmuth-Perkins-Regts (arXiv
-    1806.11548, Thm 2.2), with no Ursell functions.  Once the table of f_T
-    is built the engine keeps scalars, not series: per set T, the sum of
-    f_T's kept coefficients and T_m(T).
+    1806.11548, Thm 2.2), with no Ursell functions.  ``log_xi`` builds the
+    table of f_T only to split a link component of m or more vertices; the
+    truncated sampler builds it before its first draw.  Once built the
+    engine keeps scalars, not series: per set T, the sum of f_T's kept
+    coefficients and T_m(T).
 
     Cumulants of the R-vertices in A weight each polymer by
     prod_{v in gamma and A} (1 + t_v) with t_v**2 = 0.  That weighted Xi_T
@@ -431,12 +434,13 @@ class SeriesEngine:
     ``MAX_COEFFICIENTS``, read at construction, bounds the series
     coefficients the engine stores (the m - |T| of each f_T and those of
     each memoised Xi_S); ClusterBudgetError is raised before that bound is
-    passed.  The m coefficients of each log Xi_C that the step above reads
-    are not charged: they live only while the table is built, and for
-    every 2-linked T they number at most the m - |T| of f_T plus the
-    |T| + 1 of Xi_T already charged, so they at most double the peak.  A
-    cumulant query succeeds exactly when it would on a fresh engine,
-    whatever queries came before it.
+    passed.  A component below m charges only the Xi_S its recursion
+    memoises, a subset of what the table charges.  The m coefficients of
+    each log Xi_C that the step above reads are not charged: they live only
+    while the table is built, and for every 2-linked T they number at most
+    the m - |T| of f_T plus the |T| + 1 of Xi_T already charged, so they at
+    most double the peak.  A cumulant query succeeds exactly when it would
+    on a fresh engine, whatever queries came before it.
     """
 
     def __init__(self, g: BipartiteGraph, lam: Fugacities, m: int):
@@ -482,9 +486,21 @@ class SeriesEngine:
             for gamma, reach in _grown_sets(self._links, root, self.m - 1, S, self._marks)
         ]
 
+    def _mask(self, S: int) -> int:
+        """S as a set of R-vertices: an integer with 0 <= S < 2**n_R."""
+        n_R = self.graph.n_R
+        try:
+            mask = operator.index(S)
+        except TypeError:
+            mask = -1
+        if not 0 <= mask < 1 << n_R:
+            raise ValueError(f"set {S!r} is not an integer mask in [0, 2**{n_R})")
+        return mask
+
     def xi(self, S: int) -> list[Scalar]:
-        """Coefficients of Xi_S(z) from z**0 to z**min(|S|, m - 1)."""
-        return self._xi_on(S, _pivot)
+        """Coefficients of Xi_S(z) from z**0 to z**min(|S|, m - 1).  S is
+        an integer mask with 0 <= S < 2**n_R; ValueError otherwise."""
+        return self._xi_on(self._mask(S), _pivot)
 
     def _xi_on(self, S: int, vertex: Callable[[Sequence[int], int], int]) -> list[Scalar]:
         """``xi``, recursing on vertex(links, S') for each set S' it adds to
@@ -522,7 +538,7 @@ class SeriesEngine:
     def _plain_log(self, T: int) -> list[Scalar]:
         """log Xi_T, z**0 to z**(m-1): ``_log_coefficients(T, [])`` in plain
         floats, the same operations in the same order."""
-        G = self.xi(T)
+        G = self._xi_on(T, _pivot)
         deg = len(G) - 1
         F = [0.0]
         for k in range(1, self.m):
@@ -543,7 +559,7 @@ class SeriesEngine:
             removed = 0
             for i in _bits(C):
                 removed |= 1 << A[i]
-            rows.append(self.xi(T & ~removed))
+            rows.append(self._xi_on(T & ~removed, _pivot))
         deg = len(rows[0]) - 1
         G = [[row[k] if k < len(row) else 0.0 for row in rows] for k in range(deg + 1)]
         # in place: G[k][B] becomes sum over C in B of (-1)**|C| Xi_{T-C}[k]
@@ -612,17 +628,22 @@ class SeriesEngine:
 
     def log_xi(self, S: int | None = None) -> Scalar:
         """T_m(S), the expansion of log Xi_S truncated at total size m
-        (S = all of R by default): the sum of T_m(C) over the link
-        components C of S, each memoised as one scalar.
+        (S = all of R by default, else a mask as in ``xi``): the sum of
+        T_m(C) over the link components C of S, each memoised as one scalar.
 
         A 2-linked T with |T| < m has every 2-linked subset below m, so
-        T_m(T) sums log Xi_T's coefficients below z**m; ``set_contributions``
-        stores those.  A larger component C splits at v = min C into the
-        2-linked sets through v, which add their contributions, and the
-        components of C - v, whose T_m come from the memo."""
-        if S is None:
-            S = (1 << self.graph.n_R) - 1
-        plain = self.set_contributions()
+        T_m(T) sums log Xi_T's coefficients below z**m: one log of Xi_T,
+        with no table of f_T.  Only a component of m or more vertices needs
+        the table: it splits at v = min C into the 2-linked sets through v,
+        which add their ``set_contributions``, and the components of C - v,
+        whose T_m come from the memo.  The table stores T_m(T) for every
+        such T as it is built, with the same bits, so the order of calls
+        does not change a value; the truncated sampler builds it up front,
+        and its draws then read only memo hits."""
+        return self._log_xi((1 << self.graph.n_R) - 1 if S is None else self._mask(S))
+
+    def _log_xi(self, S: int) -> Scalar:
+        """``log_xi`` of a mask S, unchecked, for the sampler's draws."""
         links, memo, cap = self._links, self._tm, self.m - 1
         parts = []
         for C in _components(links, S):
@@ -632,6 +653,9 @@ class SeriesEngine:
                 if D in memo:
                     pending.pop()
                     continue
+                if D.bit_count() < self.m:
+                    memo[pending.pop()] = _fsum(self._plain_log(D))
+                    continue
                 v = (D & -D).bit_length() - 1
                 rest = list(_components(links, D & ~(1 << v)))
                 missing = [E for E in rest if E not in memo]
@@ -639,6 +663,7 @@ class SeriesEngine:
                     pending.extend(missing)
                     continue
                 pending.pop()
+                plain = self.set_contributions()
                 vals = [plain[gamma] for gamma in _connected_sets(links, v, cap, D)]
                 vals.extend(memo[E] for E in rest)
                 memo[D] = _fsum(vals)

@@ -23,20 +23,30 @@ Vertex = tuple[Side, int]
 STEINER_TERMINAL_CAP = 8
 
 
+def _index(x, what: str) -> int:
+    """x as a Python int when it is an integer (NumPy's included); a float,
+    a string or any other type raises GraphFormatError."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise GraphFormatError(f"{what} {x!r} is not an integer") from None
+
+
 class BipartiteGraph:
     """Immutable bipartite graph.
 
-    Edges are (L-index, R-index) pairs.  Construction validates index ranges
-    and rejects duplicate edges.  Edge order is preserved so serialization
-    round-trips exactly.
+    Edges are (L-index, R-index) pairs of integers.  Construction validates
+    index types and ranges and rejects duplicate edges.  Edge order is
+    preserved so serialization round-trips exactly.
     """
 
     __slots__ = ("n_L", "n_R", "edges", "adj_L", "adj_R", "_hash")
 
     def __init__(self, n_L: int, n_R: int, edges: Iterable[tuple[int, int]]):
+        n_L, n_R = _index(n_L, "side size"), _index(n_R, "side size")
         if n_L < 0 or n_R < 0:
             raise GraphFormatError("side sizes must be nonnegative")
-        edges = tuple((int(u), int(v)) for u, v in edges)
+        edges = tuple((_index(u, "L-index"), _index(v, "R-index")) for u, v in edges)
         adj_L = [0] * n_L
         adj_R = [0] * n_R
         seen = set()
@@ -85,10 +95,7 @@ class BipartiteGraph:
 
     def global_id(self, vertex: Vertex) -> int:
         side, i = vertex
-        try:
-            i = operator.index(i)
-        except TypeError:
-            raise GraphFormatError(f"vertex index {i!r} is not an integer") from None
+        i = _index(i, "vertex index")
         if side == "L":
             if not 0 <= i < self.n_L:
                 raise GraphFormatError(f"no L-vertex {i}")
@@ -100,6 +107,7 @@ class BipartiteGraph:
         raise GraphFormatError(f"bad side {side!r}")
 
     def vertex_of(self, gid: int) -> Vertex:
+        gid = _index(gid, "global id")
         if 0 <= gid < self.n_L:
             return ("L", gid)
         if self.n_L <= gid < self.n_vertices:

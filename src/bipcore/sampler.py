@@ -212,15 +212,15 @@ class IndependentSetSampler:
             self.m_requested = self.m_step = None
             # Xi_S has degree |S|: depth n_R + 1 keeps every coefficient
             self._engine = SeriesEngine(g, lam, g.n_R + 1)
-            xi = self._engine.xi
+            xi = self._engine._xi_on
             # log Xi_S, the restricted partition function a conditional reads
-            self._log_xi = lambda S: math.log(math.fsum(xi(S)))
+            self._log_xi = lambda S: math.log(math.fsum(xi(S, _lowest)))
             # the walk's states are the sets of the recursion for Xi_R on
             # v = min S, so building Xi_R by it memoises every series a draw
             # reads; the weights being >= 0, each is coefficientwise at most
             # Xi_R's
             try:
-                xi_R = math.fsum(self._engine._xi_on((1 << g.n_R) - 1, _lowest))
+                xi_R = math.fsum(xi((1 << g.n_R) - 1, _lowest))
             except (OverflowError, ValueError):
                 xi_R = math.inf
             if not math.isfinite(xi_R):
@@ -239,7 +239,7 @@ class IndependentSetSampler:
 
             self._engine = _fit_depth(build, min(self.m_requested, TRUNCATION_DEPTH_CAP))
             self.m_step = self._engine.m
-            self._log_xi = self._engine.log_xi
+            self._log_xi = self._engine._log_xi
         else:
             raise ValueError(f"unknown backend {backend!r}")
         self.degraded = self.m_step is not None and self.m_step < self.m_requested

@@ -259,6 +259,25 @@ def test_count_dump_clusters_on_a_ten_cycle(tmp_path, capsys):
     assert math.fsum(values) == bc.truncated_expansion(bc.even_cycle(10), lam, 29).value
 
 
+def test_count_dump_clusters_warns_when_the_table_does_not_fit(tmp_path, capsys, monkeypatch):
+    # the count reaches m = 36 with one log per component; the table at
+    # m = 36 passes the budget, so the dump is skipped with a warning
+    monkeypatch.setattr(bc.clusters, "MAX_COEFFICIENTS", 2_000)
+    p = tmp_path / "c16.txt"
+    p.write_text(graph_to_text(bc.even_cycle(16)))
+    argv = ("count", str(p), "--lambda-l", "20", "--lambda-r", "0.05", "--eps", "0.001", "--json")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    code, dumped, err = run(capsys, *argv, "--dump-clusters")
+    assert code == 0
+    assert json.loads(out)["m_used"] == json.loads(dumped)["m_used"] == 36
+    warnings = [l for l in err.splitlines() if "cluster table" in l]
+    assert warnings == [
+        "warning: the cluster table at m=36 passes the cluster budget; no clusters dumped"
+    ]
+    assert not any(l.startswith("set=") for l in err.splitlines())
+
+
 # ---------------------------------------------------------------------------
 # exact
 

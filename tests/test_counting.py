@@ -155,6 +155,25 @@ def test_even_cycle_10_reaches_the_requested_depth():
     assert abs(res.log_Z_estimate - bc.exact_log_Z(g, lam)) <= res.error_bound
 
 
+def test_one_log_per_small_component_reaches_past_the_table(monkeypatch):
+    # at m = 90 the table of C_16's 8-vertex link cycle overruns 5,000
+    # coefficients; its one component, below m, needs no table
+    monkeypatch.setattr(clusters, "MAX_COEFFICIENTS", 5_000)
+    g, lam = bc.even_cycle(16), Fugacities(20.0, 0.05)
+    res = approx_log_Z(g, lam, epsilon=0.001)
+    assert res.m_used == 90 and not res.degraded
+    assert abs(res.log_Z_estimate - bc.exact_log_Z(g, lam)) <= res.error_bound
+
+
+def test_a_biregular_sixteen_reaches_depth_eighteen():
+    # n_R = 16 in one component: below m = 18 it is one log of Xi, while
+    # the cluster table degraded the count to m = 8
+    g, lam = bc.random_biregular(3, 3, 16, seed=0), Fugacities(1.0, 0.03)
+    res = approx_log_Z(g, lam, epsilon=0.01)
+    assert res.m_used == 18
+    assert abs(res.log_Z_estimate - bc.exact_log_Z(g, lam)) <= 1e-12
+
+
 def test_json_fields_exact():
     g = bc.complete_bipartite(1, 1)
     res = approx_log_Z(g, Fugacities(10.0, 0.1), epsilon=0.1)

@@ -69,6 +69,27 @@ def test_vertex_of_rejects_an_id_out_of_range(gid):
         bc.complete_bipartite(2, 3).vertex_of(gid)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [(2, 2, [(0.5, 1.9)]), (2, 2, [("0", "1")]), (2.0, 2, []), (2, "2", [])],
+    ids=["float-endpoints", "string-endpoints", "float-size", "string-size"],
+)
+def test_construction_takes_only_integer_indices(args):
+    with pytest.raises(GraphFormatError, match="is not an integer"):
+        BipartiteGraph(*args)
+
+
+def test_construction_takes_numpy_integers_as_ints():
+    g = BipartiteGraph(np.int64(2), np.int32(2), [(np.int64(1), np.int8(0))])
+    assert g.edges == ((1, 0),) and g == BipartiteGraph(2, 2, [(1, 0)])
+    assert all(type(i) is int for i in (g.n_L, g.n_R, *g.edges[0]))
+
+
+def test_vertex_of_rejects_a_non_integer_id():
+    with pytest.raises(GraphFormatError, match="is not an integer"):
+        bc.complete_bipartite(2, 3).vertex_of(1.5)
+
+
 def test_neighbors_and_degree():
     g = BipartiteGraph(2, 2, [(0, 0), (0, 1), (1, 1)])
     assert g.neighbors(("L", 0)) == {("R", 0), ("R", 1)}

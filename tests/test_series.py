@@ -267,6 +267,51 @@ def test_budget_counts_stored_coefficients(monkeypatch):
     assert len(engine.connected_sets()) == 63
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12))
+def test_log_xi_below_m_is_the_table_value_bit_for_bit(seed, m):
+    # a component below m takes one log of Xi; the twin reads the same T_m
+    # off the cluster table, built first
+    rng = np.random.Generator(np.random.Philox(seed))
+    g = random_bipartite(rng, 6, 9, float(rng.uniform(0.15, 0.5)))
+    lam = Fugacities(float(rng.uniform(0.2, 5.0)), float(rng.uniform(0.05, 2.0)))
+    fresh, twin = SeriesEngine(g, lam, m), SeriesEngine(g, lam, m)
+    twin.set_contributions()
+    assert fresh.log_xi().hex() == twin.log_xi().hex()
+    assert fresh._stored <= twin._stored
+    full = (1 << g.n_R) - 1
+    for S in [0, *(int(rng.integers(0, full + 1)) for _ in range(8))]:
+        assert fresh.log_xi(S).hex() == twin.log_xi(S).hex()
+
+
+def test_log_xi_below_m_builds_no_cluster_table(monkeypatch):
+    # the five R-vertices of C_10 form one component, below m = 29
+    def boom(self, A):
+        raise AssertionError("cluster table built")
+
+    monkeypatch.setattr(SeriesEngine, "_cluster_series", boom)
+    g = bc.even_cycle(10)
+    lam = Fugacities(1.0, 0.9 * 2.0 / 24.0)
+    res = bc.approx_log_Z(g, lam, epsilon=0.3)
+    assert res.m_used == 29 and not res.degraded
+    assert abs(res.log_Z_estimate - bc.exact_log_Z(g, lam)) <= res.error_bound
+
+
+@pytest.mark.parametrize("method", ["xi", "log_xi"])
+@pytest.mark.parametrize("S", [1 << 4, -1, -16, 2.0, "3"])
+def test_sets_outside_the_r_side_are_refused(method, S):
+    engine = SeriesEngine(bc.even_cycle(8), Fugacities(10.0, 0.05), 5)
+    with pytest.raises(ValueError, match=r"is not an integer mask in \[0, 2\*\*4\)"):
+        getattr(engine, method)(S)
+
+
+def test_sets_may_be_numpy_integers():
+    engine = SeriesEngine(bc.even_cycle(8), Fugacities(10.0, 0.05), 5)
+    assert engine.xi(np.int64(15)) == engine.xi(15)
+    assert engine.log_xi(np.uint8(6)) == engine.log_xi(6)
+    assert engine.log_xi() == engine.log_xi(15)
+
+
 def test_engine_needs_a_positive_depth():
     with pytest.raises(ValueError, match="m must be at least 1"):
         SeriesEngine(bc.even_cycle(8), Fugacities(10.0, 0.05), 0)
