@@ -295,12 +295,7 @@ class ClusterEngine:
                 continue
             high = allowed & ~((1 << anchor) - 1)
             for support_mask, base in self._supports(anchor, budget, high):
-                idxs = []
-                mm = support_mask
-                while mm:
-                    low = mm & -mm
-                    mm ^= low
-                    idxs.append(low.bit_length() - 1)
+                idxs = list(_bits(support_mask))
                 sup_sizes = [sizes[i] for i in idxs]
                 adjbits = 0
                 bit = 0
@@ -363,6 +358,17 @@ class ClusterEngine:
 
 # ---------------------------------------------------------------------------
 # the expansion engine: power series over R-vertex sets
+
+def _depth(m: int) -> int:
+    """m as a truncation depth: an integer of at least 1, else ValueError."""
+    try:
+        depth = operator.index(m)
+    except TypeError:
+        raise ValueError(f"m must be an integer, got {m!r}") from None
+    if depth < 1:
+        raise ValueError("m must be at least 1")
+    return depth
+
 
 def _lowest(links: Sequence[int], S: int) -> int:
     """min S, the vertex the sampler's walk decides at."""
@@ -432,8 +438,9 @@ class SeriesEngine:
     series.
 
     ``MAX_COEFFICIENTS``, read at construction, bounds the series
-    coefficients the engine stores (the m - |T| of each f_T and those of
-    each memoised Xi_S); ClusterBudgetError is raised before that bound is
+    coefficients the engine holds: each memoised Xi_S, and the m - |T| of
+    each f_T, from the listing of T until its table is dropped (a cumulant's
+    when its query ends); ClusterBudgetError is raised before that bound is
     passed.  A component below m charges only the Xi_S its recursion
     memoises, a subset of what the table charges.  The m coefficients of
     each log Xi_C that the step above reads are not charged: they live only
@@ -444,11 +451,9 @@ class SeriesEngine:
     """
 
     def __init__(self, g: BipartiteGraph, lam: Fugacities, m: int):
-        if m < 1:
-            raise ValueError("m must be at least 1")
         self.graph = g
         self.lam = lam
-        self.m = m
+        self.m = _depth(m)
         self._budget = MAX_COEFFICIENTS
         self._links = _link_masks(g)
         # per R-vertex v: {v} | N2(v) in the low n_R bits, N(v) above them
@@ -457,7 +462,6 @@ class SeriesEngine:
         )
         self._xi: dict[int, list[Scalar]] = {}
         self._stored = 0
-        self._sets: list[int] | None = None
         self._plain: dict[int, Scalar] | None = None
         self._tm: dict[int, Scalar] = {}  # T_m(C), one scalar per link component C
 
@@ -523,18 +527,6 @@ class SeriesEngine:
         self._xi[S] = out
         return out
 
-    def connected_sets(self) -> list[int]:
-        """Every 2-linked T with |T| < m, by ascending size."""
-        if self._sets is None:
-            sets = []
-            full = (1 << self.graph.n_R) - 1
-            for T in _two_linked_sets(self._links, full, self.m - 1):
-                self._charge(self.m - T.bit_count())
-                sets.append(T)
-            sets.sort(key=int.bit_count)
-            self._sets = sets
-        return self._sets
-
     def _plain_log(self, T: int) -> list[Scalar]:
         """log Xi_T, z**0 to z**(m-1): ``_log_coefficients(T, [])`` in plain
         floats, the same operations in the same order."""
@@ -586,8 +578,9 @@ class SeriesEngine:
         return [Fk[d - 1] for Fk in F]
 
     def _cluster_series(self, A: int) -> dict[int, list[Scalar]]:
-        """For each 2-linked T containing A with |T| < m, [t^A] of f_T from
-        z**|T| to z**(m-1).
+        """For each 2-linked T containing A with |T| < m, by ascending size,
+        [t^A] of f_T from z**|T| to z**(m-1), charged as T is listed.  A
+        table past the budget leaves the engine empty, holding nothing.
 
         Each f_T subtracts only the 2-linked proper subsets of T through
         v = min A, or the pivot of T when A is empty (see the class docstring):
@@ -595,27 +588,36 @@ class SeriesEngine:
         components C of T - v, which ``logs`` keeps while the table is
         built.  With A empty, T_m(T), the sum of log Xi_T's coefficients, is
         memoised for ``log_xi``."""
-        links = self._links
+        links, cap, R = self._links, self.m - 1, (1 << self.graph.n_R) - 1
         a_verts = list(_bits(A))
+        sets: list[int] = []
         table: dict[int, list[Scalar]] = {}
         logs: dict[int, list[Scalar]] = {}
-        for T in self.connected_sets():
-            if T & A != A:
-                continue
-            t = T.bit_count()
-            f = self._log_coefficients(T, a_verts) if A else self._plain_log(T)
-            v = a_verts[0] if A else _pivot(links, T)
-            if not A:
-                logs[T] = list(f)
-                self._tm[T] = _fsum(f)
-                for C in _components(links, T & ~(1 << v)):
-                    f = [a - c for a, c in zip(f, logs[C])]
-            for sub in _connected_sets(links, v, t - 1, T):
-                h = table.get(sub)
-                if h is not None:
-                    lo = self.m - len(h)
-                    f[lo:] = [a - c for a, c in zip(f[lo:], h)]
-            table[T] = f[t:]
+        try:
+            for T in (_connected_sets(links, a_verts[0], cap, R) if A
+                      else _two_linked_sets(links, R, cap)):
+                if T & A == A:
+                    self._charge(self.m - T.bit_count())
+                    sets.append(T)
+            for T in sorted(sets, key=int.bit_count):
+                t = T.bit_count()
+                f = self._log_coefficients(T, a_verts) if A else self._plain_log(T)
+                v = a_verts[0] if A else _pivot(links, T)
+                if not A:
+                    logs[T] = list(f)
+                    self._tm[T] = _fsum(f)
+                    for C in _components(links, T & ~(1 << v)):
+                        f = [a - c for a, c in zip(f, logs[C])]
+                for sub in _connected_sets(links, v, t - 1, T):
+                    h = table.get(sub)
+                    if h is not None:
+                        lo = self.m - len(h)
+                        f[lo:] = [a - c for a, c in zip(f[lo:], h)]
+                table[T] = f[t:]
+        except ClusterBudgetError:
+            self._xi.clear()
+            self._plain, self._stored = None, 0
+            raise
         return table
 
     def set_contributions(self) -> dict[int, Scalar]:
@@ -672,22 +674,25 @@ class SeriesEngine:
 
     def cumulant(self, A: int) -> tuple[Scalar, int]:
         """The cluster sum of w(Gamma) prod_{v in A} Y_v(Gamma) over total
-        sizes below m, with the number of 2-linked sets it adds up.
+        sizes below m, with the number of 2-linked sets it adds up.  A is a
+        nonempty mask as in ``xi``; ValueError otherwise.
 
-        Earlier queries' series stay memoised.  When they leave this query
-        too little room, the memo is dropped and the query runs again on an
-        empty one, charging the 2-linked sets again through ``connected_sets``
-        as a fresh engine would.  A memo holds every series its entries were
-        built from, so success on a full memo implies success on an empty one."""
+        The query's f_T are charged until it returns; its Xi_S stay
+        memoised.  A query that began on a memo and passes the budget runs
+        again on the engine that failure emptied, as a fresh engine would:
+        a memo holds every series its entries were built from, so success
+        on a full memo implies success on an empty one."""
+        A = self._mask(A)
+        if not A:
+            raise ValueError("a cumulant needs a nonempty set; log_xi takes the empty one")
         warm = bool(self._xi)
         try:
             table = self._cluster_series(A)
         except ClusterBudgetError:
             if not warm:
                 raise
-            self._xi.clear()
-            self._sets, self._stored = None, 0
             table = self._cluster_series(A)
+        self._stored -= sum(map(len, table.values()))
         return _fsum([c for f in table.values() for c in f]), len(table)
 
 
@@ -700,7 +705,7 @@ class ExpansionEstimate:
     m: int
     eta: float | None
     error_bound: float | None
-    cluster_count: int  # the 2-linked sets summed
+    cluster_count: int  # the link components of the R-side, whose T_m ``log_xi`` sums
 
 
 def enumerate_clusters(
@@ -728,8 +733,8 @@ def truncated_expansion(
     series coefficients.
     """
     engine = SeriesEngine(g, lam, m)
-    count = len(engine.connected_sets())
     value = engine.log_xi()
-    bound = None if certificate is None else certificate.error_bound(g.n_R, m)
+    bound = None if certificate is None else certificate.error_bound(g.n_R, engine.m)
     eta = None if bound is None else certificate.eta
-    return ExpansionEstimate(value, m, eta, bound, count)
+    count = sum(1 for _ in _components(engine._links, (1 << g.n_R) - 1))
+    return ExpansionEstimate(value, engine.m, eta, bound, count)

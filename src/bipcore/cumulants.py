@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache, wraps
 from typing import Callable, Mapping, Sequence
 
-from .clusters import SeriesEngine
+from .clusters import SeriesEngine, _depth
 from .conditions import KPCertificate, certify_kp
 from .graph import BipartiteGraph, Vertex, _global_mask, _union, graph_distance, steiner_tree_size
 from .polymers import Fugacities
@@ -177,14 +177,10 @@ def _normalize_R_set(g: BipartiteGraph, A) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-@lru_cache(maxsize=4)
-def _cluster_table(g: BipartiteGraph, lam: Fugacities, m: int) -> SeriesEngine:
-    """One expansion engine per (graph, activities, m), shared by the
-    queries; its restricted-Xi memo serves every vertex set, and a query's
-    outcome does not depend on the queries before it."""
-    engine = SeriesEngine(g, lam, m)
-    engine.connected_sets()  # a budget error surfaces here, uncached
-    return engine
+# One expansion engine per (graph, activities, int m), shared by the queries:
+# its restricted-Xi memo serves every vertex set, and a query's outcome does
+# not depend on the queries before it.
+_cluster_table = lru_cache(maxsize=4)(SeriesEngine)
 
 
 @lru_cache(maxsize=16)
@@ -205,8 +201,7 @@ def truncated_cumulant(
     sum either way)."""
     if not lam.is_real:
         raise ValueError("cumulants take real activities")
-    if m < 1:
-        raise ValueError("m must be at least 1")
+    m = _depth(m)
     verts = _normalize_R_set(g, A)
     cert = _shared_certificate(g, lam, eta)
     value, count = _cluster_table(g, lam, m).cumulant(sum(1 << v for v in verts))
@@ -303,8 +298,7 @@ def decay_experiment(
     The mu side is exact (oracle), with the oracle's size caps; sets in different
     components are independent, so their rows read 0 with no oracle call.
     """
-    if m < 1:
-        raise ValueError("m must be at least 1")
+    m = _depth(m)  # pair queries alone build no engine to check it
     cert = _shared_certificate(g, lam, eta).require(
         "decay bounds need a certificate at the requested rate"
     )

@@ -157,7 +157,9 @@ def test_count_json_stable_modulo_wall_time(biregular_file, capsys):
 
 
 def test_count_warns_when_the_budget_degrades(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(bc.clusters, "MAX_COEFFICIENTS", 2_000)
+    # one below the 27 coefficients of the Xi_S that K_{3,6}'s one log
+    # memoises at every m > 6
+    monkeypatch.setattr(bc.clusters, "MAX_COEFFICIENTS", 26)
     p = tmp_path / "k36.txt"
     p.write_text(graph_to_text(bc.complete_bipartite(3, 6)))
     argv = ("count", str(p), "--lambda-l", "200", "--lambda-r", "0.05", "--eps", "0.001")
@@ -260,8 +262,9 @@ def test_count_dump_clusters_on_a_ten_cycle(tmp_path, capsys):
 
 
 def test_count_dump_clusters_warns_when_the_table_does_not_fit(tmp_path, capsys, monkeypatch):
-    # the count reaches m = 36 with one log per component; the table at
-    # m = 36 passes the budget, so the dump is skipped with a warning
+    # the count reaches m = 90 with one log per component; the table at
+    # m = 90 holds 5,187 coefficients, past the budget, so the dump is
+    # skipped with a warning
     monkeypatch.setattr(bc.clusters, "MAX_COEFFICIENTS", 2_000)
     p = tmp_path / "c16.txt"
     p.write_text(graph_to_text(bc.even_cycle(16)))
@@ -270,10 +273,10 @@ def test_count_dump_clusters_warns_when_the_table_does_not_fit(tmp_path, capsys,
     assert code == 0
     code, dumped, err = run(capsys, *argv, "--dump-clusters")
     assert code == 0
-    assert json.loads(out)["m_used"] == json.loads(dumped)["m_used"] == 36
+    assert json.loads(out)["m_used"] == json.loads(dumped)["m_used"] == 90
     warnings = [l for l in err.splitlines() if "cluster table" in l]
     assert warnings == [
-        "warning: the cluster table at m=36 passes the cluster budget; no clusters dumped"
+        "warning: the cluster table at m=90 passes the cluster budget; no clusters dumped"
     ]
     assert not any(l.startswith("set=") for l in err.splitlines())
 

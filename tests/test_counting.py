@@ -106,7 +106,9 @@ def test_monotone_refinement():
 
 
 def test_degradation_flag_under_budget(monkeypatch):
-    monkeypatch.setattr(clusters, "MAX_COEFFICIENTS", 2_000)
+    # one below the 27 coefficients of the Xi_S that K_{3,6}'s one log
+    # memoises at every m > 6; at m <= 6 its one component needs the table
+    monkeypatch.setattr(clusters, "MAX_COEFFICIENTS", 26)
     g = bc.complete_bipartite(3, 6)
     lam = Fugacities(200.0, 0.05)
     assert bc.certify_kp(g, lam).valid
@@ -165,12 +167,12 @@ def test_one_log_per_small_component_reaches_past_the_table(monkeypatch):
     assert abs(res.log_Z_estimate - bc.exact_log_Z(g, lam)) <= res.error_bound
 
 
-def test_a_biregular_sixteen_reaches_depth_eighteen():
-    # n_R = 16 in one component: below m = 18 it is one log of Xi, while
-    # the cluster table degraded the count to m = 8
+def test_a_biregular_sixteen_reaches_the_requested_depth():
+    # n_R = 16 in one component, below m: one log of Xi, with no list of
+    # its 2-linked sets, while listing them degraded the count to m = 18
     g, lam = bc.random_biregular(3, 3, 16, seed=0), Fugacities(1.0, 0.03)
     res = approx_log_Z(g, lam, epsilon=0.01)
-    assert res.m_used == 18
+    assert res.m_used == choose_m(g.n_R, 0.01, 0.1) == 74 and not res.degraded
     assert abs(res.log_Z_estimate - bc.exact_log_Z(g, lam)) <= 1e-12
 
 
@@ -206,6 +208,16 @@ def test_epsilon_validation():
 def test_depth_below_one_is_refused():
     with pytest.raises(ValueError, match="m must be at least 1"):
         approx_log_Z(bc.even_cycle(8), Fugacities(10.0, 0.05), epsilon=0.1, m=0)
+
+
+def test_a_non_integer_depth_is_refused():
+    g, lam = bc.even_cycle(8), Fugacities(10.0, 0.05)
+    with pytest.raises(ValueError, match="m must be an integer, got 3.0"):
+        approx_log_Z(g, lam, 0.1, m=3.0)
+    with pytest.raises(ValueError, match="m must be an integer, got 4.0"):
+        bc.truncated_expansion(g, lam, 4.0)
+    res = approx_log_Z(g, lam, 0.1, m=np.int64(3))
+    assert type(res.m_used) is int and res.m_used == 3
 
 
 # ---------------------------------------------------------------------------

@@ -374,6 +374,59 @@ def test_decay_rejects_a_depth_below_one_before_any_query(m, monkeypatch):
         decay_experiment(CERT_G, CERT_LAM, queries, m=m)
 
 
+def test_a_non_integer_depth_is_refused_by_every_query_kind():
+    # pair queries alone build no engine; decay_experiment checks m itself
+    pairs = [("pair", ("R", 0), ("R", 2))]
+    with pytest.raises(ValueError, match="m must be an integer, got 2.5"):
+        decay_experiment(CERT_G, CERT_LAM, pairs, m=2.5)
+    cumulants._cluster_table.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="m must be an integer, got 2.5"):
+            truncated_cumulant(CERT_G, CERT_LAM, [0], 2.5)
+        # the cached engine for m = 3 does not answer m = 3.0
+        assert truncated_cumulant(CERT_G, CERT_LAM, [0], 3).m == 3
+        with pytest.raises(ValueError, match="m must be an integer, got 3.0"):
+            truncated_cumulant(CERT_G, CERT_LAM, [0], 3.0)
+        q = truncated_cumulant(CERT_G, CERT_LAM, [0], np.int64(3))
+        assert type(q.m) is int and q.m == 3
+        assert cumulants._cluster_table.cache_info().currsize == 1  # one engine for both
+        rows = decay_experiment(CERT_G, CERT_LAM, [*pairs, ("cumulant", [0, 1])], m=np.int64(3))
+        assert all(r.satisfied for r in rows)
+    finally:
+        cumulants._cluster_table.cache_clear()
+
+
+def _with_a_relabelled_copy(g: bc.BipartiteGraph) -> bc.BipartiteGraph:
+    """The disjoint union of g with a copy of itself on the indices past g's."""
+    copy = ((u + g.n_L, v + g.n_R) for u, v in g.edges)
+    return bc.BipartiteGraph(2 * g.n_L, 2 * g.n_R, [*g.edges, *copy])
+
+
+@pytest.mark.parametrize(
+    "g, A, m",
+    [
+        (bc.even_cycle(12), [0, 2], 6),
+        (bc.even_cycle(16), [1, 2, 4], 8),
+        (bc.random_biregular(2, 4, 8, seed=1), [0, 3], 5),
+        (bc.complete_bipartite(3, 5), [4], 7),
+    ],
+)
+def test_a_cumulant_reads_only_the_sets_that_contain_it(g, A, m):
+    # a second component adds no 2-linked set that contains A, so it
+    # changes neither the value nor what the query leaves charged
+    lam = Fugacities(10.0, 0.05)
+    union = _with_a_relabelled_copy(g)
+    cumulants._cluster_table.cache_clear()
+    try:
+        one, two = (truncated_cumulant(h, lam, A, m) for h in (g, union))
+        assert one.value.hex() == two.value.hex()
+        assert one.cluster_count == two.cluster_count
+        stored = [cumulants._cluster_table(h, lam, m)._stored for h in (g, union)]
+        assert stored[0] == stored[1]
+    finally:
+        cumulants._cluster_table.cache_clear()
+
+
 def test_disconnected_pair_distance_inf(monkeypatch):
     g = bc.BipartiteGraph(2, 2, [(0, 0), (1, 1)])
     rows = decay_experiment(
@@ -430,8 +483,7 @@ def test_csv_matches_experiment():
 def test_cumulant_budget_does_not_depend_on_earlier_queries(monkeypatch):
     # the cached engine keeps its memo between queries; each query must still
     # succeed or fail exactly as it does on a fresh engine
-    g, lam, m, budget = bc.even_cycle(16), Fugacities(10.0, 0.05), 8, 750
-    monkeypatch.setattr(clusters, "MAX_COEFFICIENTS", budget)
+    g, lam, m = bc.even_cycle(16), Fugacities(10.0, 0.05), 8
     queries = ([1, 2], [3, 4, 5], [2, 6], [0, 7, 3], [0])
 
     def outcome(A):
@@ -440,18 +492,23 @@ def test_cumulant_budget_does_not_depend_on_earlier_queries(monkeypatch):
         except ClusterBudgetError:
             return ClusterBudgetError
 
-    fresh = []
-    for A in queries:
+    # at 750 every query fits alone and some fit only on an emptied memo;
+    # at 700 the second fails alone, which leaves the engine empty
+    for budget in (750, 700):
+        monkeypatch.setattr(clusters, "MAX_COEFFICIENTS", budget)
+        fresh = []
+        for A in queries:
+            cumulants._cluster_table.cache_clear()
+            fresh.append(outcome(A))
+        assert fresh[-1] is not ClusterBudgetError  # the last query fits alone
+        assert (ClusterBudgetError in fresh) == (budget == 700)
         cumulants._cluster_table.cache_clear()
-        fresh.append(outcome(A))
-    assert fresh[-1] is not ClusterBudgetError  # the last query fits alone
-    cumulants._cluster_table.cache_clear()
-    try:
-        for A, want in zip(queries, fresh):
-            assert outcome(A) == want  # equal dataclasses: bit for bit
-            assert cumulants._cluster_table(g, lam, m)._stored <= budget
-    finally:
-        cumulants._cluster_table.cache_clear()
+        try:
+            for A, want in zip(queries, fresh):
+                assert outcome(A) == want  # equal dataclasses: bit for bit
+                assert cumulants._cluster_table(g, lam, m)._stored <= budget
+        finally:
+            cumulants._cluster_table.cache_clear()
 
 
 @pytest.mark.parametrize("eta", [0.1, 1.0, 2.0])

@@ -25,6 +25,13 @@ def _close(a, b) -> bool:
     return abs(a - b) <= 1e-12 * max(1.0, abs(b))
 
 
+def _sets_below_m(engine: SeriesEngine) -> list[int]:
+    """Every 2-linked set of R-vertices below m, by ascending size: the
+    order in which the engine builds its plain table."""
+    full = (1 << engine.graph.n_R) - 1
+    return sorted(_two_linked_sets(engine._links, full, engine.m - 1), key=int.bit_count)
+
+
 def _polymers_inside(engine: ClusterEngine, S: int) -> int:
     """Polymer-index mask of the reference universe's polymers inside S."""
     out = 0
@@ -70,7 +77,7 @@ def test_series_cumulant_matches_cluster_formula(seed, m):
         )
         got, count = series.cumulant(sum(1 << v for v in A))
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
-        assert count == sum(1 for T in series.connected_sets() if all(T >> v & 1 for v in A))
+        assert count == sum(1 for T in _sets_below_m(series) if all(T >> v & 1 for v in A))
 
 
 def _moebius_over_all_subsets(engine: SeriesEngine) -> dict[int, float]:
@@ -78,7 +85,7 @@ def _moebius_over_all_subsets(engine: SeriesEngine) -> dict[int, float]:
     before it went through min T, kept as the reference."""
     links = _link_masks(engine.graph)
     table: dict[int, list[float]] = {}
-    for T in engine.connected_sets():
+    for T in _sets_below_m(engine):
         t = T.bit_count()
         f = engine._log_coefficients(T, [])
         for sub in _two_linked_sets(links, T, t - 1):
@@ -226,7 +233,7 @@ def test_xi_pivot_matches_the_min_vertex_recursion(seed, family, complex_mode, d
 def test_plain_log_is_the_subset_convolution_bit_for_bit(g, lam, m):
     # with A empty the t-algebra's elements are one-entry lists
     engine = SeriesEngine(g, lam, m)
-    for T in engine.connected_sets():
+    for T in _sets_below_m(engine):
         got = engine._plain_log(T)
         want = engine._log_coefficients(T, [])
         assert got == want
@@ -239,8 +246,8 @@ def test_xi_memo_stays_on_connected_sets_of_a_cycle():
     # left by splitting the arcs that wrap past vertex 0
     engine = SeriesEngine(bc.even_cycle(44), Fugacities(20.0, 0.1), 24)
     engine.set_contributions()
-    assert len(engine._xi) == len(engine.connected_sets()) == 463
-    assert set(engine._xi) == set(engine.connected_sets())
+    assert len(engine._xi) == len(_sets_below_m(engine)) == 463
+    assert set(engine._xi) == set(_sets_below_m(engine))
     assert engine._stored == 11_575
 
 
@@ -255,16 +262,73 @@ def test_untruncated_xi_is_exact():
 
 def test_budget_counts_stored_coefficients(monkeypatch):
     # K_{3,6}: all 63 nonempty R-sets are 2-linked; at m = 87 their f_T hold
-    # sum(87 - |T|) = 5289 coefficients, past a budget of 2000
+    # sum(87 - |T|) = 5,289 coefficients and the 63 memoised Xi_S 255 more
     g = bc.complete_bipartite(3, 6)
     lam = Fugacities(200.0, 0.05)
-    monkeypatch.setattr(clusters, "MAX_COEFFICIENTS", 2_000)
+    monkeypatch.setattr(clusters, "MAX_COEFFICIENTS", 5_543)
     with pytest.raises(ClusterBudgetError) as exc:
-        SeriesEngine(g, lam, 87).connected_sets()
-    assert exc.value.clusters_seen > 2_000
-    monkeypatch.setattr(clusters, "MAX_COEFFICIENTS", 5_289)
+        SeriesEngine(g, lam, 87).set_contributions()
+    assert exc.value.clusters_seen == 5_544
+    monkeypatch.setattr(clusters, "MAX_COEFFICIENTS", 5_544)
     engine = SeriesEngine(g, lam, 87)
-    assert len(engine.connected_sets()) == 63
+    assert len(engine.set_contributions()) == 63
+    assert sum(87 - T.bit_count() for T in engine.set_contributions()) == 5_289
+    assert sum(map(len, engine._xi.values())) == 255
+    assert engine._stored == 5_544
+
+
+@pytest.mark.parametrize("A", [0, 0b1, 0b11])
+def test_a_table_past_the_budget_stops_its_listing(A, monkeypatch):
+    # rb(3,3,16) has 49,665 2-linked sets below 18, 26,926 of them through
+    # R:0; each set is charged at least one coefficient as it is listed,
+    # so a budget of 1,000 stops the listing within 1,001 sets
+    listed = 0
+
+    def counted(lister):
+        def wrapper(*args):
+            nonlocal listed
+            for T in lister(*args):
+                listed += 1
+                yield T
+
+        return wrapper
+
+    for name in ("_two_linked_sets", "_connected_sets"):
+        monkeypatch.setattr(clusters, name, counted(getattr(clusters, name)))
+    monkeypatch.setattr(clusters, "MAX_COEFFICIENTS", 1_000)
+    engine = SeriesEngine(bc.random_biregular(3, 3, 16, seed=0), Fugacities(1.0, 0.03), 18)
+    with pytest.raises(ClusterBudgetError):
+        engine.cumulant(A) if A else engine.set_contributions()
+    assert listed <= 1_001
+    assert engine._stored == 0  # the engine is left empty
+
+
+def test_a_table_that_raises_leaves_the_engine_empty(monkeypatch):
+    # K_{3,6} at m = 87 lists all 63 sets (5,289 coefficients), then passes
+    # a budget of 5,543 while memoising Xi_S; the memo goes with the table
+    monkeypatch.setattr(clusters, "MAX_COEFFICIENTS", 5_543)
+    engine = SeriesEngine(bc.complete_bipartite(3, 6), Fugacities(200.0, 0.05), 87)
+    engine.log_xi(1)
+    assert engine._xi
+    with pytest.raises(ClusterBudgetError):
+        engine.set_contributions()
+    assert engine._stored == 0 and not engine._xi and engine._plain is None
+
+
+def test_a_failed_cumulant_leaves_a_fresh_engine(monkeypatch):
+    # 504 coefficients are the plain table's own charge on even_cycle(16)
+    # at m = 8; a cumulant that fails first, on an empty engine or on the
+    # held table, must not crowd the table out
+    g, lam = bc.even_cycle(16), Fugacities(10.0, 0.05)
+    monkeypatch.setattr(clusters, "MAX_COEFFICIENTS", 504)
+    want = {T: v.hex() for T, v in SeriesEngine(g, lam, 8).set_contributions().items()}
+    engine = SeriesEngine(g, lam, 8)
+    for _ in range(2):
+        with pytest.raises(ClusterBudgetError):
+            engine.cumulant(0b111000)
+        assert engine._stored == 0 and not engine._xi and engine._plain is None
+        assert {T: v.hex() for T, v in engine.set_contributions().items()} == want
+        assert engine._stored == 504
 
 
 @settings(max_examples=40, deadline=None)
@@ -297,7 +361,7 @@ def test_log_xi_below_m_builds_no_cluster_table(monkeypatch):
     assert abs(res.log_Z_estimate - bc.exact_log_Z(g, lam)) <= res.error_bound
 
 
-@pytest.mark.parametrize("method", ["xi", "log_xi"])
+@pytest.mark.parametrize("method", ["xi", "log_xi", "cumulant"])
 @pytest.mark.parametrize("S", [1 << 4, -1, -16, 2.0, "3"])
 def test_sets_outside_the_r_side_are_refused(method, S):
     engine = SeriesEngine(bc.even_cycle(8), Fugacities(10.0, 0.05), 5)
@@ -305,16 +369,39 @@ def test_sets_outside_the_r_side_are_refused(method, S):
         getattr(engine, method)(S)
 
 
+def test_a_cumulant_of_the_empty_set_is_refused():
+    # log_xi is the empty set's route; the refusal leaves the plain
+    # table's charge in place
+    engine = SeriesEngine(bc.even_cycle(8), Fugacities(10.0, 0.05), 5)
+    engine.set_contributions()
+    stored = engine._stored
+    with pytest.raises(ValueError, match="a cumulant needs a nonempty set"):
+        engine.cumulant(0)
+    assert engine._stored == stored
+
+
 def test_sets_may_be_numpy_integers():
     engine = SeriesEngine(bc.even_cycle(8), Fugacities(10.0, 0.05), 5)
     assert engine.xi(np.int64(15)) == engine.xi(15)
     assert engine.log_xi(np.uint8(6)) == engine.log_xi(6)
     assert engine.log_xi() == engine.log_xi(15)
+    assert engine.cumulant(np.int64(3)) == engine.cumulant(3)
 
 
 def test_engine_needs_a_positive_depth():
     with pytest.raises(ValueError, match="m must be at least 1"):
         SeriesEngine(bc.even_cycle(8), Fugacities(10.0, 0.05), 0)
+
+
+@pytest.mark.parametrize("m", [3.0, 2.5, "4", None])
+def test_engine_needs_an_integer_depth(m):
+    with pytest.raises(ValueError, match=r"m must be an integer, got "):
+        SeriesEngine(bc.even_cycle(8), Fugacities(10.0, 0.05), m)
+
+
+def test_engine_depth_may_be_a_numpy_integer():
+    engine = SeriesEngine(bc.even_cycle(8), Fugacities(10.0, 0.05), np.int64(5))
+    assert type(engine.m) is int and engine.m == 5
 
 
 def test_reference_caches_live_with_their_engine():
