@@ -425,8 +425,8 @@ class SeriesEngine:
 
     the coefficient-extraction route of Helmuth-Perkins-Regts (arXiv
     1806.11548, Thm 2.2), with no Ursell functions.  ``log_xi`` builds the
-    table of f_T only to split a link component of m or more vertices; the
-    truncated sampler builds it before its first draw.  Once built the
+    table of f_T only to split a link component of m or more vertices, and
+    so does the truncated sampler before its first draw.  Once built the
     engine keeps scalars, not series: per set T, the sum of f_T's kept
     coefficients and T_m(T).
 
@@ -640,7 +640,8 @@ class SeriesEngine:
         which add their ``set_contributions``, and the components of C - v,
         whose T_m come from the memo.  The table stores T_m(T) for every
         such T as it is built, with the same bits, so the order of calls
-        does not change a value; the truncated sampler builds it up front,
+        does not change a value.  The truncated sampler calls this and then
+        ``_log_xi`` of every 2-linked set below m before its first draw,
         and its draws then read only memo hits."""
         return self._log_xi((1 << self.graph.n_R) - 1 if S is None else self._mask(S))
 

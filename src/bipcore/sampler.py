@@ -12,7 +12,11 @@ conditional factorization of the polymer measure nu
 (Jenssen-Keevash-Perkins, arXiv 1807.04804).  The restricted partition
 functions come from the same engine, either summed untruncated (exact
 backend, small R sides) or as the truncated expansion T_m(S) (certified
-instances).
+instances).  A state's T_m is the sum of T_m over its link components, and
+each such component is a 2-linked set.  Before the first draw the
+truncated backend memoises T_m of every 2-linked set below m, one log of
+Xi each.  It builds the engine's table of f_T only when a link component
+of R has m or more vertices, the one case where T_m needs it.
 
 Each conditional is cached per state and holds masks: every candidate is
 the pair (gamma, the state it leaves), with the cumulative probabilities
@@ -38,7 +42,11 @@ when P(no polymer) is at least BATCH_CUTOVER, ``draws`` makes those
 comparisons for a block of draws in one numpy operation and walks only the
 draws that pick a polymer.  The uniforms read, their order and every draw
 stay those of the walk.  Below the cut-over, where blocks would be cut
-short too often to pay, every draw is walked.
+short too often to pay, every draw is walked.  A walked draw of ``draws``
+calls ``sample_config`` and then the routine behind ``extend``, with a memo
+that lets the equal draws of the call share one frozenset.  Draws repeat only
+from states with few free L-vertices, so the memo keeps only the draws of
+states with at most L_SET_MEMO L-sets.
 """
 
 from __future__ import annotations
@@ -58,7 +66,7 @@ from .counting import _fit_depth
 from .errors import SizeCapError
 from .graph import BipartiteGraph, Vertex, _bits
 from .oracle import SIDE_CAP
-from .polymers import Fugacities, Polymer, _build_polymer
+from .polymers import Fugacities, Polymer, _build_polymer, _two_linked_sets
 
 TRUNCATION_DEPTH_CAP = 24
 UNIFORM_BLOCK = 1024  # doubles per generator call in draws()
@@ -69,7 +77,7 @@ UNIFORM_BLOCK = 1024  # doubles per generator call in draws()
 # lambda_L = 20 it was already 1.7x faster at 0.855 (4,000 draws, best of 9)
 BATCH_CUTOVER = 0.9
 BATCH_DOUBLES = 1 << 15  # the most uniforms in one block of rows
-L_SET_MEMO = 1024  # distinct L-sets one draws() call keeps for sharing, past one block's
+L_SET_MEMO = 1024  # draws of each kind one draws() call keeps for sharing, past one block's
 
 Backend = Literal["auto", "exact", "truncated"]
 
@@ -178,14 +186,17 @@ class IndependentSetSampler:
     ``m_requested`` is the depth the budget asks for (None for the exact
     backend) and ``degraded`` flags m_step < m_requested, when the draws are
     not certified within epsilon.  Both backends build every series
-    coefficient their draws read here.  The truncated backend steps m_step
-    down as ``approx_log_Z`` steps its depth while they pass
-    ``clusters.MAX_COEFFICIENTS``; the exact backend raises
-    ClusterBudgetError, and SizeCapError when a polymer weight, a
-    coefficient of Xi_R or their sum overflows a float: it refuses a Xi past
-    the float range rather than read inf / inf.  During the draws the
-    truncated backend memoises T_m per link component of a state as one
-    scalar each, on demand and outside that budget.
+    coefficient their draws read here.  The truncated backend memoises T_m
+    of every 2-linked set below m_step, one log of Xi each, and builds the
+    table of f_T only when a link component of R has m_step or more
+    vertices.  It steps m_step down as ``approx_log_Z`` steps its depth
+    while what it stores passes ``clusters.MAX_COEFFICIENTS``; the exact
+    backend raises ClusterBudgetError, and SizeCapError when a polymer
+    weight, a coefficient of Xi_R or their sum overflows a float: it refuses
+    a Xi past the float range rather than read inf / inf.  During the draws
+    the truncated backend memoises T_m of a state's link components of
+    m_step or more vertices as one scalar each, on demand and outside that
+    budget.
     """
 
     def __init__(
@@ -234,7 +245,13 @@ class IndependentSetSampler:
 
             def build(m: int) -> SeriesEngine:
                 engine = SeriesEngine(g, lam, m)
-                engine.set_contributions()  # every coefficient a draw reads
+                # T_m(R) builds the f_T table only for a link component of
+                # m or more vertices; then T_m of every 2-linked T below m,
+                # each one log of Xi_T or a hit in that table's memo, so a
+                # draw reads only memo entries
+                engine.log_xi()
+                for T in _two_linked_sets(engine._links, (1 << g.n_R) - 1, m - 1):
+                    engine._log_xi(T)
                 return engine
 
             self._engine = _fit_depth(build, min(self.m_requested, TRUNCATION_DEPTH_CAP))
@@ -316,11 +333,12 @@ class IndependentSetSampler:
         return p
 
     def extend(self, config: PolymerConfig, rng: np.random.Generator) -> frozenset[Vertex]:
-        return _extend(self.graph, self._p_in, _occupied(config), rng, self._names)
+        return _extend(self.graph, self._p_in, _occupied(config), rng, self._names, {})
 
     def sample(self, rng: np.random.Generator) -> frozenset[Vertex]:
         # through the two public steps, so that what wraps either one (the
-        # spans of perfbench/spans.py) sees every draw
+        # spans of perfbench/spans.py) sees every draw of this call; draws()
+        # calls sample_config and the extension routine, not extend
         return self.extend(self.sample_config(rng), rng)
 
     def draws(self, n: int, seed: int) -> Iterator[frozenset[Vertex]]:
@@ -339,10 +357,20 @@ class IndependentSetSampler:
         first row that fails, the walk and the extension run from that
         row's first uniform (a draw reads at most n_R + n_L), and batching
         resumes after the uniforms they read.  So the uniforms read, their
-        order and every draw are those of repeated ``sample``.  Equal
-        L-sets of one call may be one shared frozenset, from a memo of at
-        most L_SET_MEMO sets past the current block's.  Batched draws do
-        not go through ``sample_config`` and ``extend``."""
+        order and every draw are those of repeated ``sample``.
+
+        A walked draw calls ``sample_config`` and then the extension routine
+        of ``extend``, which reads the same uniforms; neither kind of draw
+        goes through ``sample`` or ``extend``.  Equal draws of one call,
+        walked or batched, may be one shared frozenset: each kind keeps a
+        memo of at most L_SET_MEMO sets, the batched one past the current
+        block's, and the walked one only for states with at most
+        L_SET_MEMO L-sets.  ValueError when n is not a nonnegative
+        integer."""
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise ValueError(f"the number of draws must be an integer, got {n!r}") from None
         if n < 0:
             raise ValueError(f"cannot draw {n} sets")
         return self._draws(n, _Uniforms(seed))  # the seed is checked here, not at the first draw
@@ -363,13 +391,20 @@ class IndependentSetSampler:
         k = n_R + n_L  # the most uniforms a draw reads
         vacant = self._vacant_chain()
         p_none = float(np.prod(1.0 - vacant))
+        g, names, p_in = self.graph, self._names, self._p_in
+        walk_memo: dict[tuple[int, tuple[Vertex, ...]], frozenset[Vertex]] = {}
+
+        def walk(to_block_end: bool) -> frozenset[Vertex]:
+            """``sample``, with the extension sharing equal draws of the call."""
+            src.listed(k, to_block_end)
+            return _extend(g, p_in, _occupied(self.sample_config(src)), src, names, walk_memo)
+
         if p_none < BATCH_CUTOVER:
             for _ in range(n):
-                src.listed(k)
-                yield self.sample(src)
+                yield walk(True)
             return
         per_block = _block_rows(p_none, k)
-        l_names, p_in = self._names[0], self._p_in
+        l_names = names[0]
         memo: dict[bytes, frozenset[Vertex]] = {}
         done = 0
         while done < n:
@@ -393,8 +428,7 @@ class IndependentSetSampler:
                 src.skip(m * k)
                 done += m
             if m < j:
-                src.listed(k, to_block_end=False)
-                yield self.sample(src)
+                yield walk(False)
                 done += 1
 
 
@@ -422,21 +456,39 @@ def _vertex_names(g: BipartiteGraph) -> _Names:
 
 
 def _extend(
-    g: BipartiteGraph, p_in: float, occupied_R: int, rng: np.random.Generator, names: _Names
+    g: BipartiteGraph,
+    p_in: float,
+    occupied_R: int,
+    rng: np.random.Generator,
+    names: _Names,
+    memo: dict[tuple[int, tuple[Vertex, ...]], frozenset[Vertex]],
 ) -> frozenset[Vertex]:
     """Occupy the R-vertices in ``occupied_R``, then each unblocked L-vertex
     independently with probability ``p_in``: one uniform per unblocked
     L-vertex, in L order.  With no R-vertex occupied every L-vertex is
-    free, and the prebuilt name tuple is walked as it is."""
+    free, and the prebuilt name tuple is walked as it is.  ``memo`` maps
+    (occupied_R, the chosen L names) to the draw, so that equal draws
+    through one memo share one frozenset.  It keeps only the draws of
+    states with at most L_SET_MEMO L-sets, 2 ** (free L-vertices), and is
+    emptied when it holds L_SET_MEMO draws.  One-draw callers pass a fresh
+    one."""
     l_names, r_names = names
     free = l_names
     if occupied_R:
         # an L-vertex with an occupied neighbour is blocked and reads no uniform
         free = [u for u, nb in zip(l_names, g.adj_L) if not nb & occupied_R]
     random = rng.random
-    out = {u for u in free if random() < p_in}
-    out.update(r_names[v] for v in _bits(occupied_R))
-    return frozenset(out)
+    chosen = [u for u in free if random() < p_in]
+    # a state with more L-sets than the memo holds rarely repeats one
+    key = (occupied_R, tuple(chosen)) if 1 << len(free) <= L_SET_MEMO else None
+    out = memo.get(key)
+    if out is None:
+        out = frozenset({*chosen, *(r_names[v] for v in _bits(occupied_R))})
+        if key is not None:
+            if len(memo) >= L_SET_MEMO:
+                memo.clear()
+            memo[key] = out
+    return out
 
 
 def sample_polymer_config(
@@ -461,7 +513,7 @@ def extend_to_independent_set(
         raise ValueError("sampling needs real activities")
     p_in = lam.lambda_L / (1.0 + lam.lambda_L)
     rng = np.random.Generator(np.random.Philox(rng_seed))
-    return _extend(g, p_in, _occupied(config), rng, _vertex_names(g))
+    return _extend(g, p_in, _occupied(config), rng, _vertex_names(g), {})
 
 
 def sample_independent_set(

@@ -6,6 +6,7 @@ import gc
 import hashlib
 import math
 import sys
+import tracemalloc
 import weakref
 from collections import Counter
 
@@ -25,8 +26,10 @@ from bipcore import (
     sample_polymer_config,
 )
 from bipcore import clusters
-from bipcore.graph import _bits
+from bipcore.graph import _bits, _components
 from bipcore.sampler import BATCH_CUTOVER, UNIFORM_BLOCK, _block_rows
+
+from conftest import random_bipartite
 
 
 def is_independent(g, vs) -> bool:
@@ -323,6 +326,55 @@ def test_batched_draws_share_identical_l_sets():
     assert all(sys.getsizeof(d) == sys.getsizeof(frozenset(set(d))) for d in set(batched))
 
 
+def test_walked_draws_share_identical_sets():
+    # below the cut-over every draw is walked; C_12 has 322 independent
+    # sets, fewer than L_SET_MEMO, so equal draws are one object
+    s = IndependentSetSampler(bc.even_cycle(12), Fugacities(1.0, 0.5), backend="exact")
+    assert math.prod(1.0 - p for p in s._vacant_chain()) < BATCH_CUTOVER
+    draws = list(s.draws(2000, seed=2))
+    assert len(set(draws)) < 322
+    assert len({id(d) for d in draws}) == len(set(draws))
+    assert all(sys.getsizeof(d) == sys.getsizeof(frozenset(set(d))) for d in set(draws))
+
+
+@pytest.mark.parametrize("memo", [4, 64])
+def test_walked_draws_clear_their_memo(monkeypatch, memo):
+    # about 300 distinct draws against a memo of 4 (it keeps the draws of
+    # states with at most 2 free L-vertices) or of 64 (every state of C_12,
+    # 6 L-vertices): it is cleared again and again, and the draws stay those
+    # of repeated sample calls
+    monkeypatch.setattr("bipcore.sampler.L_SET_MEMO", memo)
+    s = IndependentSetSampler(bc.even_cycle(12), Fugacities(1.0, 0.5), backend="exact")
+    rng = np.random.Generator(np.random.Philox(5))
+    draws = list(s.draws(2000, seed=5))
+    assert draws == [s.sample(rng) for _ in range(2000)]
+    assert len(set(draws)) > 100
+
+
+def test_walked_draws_on_a_large_l_side_keep_no_draw():
+    # C_12 and 1,994 isolated L-vertices: P(no polymer) stays below the
+    # cut-over, and each walked draw holds about 1,000 L-vertices, so no two
+    # repeat.  No draw is kept for sharing: streaming 300 of them, 11 MB
+    # together, peaks below the size of ten
+    c = bc.even_cycle(12)
+    edges = [(u, v) for u in range(6) for v in _bits(c.adj_L[u])]
+    g = bc.BipartiteGraph(2000, 6, edges)
+    s = IndependentSetSampler(g, Fugacities(1.0, 0.5), backend="exact")
+    assert math.prod(1.0 - p for p in s._vacant_chain()) < BATCH_CUTOVER
+    rng = np.random.Generator(np.random.Philox(3))
+    expected = [s.sample(rng) for _ in range(300)]
+    tracemalloc.start()
+    try:
+        for i, draw in enumerate(s.draws(300, seed=3)):
+            assert draw == expected[i]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    one = max(map(sys.getsizeof, expected))
+    assert sum(map(sys.getsizeof, expected)) > 50 * one
+    assert peak < 10 * one
+
+
 @pytest.mark.parametrize(
     "g", [bc.even_cycle(8), bc.complete_bipartite(1500, 1)], ids=["C8", "K1500,1"]
 )
@@ -388,6 +440,15 @@ def test_draws_rejects_a_negative_count():
     with pytest.raises(ValueError):  # before the first draw is asked for
         s.draws(5, seed=-1)
     assert list(s.draws(0, seed=0)) == []
+
+
+@pytest.mark.parametrize("n", [2.0, "3", None])
+def test_draws_refuses_a_count_that_is_not_an_integer(n):
+    s = IndependentSetSampler(bc.even_cycle(4), Fugacities(1.0, 1.0))
+    with pytest.raises(ValueError, match="must be an integer"):
+        s.draws(n, seed=0)  # at the call, not at the first draw
+    rng = np.random.Generator(np.random.Philox(0))
+    assert list(s.draws(np.int64(3), seed=0)) == [s.sample(rng) for _ in range(3)]
 
 
 def test_uniform_thirds_on_single_edge():
@@ -497,9 +558,11 @@ def test_truncated_backend_draws_past_the_exact_cap():
 
 
 def test_truncated_backend_steps_its_depth_down_under_the_budget(monkeypatch):
-    # depths 24, 19 and 15 pass 4,000 coefficients (they store 11,575, 7,920
-    # and 4,928) and 12 fits (3,146); every coefficient the draws read is
-    # then stored before the first draw
+    # depths 24, 19 and 15 pass 4,000 coefficients and 12 fits (3,146):
+    # 24 stores 5,567, one log of Xi per 2-linked set; 19 and 15, below the
+    # 22-vertex component, build the table of f_T and store 7,920 and
+    # 4,928.  Every coefficient the draws read is then stored before the
+    # first draw
     monkeypatch.setattr(clusters, "MAX_COEFFICIENTS", 4_000)
     g = bc.even_cycle(44)
     s = IndependentSetSampler(g, Fugacities(20.0, 0.1))
@@ -508,6 +571,40 @@ def test_truncated_backend_steps_its_depth_down_under_the_budget(monkeypatch):
     for draw in s.draws(20, seed=4):
         assert is_independent(g, draw)
     assert s._engine._stored == stored
+
+
+def _assert_truncated_build_reads_no_table(g, lam):
+    # every link component below m_step: T_m of each 2-linked set is one log
+    # of Xi, with the bits a twin engine reads off its table of f_T; the
+    # draws then add nothing
+    s = IndependentSetSampler(g, lam, backend="truncated")
+    engine = s._engine
+    assert all(C.bit_count() < s.m_step for C in _components(engine._links, (1 << g.n_R) - 1))
+    assert engine._plain is None
+    twin = clusters.SeriesEngine(g, lam, s.m_step)
+    twin.set_contributions()
+    tm = {T: v.hex() for T, v in engine._tm.items()}
+    assert tm == {T: v.hex() for T, v in twin._tm.items()}
+    stored = engine._stored
+    assert stored <= twin._stored
+    for draw in s.draws(200, seed=3):
+        assert is_independent(g, draw)
+    assert engine._stored == stored and engine._plain is None
+    assert {T: v.hex() for T, v in engine._tm.items()} == tm
+
+
+def test_truncated_backend_below_m_builds_no_table():
+    # one 22-vertex link component, below m_step = 24
+    _assert_truncated_build_reads_no_table(bc.even_cycle(44), Fugacities(20.0, 0.1))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_truncated_backend_below_m_reads_the_table_values(seed):
+    # n_R <= 12 against m_step = 24; lambda_R small enough to certify
+    rng = np.random.Generator(np.random.Philox(seed))
+    g = random_bipartite(rng, 8, 12, float(rng.uniform(0.15, 0.5)))
+    _assert_truncated_build_reads_no_table(g, Fugacities(float(rng.uniform(0.5, 5.0)), 1e-3))
 
 
 def test_stored_draws_share_their_vertex_names():
