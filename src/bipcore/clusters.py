@@ -24,6 +24,7 @@ with multiplicity) strictly below m.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -52,7 +53,9 @@ if TYPE_CHECKING:  # pragma: no cover
 URSELL_VERTEX_CAP = 12
 URSELL_EDGE_SUBSET_CAP = 6
 SLOT_CAP = 14
-MAX_COEFFICIENTS = 500_000  # series coefficients one SeriesEngine may store
+# series coefficients one SeriesEngine may hold: what it stores, and the
+# gamma and 2-linked sets it has listed and not yet released
+MAX_COEFFICIENTS = 500_000
 
 
 def _validate_simple(n: int, edges) -> frozenset[tuple[int, int]]:
@@ -441,8 +444,13 @@ class SeriesEngine:
     coefficients the engine holds: each memoised Xi_S, and the m - |T| of
     each f_T, from the listing of T until its table is dropped (a cumulant's
     when its query ends); ClusterBudgetError is raised before that bound is
-    passed.  A component below m charges only the Xi_S its recursion
-    memoises, a subset of what the table charges.  The m coefficients of
+    passed.  The recursion for Xi_S also charges one per gamma it lists, in
+    blocks of 1,024 as they are listed, and releases that charge when its
+    frame returns, so a dense set stops its listing at the budget instead
+    of holding millions of terms.  A component below m charges only the
+    Xi_S its recursion memoises, and the gamma while they are held; the
+    truncated sampler adds the m - |T| of each 2-linked T below m that its
+    build lists, as the table would.  The m coefficients of
     each log Xi_C that the step above reads are not charged: they live only
     while the table is built, and for every 2-linked T they number at most
     the m - |T| of f_T plus the |T| + 1 of Xi_T already charged, so they at
@@ -480,15 +488,16 @@ class SeriesEngine:
         in the order of ``polymers._connected_sets``.  The growth carries
         gamma | N2(gamma) in the low n_R bits of each union and N(gamma)
         above them (see ``_marks``)."""
-        return self._terms(S, _lowest(self._links, S))
+        return list(self._terms(S, _lowest(self._links, S)))
 
-    def _terms(self, S: int, root: int) -> list[tuple[int, int, Scalar]]:
-        """``terms`` of the gamma through ``root``, a vertex of S."""
+    def _terms(self, S: int, root: int) -> Iterator[tuple[int, int, Scalar]]:
+        """``terms`` of the gamma through ``root``, a vertex of S, as they
+        are listed."""
         lam, n_R = self.lam, self.graph.n_R
-        return [
+        return (
             (gamma, S & ~reach, _weight(lam, gamma.bit_count(), (reach >> n_R).bit_count()))
             for gamma, reach in _grown_sets(self._links, root, self.m - 1, S, self._marks)
-        ]
+        )
 
     def _mask(self, S: int) -> int:
         """S as a set of R-vertices: an integer with 0 <= S < 2**n_R."""
@@ -515,14 +524,26 @@ class SeriesEngine:
         if hit is not None:
             return hit
         v = vertex(self._links, S)
-        terms = self._terms(S, v)
-        out = list(self._xi_on(S & ~(1 << v), vertex))
-        if len(out) < self.m:
-            out.append(0.0)
-        for gamma, rest, w in terms:
-            k0 = gamma.bit_count()
-            for k, c in enumerate(self._xi_on(rest, vertex)[: len(out) - k0]):
-                out[k0 + k] += w * c
+        listing = self._terms(S, v)
+        terms: list[tuple[int, int, Scalar]] = []
+        try:
+            # each gamma is charged as it is listed, in blocks, and only
+            # while this frame holds it
+            while True:
+                block = list(itertools.islice(listing, 1_024))
+                self._charge(len(block))
+                terms += block
+                if len(block) < 1_024:
+                    break
+            out = list(self._xi_on(S & ~(1 << v), vertex))
+            if len(out) < self.m:
+                out.append(0.0)
+            for gamma, rest, w in terms:
+                k0 = gamma.bit_count()
+                for k, c in enumerate(self._xi_on(rest, vertex)[: len(out) - k0]):
+                    out[k0 + k] += w * c
+        finally:
+            self._stored -= len(terms)
         self._charge(len(out))
         self._xi[S] = out
         return out

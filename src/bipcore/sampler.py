@@ -22,7 +22,9 @@ Each conditional is cached per state and holds masks: every candidate is
 the pair (gamma, the state it leaves), with the cumulative probabilities
 and p_any, the chance that some polymer is picked.  A uniform at or above
 p_any is a vacancy and costs no search.  A ``Polymer`` is built only for a
-polymer a draw returns, once per gamma and sampler.
+polymer a draw returns, once per gamma and sampler, and ``sample_config``
+returns one shared ``PolymerConfig`` per tuple of chosen gamma, keeping at
+most L_SET_MEMO of them.
 
 A configuration extends to an independent set by occupying its polymers'
 vertices and then each unblocked L-vertex independently with probability
@@ -38,15 +40,21 @@ In the paper's regime polymers are rare, and most draws pick none: the walk
 then passes the all-vacant chain of states, full, full & (full - 1), ...,
 and leaves every L-vertex free.  Such a draw is decided by n_R comparisons
 against that chain's p_any and n_L against lambda_L / (1 + lambda_L), so
-when P(no polymer) is at least BATCH_CUTOVER, ``draws`` makes those
-comparisons for a block of draws in one numpy operation and walks only the
-draws that pick a polymer.  The uniforms read, their order and every draw
-stay those of the walk.  Below the cut-over, where blocks would be cut
-short too often to pay, every draw is walked.  A walked draw of ``draws``
-calls ``sample_config`` and then the routine behind ``extend``, with a memo
-that lets the equal draws of the call share one frozenset.  Draws repeat only
-from states with few free L-vertices, so the memo keeps only the draws of
-states with at most L_SET_MEMO L-sets.
+``draws`` makes those comparisons in numpy for a block of uniforms and
+walks only the draws that pick a polymer.  When P(no polymer) is at least
+BATCH_CUTOVER the block is cut into rows of n_R + n_L uniforms, one per
+draw, up to the first row that picks a polymer.  Below it, where such rows
+would be cut short too often to pay, every offset of the block is tested
+as a draw's first uniform, and the draws are read off in order: a
+no-polymer draw from the test, a polymer draw by the walk.  The test
+compares about n_R * max(p_any) slices of the block with the chain; when
+that passes 2, no-polymer draws are too rare for it to pay, and every draw
+is walked.  The uniforms read, their order and every draw stay those of
+the walk.  A walked draw of
+``draws`` calls ``sample_config`` and then reads its free L-vertices'
+comparisons from the block.  Equal draws of one call share one frozenset
+through a memo.  Draws repeat only from states with few free L-vertices,
+so the memo keeps only the draws of states with at most L_SET_MEMO L-sets.
 """
 
 from __future__ import annotations
@@ -71,10 +79,14 @@ from .polymers import Fugacities, Polymer, _build_polymer, _two_linked_sets
 TRUNCATION_DEPTH_CAP = 24
 UNIFORM_BLOCK = 1024  # doubles per generator call in draws()
 # draws() decides the draws in blocks of rows when P(no polymer) is at least
-# this.  Batching broke even at P(no polymer) = 0.81 on even_cycle(12), 0.88
-# on even_cycle(24) and 0.90 on random_biregular(2,4,16), all at
-# lambda_L = 1, where L-sets rarely repeat; on even_cycle(40) at
-# lambda_L = 20 it was already 1.7x faster at 0.855 (4,000 draws, best of 9)
+# this, and below it tests every offset of a block and walks only the
+# polymer draws.  At lambda_L = 1, where L-sets rarely repeat, the offset
+# path was 3.7x faster at 0.455 and 2.7x at 0.859 on even_cycle(12), 1.4x
+# at 0.914 on even_cycle(24), and broke even near 0.985, 0.99 and 0.996 on
+# even_cycle(12), even_cycle(24) and random_biregular(2,4,16).  At
+# lambda_L = 20 on even_cycle(40), where rows share L-sets the offset path
+# does not, it was 1.3x faster at 0.692, broke even at 0.855, and rows were
+# 1.6x faster at 0.954 and 2-4x above 0.98 (4,000 draws, best of 7)
 BATCH_CUTOVER = 0.9
 BATCH_DOUBLES = 1 << 15  # the most uniforms in one block of rows
 L_SET_MEMO = 1024  # draws of each kind one draws() call keeps for sharing, past one block's
@@ -122,52 +134,30 @@ def _lex_key(mask: int) -> str:
 class _Uniforms:
     """The doubles of Generator(Philox(seed)) in stream order, fetched at
     least UNIFORM_BLOCK at a time: the doubles repeated ``random()`` calls
-    on the generator return.  ``random()`` reads the next one through a list
-    iterator's ``__next__``, with no Python frame per read, once ``listed(k)``
-    has listed at least k of them; ``rows`` hands the next ones over as a
-    numpy array and ``skip`` reads them."""
+    on the generator return.  ``block(n)`` hands the next n over as a numpy
+    array, still unread, and ``skip`` reads them.  ``random`` is the
+    ``__next__`` of a list iterator the reader sets, positioned at a walk's
+    first double, so a walk reads with no Python frame per double."""
 
-    __slots__ = ("random", "_rng", "_block", "_at", "_listed", "_n_listed")
+    __slots__ = ("random", "_rng", "_block", "_at")
 
     def __init__(self, seed: int):
         self._rng = np.random.Generator(np.random.Philox(seed))
         self._block = np.empty(0)
-        self._at = 0  # the first double of the list, or the next one to read when none is listed
-        self._listed: Iterator[float] = iter(())
-        self._n_listed = 0
-        self.random = self._listed.__next__
+        self._at = 0  # the next double to read
+        self.random = iter(()).__next__
 
-    def _fetch(self, k: int) -> None:
-        """At least k unread doubles in the block; no list open."""
-        self._at += self._n_listed - operator.length_hint(self._listed)
-        self._n_listed = 0
-        self._listed = iter(())
-        self.random = self._listed.__next__  # nothing listed: no stale read
+    def block(self, n: int) -> np.ndarray:
+        """The next n doubles, still unread."""
         have = len(self._block) - self._at
-        if have < k:
-            fresh = self._rng.random(max(UNIFORM_BLOCK, k - have))
+        if have < n:
+            fresh = self._rng.random(max(UNIFORM_BLOCK, n - have))
             self._block = np.concatenate((self._block[self._at :], fresh))
             self._at = 0
-
-    def listed(self, k: int, to_block_end: bool = True) -> None:
-        """Make sure ``random()`` can read the next k doubles.  A new list
-        runs to the block's end, or holds just k doubles."""
-        if operator.length_hint(self._listed) >= k:
-            return
-        self._fetch(k)
-        stop = len(self._block) if to_block_end else self._at + k
-        run = self._block[self._at : stop].tolist()
-        self._listed = iter(run)
-        self._n_listed = len(run)
-        self.random = self._listed.__next__
-
-    def rows(self, j: int, k: int) -> np.ndarray:
-        """The next j * k doubles as j rows of k, still unread."""
-        self._fetch(j * k)
-        return self._block[self._at : self._at + j * k].reshape(j, k)
+        return self._block[self._at : self._at + n]
 
     def skip(self, n: int) -> None:
-        """Read the next n doubles handed over by ``rows``."""
+        """Read the next n doubles."""
         self._at += n
 
 
@@ -189,8 +179,9 @@ class IndependentSetSampler:
     coefficient their draws read here.  The truncated backend memoises T_m
     of every 2-linked set below m_step, one log of Xi each, and builds the
     table of f_T only when a link component of R has m_step or more
-    vertices.  It steps m_step down as ``approx_log_Z`` steps its depth
-    while what it stores passes ``clusters.MAX_COEFFICIENTS``; the exact
+    vertices.  It steps m_step down as ``approx_log_Z``
+    steps its depth while what it holds passes
+    ``clusters.MAX_COEFFICIENTS``, the sets it lists included; the exact
     backend raises ClusterBudgetError, and SizeCapError when a polymer
     weight, a coefficient of Xi_R or their sum overflows a float: it refuses
     a Xi past the float range rather than read inf / inf.  During the draws
@@ -246,12 +237,15 @@ class IndependentSetSampler:
             def build(m: int) -> SeriesEngine:
                 engine = SeriesEngine(g, lam, m)
                 # T_m(R) builds the f_T table only for a link component of
-                # m or more vertices; then T_m of every 2-linked T below m,
-                # each one log of Xi_T or a hit in that table's memo, so a
-                # draw reads only memo entries
+                # m or more vertices, and the table memoises T_m of every
+                # 2-linked T below m.  Otherwise those T are listed here,
+                # each charged m - |T| as the table would, and memoised one
+                # log of Xi_T each; either way a draw reads only memo entries
                 engine.log_xi()
-                for T in _two_linked_sets(engine._links, (1 << g.n_R) - 1, m - 1):
-                    engine._log_xi(T)
+                if engine._plain is None:
+                    for T in _two_linked_sets(engine._links, (1 << g.n_R) - 1, m - 1):
+                        engine._charge(m - T.bit_count())
+                        engine._log_xi(T)
                 return engine
 
             self._engine = _fit_depth(build, min(self.m_requested, TRUNCATION_DEPTH_CAP))
@@ -263,6 +257,8 @@ class IndependentSetSampler:
         self._conditional_cache: dict[int, _Conditional] = {}
         self._vacant: np.ndarray | None = None  # p_any along the all-vacant chain
         self._polymers: dict[int, Polymer] = {}  # one per gamma a draw has returned
+        # one per tuple of chosen gamma, at most L_SET_MEMO of them
+        self._configs: dict[tuple[int, ...], PolymerConfig] = {}
         # one object, shared by every draw that picks no polymer
         self._empty = PolymerConfig(chosen=(), decided_vertices=frozenset(range(g.n_R)))
         self._p_in = lam.lambda_L / (1.0 + lam.lambda_L)
@@ -320,11 +316,17 @@ class IndependentSetSampler:
             trace.extend((u, 0) for u in range(traced, self.graph.n_R))
         if not chosen:
             return self._empty
-        polymers = self._polymers
-        return PolymerConfig(
-            chosen=tuple(polymers.get(gamma) or self._polymer(gamma) for gamma in chosen),
-            decided_vertices=self._empty.decided_vertices,
-        )
+        key = tuple(chosen)
+        config = self._configs.get(key)
+        if config is None:
+            if len(self._configs) >= L_SET_MEMO:
+                self._configs.clear()
+            polymers = self._polymers
+            config = self._configs[key] = PolymerConfig(
+                chosen=tuple(polymers.get(gamma) or self._polymer(gamma) for gamma in chosen),
+                decided_vertices=self._empty.decided_vertices,
+            )
+        return config
 
     def _polymer(self, gamma: int) -> Polymer:
         p = self._polymers[gamma] = _build_polymer(
@@ -333,12 +335,12 @@ class IndependentSetSampler:
         return p
 
     def extend(self, config: PolymerConfig, rng: np.random.Generator) -> frozenset[Vertex]:
-        return _extend(self.graph, self._p_in, _occupied(config), rng, self._names, {})
+        return _extend(self.graph, self._p_in, _occupied(config), rng, self._names)
 
     def sample(self, rng: np.random.Generator) -> frozenset[Vertex]:
         # through the two public steps, so that what wraps either one (the
         # spans of perfbench/spans.py) sees every draw of this call; draws()
-        # calls sample_config and the extension routine, not extend
+        # calls sample_config for its polymer draws only, and not extend
         return self.extend(self.sample_config(rng), rng)
 
     def draws(self, n: int, seed: int) -> Iterator[frozenset[Vertex]]:
@@ -347,26 +349,33 @@ class IndependentSetSampler:
         ``Generator(Philox(seed))``, reading the same uniforms.
 
         P(no polymer) is the product of 1 - p_any over the all-vacant
-        chain.  When it is at least BATCH_CUTOVER (0.9, where batching
-        broke even on the slowest case measured; see the constant), the
-        draws are decided in blocks: the next rows of n_R + n_L uniforms
-        form one numpy array, and a row whose first n_R uniforms are each
-        at or above the p_any of the chain's state is a draw with no
-        polymer, its L-set ``row[n_R:] < p_in``.  Those are the uniforms
-        and the comparisons of the walk, so the draw is the same.  At the
-        first row that fails, the walk and the extension run from that
-        row's first uniform (a draw reads at most n_R + n_L), and batching
-        resumes after the uniforms they read.  So the uniforms read, their
-        order and every draw are those of repeated ``sample``.
+        chain.  A draw whose first n_R uniforms are each at or above the
+        p_any of the chain's state picks no polymer, and its L-set is
+        ``u < p_in`` of the n_L uniforms after them: the uniforms and the
+        comparisons of the walk, so the draw is the same.  A draw reads at
+        most k = n_R + n_L uniforms.  When P(no polymer) is at least
+        BATCH_CUTOVER (0.9; see the constant), the next rows of k uniforms
+        form one numpy array, the rows before the first that picks a
+        polymer are decided at once, that draw is walked, and batching
+        resumes after the uniforms it read.  Below it, a block of at least
+        4 * UNIFORM_BLOCK uniforms is tested at every offset as a draw's
+        first uniform, in one comparison with the largest p_any and a few
+        on the uniforms below it, no array of them longer than the block;
+        the draws are then read off in order, a no-polymer draw from the
+        test and any other by the walk, until the next could pass the
+        block's end, where the next block starts.  When n_R * max(p_any)
+        passes 2 the test is skipped and every draw is walked.  So the
+        uniforms read, their order and every draw are those of repeated
+        ``sample``.
 
-        A walked draw calls ``sample_config`` and then the extension routine
-        of ``extend``, which reads the same uniforms; neither kind of draw
-        goes through ``sample`` or ``extend``.  Equal draws of one call,
-        walked or batched, may be one shared frozenset: each kind keeps a
-        memo of at most L_SET_MEMO sets, the batched one past the current
-        block's, and the walked one only for states with at most
-        L_SET_MEMO L-sets.  ValueError when n is not a nonnegative
-        integer."""
+        A walked draw calls ``sample_config`` on the uniforms from its
+        first one, and reads the comparisons of its free L-vertices from
+        the block; no draw goes through ``sample`` or ``extend``.  Equal
+        draws of one call may be one shared frozenset: the rows keep a
+        memo of at most L_SET_MEMO L-sets past the current block's, and
+        the other draws one of at most L_SET_MEMO draws, only of states
+        with at most L_SET_MEMO L-sets.  ValueError when n is not a
+        nonnegative integer."""
         try:
             n = operator.index(n)
         except TypeError:
@@ -391,45 +400,103 @@ class IndependentSetSampler:
         k = n_R + n_L  # the most uniforms a draw reads
         vacant = self._vacant_chain()
         p_none = float(np.prod(1.0 - vacant))
-        g, names, p_in = self.graph, self._names, self._p_in
-        walk_memo: dict[tuple[int, tuple[Vertex, ...]], frozenset[Vertex]] = {}
+        adj_L, p_in = self.graph.adj_L, self._p_in
+        l_names, r_names = self._names
+        memo: dict[tuple[int, bytes], frozenset[Vertex]] = {}
+        # occupied R-mask -> its free L-vertices.  Like the configs of
+        # sample_config, it pays when polymer draws repeat their occupied
+        # set, as on a small R side: 99% of them on even_cycle(12)
+        frees: dict[int, tuple[Vertex, ...]] = {}
 
-        def walk(to_block_end: bool) -> frozenset[Vertex]:
-            """``sample``, with the extension sharing equal draws of the call."""
-            src.listed(k, to_block_end)
-            return _extend(g, p_in, _occupied(self.sample_config(src)), src, names, walk_memo)
+        def walked(run: np.ndarray, flags: bytes, p: int) -> tuple[int, frozenset[Vertex]]:
+            """The draw whose first uniform is run[0] and whose flags < p_in
+            start at flags[p]: ``sample_config`` reads its R-uniforms, at
+            most n_R, from ``run`` through src, and its free L-vertices the
+            flags after them.  Returns the draw's end in flags, and the
+            draw."""
+            listed = iter(run.tolist())
+            src.random = listed.__next__
+            occupied = _occupied(self.sample_config(src))
+            p += n_R - operator.length_hint(listed)
+            free = frees.get(occupied)
+            if free is None:
+                free = tuple(u for u, nb in zip(l_names, adj_L) if not nb & occupied)
+                if 1 << len(free) <= L_SET_MEMO:  # only such states repeat
+                    if len(frees) >= L_SET_MEMO:
+                        frees.clear()
+                    frees[occupied] = free
+            end = p + len(free)
+            return end, _named(occupied, free, flags[p:end], r_names, memo)
 
+        done = 0
         if p_none < BATCH_CUTOVER:
-            for _ in range(n):
-                yield walk(True)
+            size = max(4 * UNIFORM_BLOCK, 2 * k)
+            # the test reads about n_R * max(p_any) slices of the block.  It
+            # broke even with walking every draw near 2, where P(no
+            # polymer) was 0.1-0.2 on even cycles of 12 to 200 vertices,
+            # and was 14% slower at 5.5; past 2 every draw is walked
+            test = n_R * float(vacant.max()) <= 2.0
+            while done < n:
+                u = src.block(size)
+                flags = (u < p_in).tobytes()
+                vacancy = _vacancy_offsets(u, vacant, size - k + 1) if test else bytes(size - k + 1)
+                p = 0  # the next draw's first uniform
+                while done < n and p <= size - k:
+                    if vacancy[p]:
+                        yield _named(0, l_names, flags[p + n_R : p + k], r_names, memo)
+                        p += k
+                    else:
+                        p, draw = walked(u[p : p + n_R], flags, p)
+                        yield draw
+                    done += 1
+                src.skip(p)
             return
         per_block = _block_rows(p_none, k)
-        l_names = names[0]
-        memo: dict[bytes, frozenset[Vertex]] = {}
-        done = 0
+        row_memo: dict[bytes, frozenset[Vertex]] = {}
         while done < n:
             j = min(n - done, per_block)
-            rows = src.rows(j, k)
-            walked = np.flatnonzero((rows[:, :n_R] < vacant).any(axis=1))
-            m = int(walked[0]) if len(walked) else j  # rows before the first walked draw
+            rows = src.block(j * k).reshape(j, k)
+            walked_rows = np.flatnonzero((rows[:, :n_R] < vacant).any(axis=1))
+            m = int(walked_rows[0]) if len(walked_rows) else j  # rows before the first walked draw
             if m:
                 bits = rows[:m, n_R:] < p_in
                 keys = _row_keys(bits)
-                new = set(keys).difference(memo)
-                if len(memo) + len(new) > L_SET_MEMO:
-                    memo.clear()
+                new = set(keys).difference(row_memo)
+                if len(row_memo) + len(new) > L_SET_MEMO:
+                    row_memo.clear()
                     new = set(keys)
                 if new:
                     row_of = dict(zip(keys, range(m)))
                     new = list(new)
                     for key, row in zip(new, bits[[row_of[key] for key in new]].tolist()):
-                        memo[key] = frozenset({*itertools.compress(l_names, row)})
-                yield from map(memo.__getitem__, keys)
+                        row_memo[key] = frozenset({*itertools.compress(l_names, row)})
+                yield from map(row_memo.__getitem__, keys)
                 src.skip(m * k)
                 done += m
             if m < j:
-                yield walk(False)
+                used, draw = walked(rows[m, :n_R], (rows[m] < p_in).tobytes(), 0)
+                src.skip(used)
+                yield draw
                 done += 1
+
+
+def _vacancy_offsets(u: np.ndarray, vacant: np.ndarray, starts: int) -> bytes:
+    """For each offset p below ``starts``, 1 when the draw whose first
+    uniform is u[p] picks no polymer, u[p + i] >= vacant[i] for every state
+    i of the all-vacant chain, else 0.  One comparison with the largest
+    p_any finds the uniforms that pick at some state; only those are
+    compared with every state, a slice of them at a time so that no array
+    holds more than len(u) cells."""
+    n_R = len(vacant)
+    q = np.flatnonzero(u[: starts + n_R - 1] < vacant.max())
+    out = np.ones(starts, dtype=bool)
+    step = max(1, len(u) // n_R)
+    states = np.arange(n_R)
+    for lo in range(0, len(q), step):
+        at = q[lo : lo + step]
+        p = (at[:, None] - states)[u[at, None] < vacant]  # the draws that pick at u[at]
+        out[p[(p >= 0) & (p < starts)]] = False
+    return out.tobytes()
 
 
 def _block_rows(p_none: float, k: int) -> int:
@@ -455,40 +522,49 @@ def _vertex_names(g: BipartiteGraph) -> _Names:
     return tuple(("L", u) for u in range(g.n_L)), tuple(("R", v) for v in range(g.n_R))
 
 
+def _named(
+    occupied_R: int,
+    free: tuple[Vertex, ...],
+    bits: bytes,
+    r_names: tuple[Vertex, ...],
+    memo: dict[tuple[int, bytes], frozenset[Vertex]],
+) -> frozenset[Vertex]:
+    """The draw that occupies the R-vertices in ``occupied_R`` and each
+    L-vertex of ``free`` whose byte in ``bits`` is 1.  ``memo`` maps
+    (occupied_R, bits) to the draw, so that equal draws through one memo
+    share one frozenset, built from a set of the sampler's name tuples.  It
+    keeps only the draws of states with at most L_SET_MEMO L-sets,
+    2 ** len(free), and is emptied when it holds L_SET_MEMO draws."""
+    # a state with more L-sets than the memo holds rarely repeats one
+    key = (occupied_R, bits) if 1 << len(free) <= L_SET_MEMO else None
+    out = memo.get(key)
+    if out is None:
+        out = frozenset({*itertools.compress(free, bits), *(r_names[v] for v in _bits(occupied_R))})
+        if key is not None:
+            if len(memo) >= L_SET_MEMO:
+                memo.clear()
+            memo[key] = out
+    return out
+
+
 def _extend(
     g: BipartiteGraph,
     p_in: float,
     occupied_R: int,
     rng: np.random.Generator,
     names: _Names,
-    memo: dict[tuple[int, tuple[Vertex, ...]], frozenset[Vertex]],
 ) -> frozenset[Vertex]:
     """Occupy the R-vertices in ``occupied_R``, then each unblocked L-vertex
     independently with probability ``p_in``: one uniform per unblocked
     L-vertex, in L order.  With no R-vertex occupied every L-vertex is
-    free, and the prebuilt name tuple is walked as it is.  ``memo`` maps
-    (occupied_R, the chosen L names) to the draw, so that equal draws
-    through one memo share one frozenset.  It keeps only the draws of
-    states with at most L_SET_MEMO L-sets, 2 ** (free L-vertices), and is
-    emptied when it holds L_SET_MEMO draws.  One-draw callers pass a fresh
-    one."""
+    free, and the prebuilt name tuple is walked as it is."""
     l_names, r_names = names
     free = l_names
     if occupied_R:
         # an L-vertex with an occupied neighbour is blocked and reads no uniform
-        free = [u for u, nb in zip(l_names, g.adj_L) if not nb & occupied_R]
+        free = tuple(u for u, nb in zip(l_names, g.adj_L) if not nb & occupied_R)
     random = rng.random
-    chosen = [u for u in free if random() < p_in]
-    # a state with more L-sets than the memo holds rarely repeats one
-    key = (occupied_R, tuple(chosen)) if 1 << len(free) <= L_SET_MEMO else None
-    out = memo.get(key)
-    if out is None:
-        out = frozenset({*chosen, *(r_names[v] for v in _bits(occupied_R))})
-        if key is not None:
-            if len(memo) >= L_SET_MEMO:
-                memo.clear()
-            memo[key] = out
-    return out
+    return _named(occupied_R, free, bytes([random() < p_in for _ in free]), r_names, {})
 
 
 def sample_polymer_config(
@@ -513,7 +589,7 @@ def extend_to_independent_set(
         raise ValueError("sampling needs real activities")
     p_in = lam.lambda_L / (1.0 + lam.lambda_L)
     rng = np.random.Generator(np.random.Philox(rng_seed))
-    return _extend(g, p_in, _occupied(config), rng, _vertex_names(g), {})
+    return _extend(g, p_in, _occupied(config), rng, _vertex_names(g))
 
 
 def sample_independent_set(

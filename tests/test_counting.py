@@ -176,6 +176,44 @@ def test_a_biregular_sixteen_reaches_the_requested_depth():
     assert abs(res.log_Z_estimate - bc.exact_log_Z(g, lam)) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "driver, g, lam",
+    [
+        ("count", bc.random_biregular(3, 3, 30, seed=0), Fugacities(50.0, 0.1)),
+        ("count", bc.random_biregular(2, 10, 130, seed=0), Fugacities(3.0, 0.5)),
+        ("sample", bc.random_biregular(3, 3, 22, seed=0), Fugacities(50.0, 0.1)),
+    ],
+    ids=["count-rb(3,3,30)", "count-rb(2,10,130)", "sample-rb(3,3,22)"],
+)
+def test_a_dense_component_lists_inside_the_budget(monkeypatch, driver, g, lam):
+    # one dense link component of 22 to 30 R-vertices: the Xi recursion
+    # charges the gamma it lists, in blocks of 1,024, so each depth past
+    # the budget stops its listing there and the driver degrades.  Listing
+    # every gamma of a frame before charging held gigabytes at the full
+    # budget; here a frame that lists more than the budget and one block
+    # fails the test
+    budget = 50_000
+    monkeypatch.setattr(clusters, "MAX_COEFFICIENTS", budget)
+    grown = clusters._grown_sets
+
+    def capped(*args):
+        for i, item in enumerate(grown(*args)):
+            if i > budget + 1_024:
+                raise AssertionError("a frame listed past the budget")
+            yield item
+
+    monkeypatch.setattr(clusters, "_grown_sets", capped)
+    if driver == "count":
+        res = approx_log_Z(g, lam, epsilon=0.01)
+        assert (res.m_used, res.degraded) == (5, True)
+        assert res.error_bound == res.certificate.error_bound(g.n_R, 5)
+    else:
+        s = bc.IndependentSetSampler(g, lam, 0.01, backend="truncated")
+        assert (s.m_step, s.degraded) == (5, True)
+        for draw in s.draws(5, seed=0):
+            assert not any(("L", u) in draw and ("R", v) in draw for u, v in g.edges)
+
+
 def test_json_fields_exact():
     g = bc.complete_bipartite(1, 1)
     res = approx_log_Z(g, Fugacities(10.0, 0.1), epsilon=0.1)

@@ -27,7 +27,15 @@ from bipcore import (
 )
 from bipcore import clusters
 from bipcore.graph import _bits, _components
-from bipcore.sampler import BATCH_CUTOVER, UNIFORM_BLOCK, _block_rows
+from bipcore.polymers import _two_linked_sets
+from bipcore.sampler import (
+    BATCH_CUTOVER,
+    L_SET_MEMO,
+    UNIFORM_BLOCK,
+    _block_rows,
+    _Uniforms,
+    _vacancy_offsets,
+)
 
 from conftest import random_bipartite
 
@@ -351,6 +359,124 @@ def test_walked_draws_clear_their_memo(monkeypatch, memo):
     assert len(set(draws)) > 100
 
 
+class _Counted:
+    """Generator(Philox(seed)) that counts the doubles ``random()`` read."""
+
+    def __init__(self, seed: int):
+        self._rng = np.random.Generator(np.random.Philox(seed))
+        self.read = 0
+
+    def random(self) -> float:
+        self.read += 1
+        return self._rng.random()
+
+
+@pytest.mark.parametrize(
+    "g, lam, memo, n, seed, offsets",
+    [
+        (bc.even_cycle(12), Fugacities(1.0, 0.5), L_SET_MEMO, 2_000, 1, True),
+        (bc.even_cycle(12), Fugacities(1.0, 0.5), 4, 2_000, 1, True),
+        (bc.random_biregular(2, 4, 16, seed=0), Fugacities(1.0, 0.3), L_SET_MEMO, 1_200, 1, True),
+        (bc.BipartiteGraph(0, 3, []), Fugacities(1.0, 1.0), L_SET_MEMO, 6_000, 0, True),
+        (bc.even_cycle(12), Fugacities(1.0, 2.0), L_SET_MEMO, 2_000, 1, False),
+    ],
+    ids=["C12", "C12-memo4", "rb16", "no-L", "C12-every-draw-walked"],
+)
+def test_draws_below_the_cutover_equal_sample_calls_across_blocks(
+    monkeypatch, g, lam, memo, n, seed, offsets
+):
+    # every offset of a block is tested as a draw's first uniform, or,
+    # past n_R * max(p_any) = 2, every draw is walked; a draw that would
+    # read past the block's end starts the next block, so the stream must
+    # cross at least three blocks and hold a polymer draw that straddles an
+    # end
+    monkeypatch.setattr("bipcore.sampler.L_SET_MEMO", memo)
+    s = IndependentSetSampler(g, lam, backend="exact")
+    assert math.prod(1.0 - p for p in s._vacant_chain()) < BATCH_CUTOVER
+    assert (g.n_R * max(s._vacant_chain()) <= 2.0) == offsets
+    read, ends = 0, []
+    block, skip = _Uniforms.block, _Uniforms.skip
+
+    def spied_block(self, size):
+        ends.append(read + size)
+        return block(self, size)
+
+    def spied_skip(self, k):
+        nonlocal read
+        read += k
+        skip(self, k)
+
+    monkeypatch.setattr(_Uniforms, "block", spied_block)
+    monkeypatch.setattr(_Uniforms, "skip", spied_skip)
+    draws = list(s.draws(n, seed))
+    rng, want, spans = _Counted(seed), [], []
+    for _ in range(n):
+        start = rng.read
+        want.append(s.sample(rng))
+        spans.append((start, rng.read))
+    assert draws == want
+    assert read == rng.read and len(ends) >= 3
+    polymer_spans = [span for span, d in zip(spans, want) if any(v[0] == "R" for v in d)]
+    assert any(a < end < b for a, b in polymer_spans for end in ends)
+
+
+@pytest.mark.parametrize("n_R, size, seed", [(1, 40, 0), (3, 64, 1), (50, 120, 2), (50, 4_096, 3)])
+def test_vacancy_offsets_are_the_draws_that_pick_no_polymer(n_R, size, seed):
+    # 120 uniforms against 50 states compare two of the uniforms that pick
+    # at a time
+    rng = np.random.default_rng(seed)
+    vacant = rng.random(n_R) * min(0.3, 2.0 / n_R)
+    u = rng.random(size)
+    starts = size - n_R + 1
+    windows = np.lib.stride_tricks.sliding_window_view(u, n_R)[:starts]
+    want = (windows >= vacant).all(axis=1)
+    assert want.any() and not want.all()
+    assert _vacancy_offsets(u, vacant, starts) == want.tobytes()
+
+
+def test_vacancy_offsets_hold_no_array_past_the_block():
+    # a chain of 20,000 states, 100 of them at p_any 0.008 as on a certified
+    # even cycle at (1, 0.03), over a block of 2k uniforms: about 480
+    # uniforms pick, and comparing all of them with every state at once
+    # would take 9.6 million cells
+    n_R = 20_000
+    vacant = np.full(n_R, 1e-6)
+    vacant[::200] = 0.008
+    u = np.random.default_rng(4).random(4 * n_R)
+    starts = 2 * n_R + 1
+    tracemalloc.start()
+    try:
+        out = _vacancy_offsets(u, vacant, starts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * u.nbytes
+    for p in range(0, starts, 97):
+        assert out[p] == (u[p : p + n_R] >= vacant).all()
+    assert 0 < sum(out) < len(out)
+
+
+@pytest.mark.parametrize("memo", [4, L_SET_MEMO])
+def test_shared_polymer_configs_equal_a_fresh_samplers(monkeypatch, memo):
+    # sample_config hands out one PolymerConfig per tuple of chosen gamma;
+    # a fresh sampler per draw, whose memo is empty, builds the same ones
+    monkeypatch.setattr("bipcore.sampler.L_SET_MEMO", memo)
+    g, lam = bc.even_cycle(12), Fugacities(1.0, 0.5)
+    s = IndependentSetSampler(g, lam, backend="exact")
+    rng = np.random.Generator(np.random.Philox(6))
+    configs = []
+    for _ in range(300):
+        configs.append(s.sample_config(rng))
+        assert len(s._configs) <= memo
+    rng = np.random.Generator(np.random.Philox(6))
+    fresh = [IndependentSetSampler(g, lam, backend="exact").sample_config(rng) for _ in range(300)]
+    assert configs == fresh
+    keys = {tuple(p.mask for p in c.chosen) for c in configs if c.chosen}
+    assert len(keys) > memo if memo == 4 else len(keys) <= memo
+    if memo == L_SET_MEMO:  # nothing was dropped: equal configs are one object
+        assert len({id(c) for c in configs if c.chosen}) == len(keys)
+
+
 def test_walked_draws_on_a_large_l_side_keep_no_draw():
     # C_12 and 1,994 isolated L-vertices: P(no polymer) stays below the
     # cut-over, and each walked draw holds about 1,000 L-vertices, so no two
@@ -559,10 +685,10 @@ def test_truncated_backend_draws_past_the_exact_cap():
 
 def test_truncated_backend_steps_its_depth_down_under_the_budget(monkeypatch):
     # depths 24, 19 and 15 pass 4,000 coefficients and 12 fits (3,146):
-    # 24 stores 5,567, one log of Xi per 2-linked set; 19 and 15, below the
-    # 22-vertex component, build the table of f_T and store 7,920 and
-    # 4,928.  Every coefficient the draws read is then stored before the
-    # first draw
+    # 24 stores 11,575, the 463 2-linked sets it lists charged as the table
+    # would and one Xi each; 19 and 15, below the 22-vertex component,
+    # build the table of f_T and store 7,920 and 4,928.  Every coefficient
+    # the draws read is then stored before the first draw
     monkeypatch.setattr(clusters, "MAX_COEFFICIENTS", 4_000)
     g = bc.even_cycle(44)
     s = IndependentSetSampler(g, Fugacities(20.0, 0.1))
@@ -571,6 +697,30 @@ def test_truncated_backend_steps_its_depth_down_under_the_budget(monkeypatch):
     for draw in s.draws(20, seed=4):
         assert is_independent(g, draw)
     assert s._engine._stored == stored
+
+
+def test_truncated_build_charges_the_sets_it_lists(monkeypatch):
+    # rb(3,3,12) is one link component, below m_step = 24: the build lists
+    # its 2-linked sets below m and charges each m - |T| as it is listed, as
+    # the table would.  Under a budget of 10,000, depths 24, 19 and 15 stop
+    # their listings short of the end; 12 and below build the table
+    monkeypatch.setattr(clusters, "MAX_COEFFICIENTS", 10_000)
+    listed = []
+
+    def counted(links, S, cap):
+        listed.append((cap + 1, 0))
+        for T in _two_linked_sets(links, S, cap):
+            listed[-1] = (cap + 1, listed[-1][1] + 1)
+            yield T
+
+    monkeypatch.setattr("bipcore.sampler._two_linked_sets", counted)
+    g = bc.random_biregular(3, 3, 12, seed=0)
+    s = IndependentSetSampler(g, Fugacities(1.0, 0.03), 0.01, backend="truncated")
+    assert (s.m_step, s.degraded) == (5, True)
+    assert [m for m, _ in listed] == [24, 19, 15]
+    links, full = s._engine._links, (1 << g.n_R) - 1
+    for m, n in listed:
+        assert 0 < n < sum(1 for _ in _two_linked_sets(links, full, m - 1))
 
 
 def _assert_truncated_build_reads_no_table(g, lam):
@@ -651,11 +801,22 @@ def test_exact_backend_fills_its_memo_when_built(monkeypatch):
 def test_exact_backend_draws_under_the_budget_it_was_built_under(monkeypatch, n_L):
     # Xi's own recursion turns at a leaf of the set, the walk at min S, and
     # on these graphs the two reach different sets: the walk reads only sets
-    # its build memoised, so a budget that fits the build fits the draws
+    # its build memoised, so a budget that fits the build fits the draws.
+    # The build's peak charge holds the gamma its recursion frames list on
+    # top of what it stores (16: 156 against 115; 20: 554 against 191)
     g = bc.random_biregular(2, 4, n_L, seed=0)
     lam = Fugacities(1.0, 0.5)
-    stored = IndependentSetSampler(g, lam, backend="exact")._engine._stored
-    monkeypatch.setattr(clusters, "MAX_COEFFICIENTS", stored)
+    peak = 0
+    charge = clusters.SeriesEngine._charge
+
+    def traced(engine, n):
+        nonlocal peak
+        charge(engine, n)
+        peak = max(peak, engine._stored)
+
+    monkeypatch.setattr(clusters.SeriesEngine, "_charge", traced)
+    IndependentSetSampler(g, lam, backend="exact")
+    monkeypatch.setattr(clusters, "MAX_COEFFICIENTS", peak)
     sampler = IndependentSetSampler(g, lam, backend="exact")
     memo = set(sampler._engine._xi)
     for draw in sampler.draws(500, seed=0):
