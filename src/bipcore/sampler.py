@@ -40,21 +40,18 @@ In the paper's regime polymers are rare, and most draws pick none: the walk
 then passes the all-vacant chain of states, full, full & (full - 1), ...,
 and leaves every L-vertex free.  Such a draw is decided by n_R comparisons
 against that chain's p_any and n_L against lambda_L / (1 + lambda_L), so
-``draws`` makes those comparisons in numpy for a block of uniforms and
-walks only the draws that pick a polymer.  When P(no polymer) is at least
-BATCH_CUTOVER the block is cut into rows of n_R + n_L uniforms, one per
-draw, up to the first row that picks a polymer.  Below it, where such rows
-would be cut short too often to pay, every offset of the block is tested
-as a draw's first uniform, and the draws are read off in order: a
-no-polymer draw from the test, a polymer draw by the walk.  The test
-compares about n_R * max(p_any) slices of the block with the chain; when
-that passes 2, no-polymer draws are too rare for it to pay, and every draw
-is walked.  The uniforms read, their order and every draw stay those of
-the walk.  A walked draw of
-``draws`` calls ``sample_config`` and then reads its free L-vertices'
-comparisons from the block.  Equal draws of one call share one frozenset
-through a memo.  Draws repeat only from states with few free L-vertices,
-so the memo keeps only the draws of states with at most L_SET_MEMO L-sets.
+``draws`` tests every offset of a block of uniforms in numpy as a draw's
+first uniform and reads the draws off in order: a no-polymer draw from the
+test, a polymer draw by the walk.  The test compares about
+n_R * max(p_any) slices of the block with the chain; when that passes 2,
+no-polymer draws are too rare for it to pay, and every draw is walked.  The
+uniforms read, their order and every draw stay those of the walk.  A walked
+draw of ``draws`` calls ``sample_config`` and then reads its free
+L-vertices' comparisons from the block.  Equal draws of one call share one
+frozenset through a memo.  A draw repeats only when its L-set is likely, so
+the memo keeps a draw only when its state's likeliest L-set has a chance of
+at least 1 / L_SET_MEMO: with f L-vertices free,
+max(p_in, 1 - p_in) ** f >= 1 / L_SET_MEMO, at most 10 at lambda_L = 1.
 """
 
 from __future__ import annotations
@@ -78,18 +75,10 @@ from .polymers import Fugacities, Polymer, _build_polymer, _two_linked_sets
 
 TRUNCATION_DEPTH_CAP = 24
 UNIFORM_BLOCK = 1024  # doubles per generator call in draws()
-# draws() decides the draws in blocks of rows when P(no polymer) is at least
-# this, and below it tests every offset of a block and walks only the
-# polymer draws.  At lambda_L = 1, where L-sets rarely repeat, the offset
-# path was 3.7x faster at 0.455 and 2.7x at 0.859 on even_cycle(12), 1.4x
-# at 0.914 on even_cycle(24), and broke even near 0.985, 0.99 and 0.996 on
-# even_cycle(12), even_cycle(24) and random_biregular(2,4,16).  At
-# lambda_L = 20 on even_cycle(40), where rows share L-sets the offset path
-# does not, it was 1.3x faster at 0.692, broke even at 0.855, and rows were
-# 1.6x faster at 0.954 and 2-4x above 0.98 (4,000 draws, best of 7)
-BATCH_CUTOVER = 0.9
-BATCH_DOUBLES = 1 << 15  # the most uniforms in one block of rows
-L_SET_MEMO = 1024  # draws of each kind one draws() call keeps for sharing, past one block's
+# the most draws, configs or free-L tuples one memo keeps for sharing; a
+# draw is kept only when its state's likeliest L-set has a chance of at
+# least 1 / L_SET_MEMO
+L_SET_MEMO = 1024
 
 Backend = Literal["auto", "exact", "truncated"]
 
@@ -348,16 +337,11 @@ class IndependentSetSampler:
         repeated ``sample(rng)`` calls give on a fresh
         ``Generator(Philox(seed))``, reading the same uniforms.
 
-        P(no polymer) is the product of 1 - p_any over the all-vacant
-        chain.  A draw whose first n_R uniforms are each at or above the
-        p_any of the chain's state picks no polymer, and its L-set is
+        A draw whose first n_R uniforms are each at or above the p_any of
+        the all-vacant chain's state picks no polymer, and its L-set is
         ``u < p_in`` of the n_L uniforms after them: the uniforms and the
         comparisons of the walk, so the draw is the same.  A draw reads at
-        most k = n_R + n_L uniforms.  When P(no polymer) is at least
-        BATCH_CUTOVER (0.9; see the constant), the next rows of k uniforms
-        form one numpy array, the rows before the first that picks a
-        polymer are decided at once, that draw is walked, and batching
-        resumes after the uniforms it read.  Below it, a block of at least
+        most k = n_R + n_L uniforms.  A block of at least
         4 * UNIFORM_BLOCK uniforms is tested at every offset as a draw's
         first uniform, in one comparison with the largest p_any and a few
         on the uniforms below it, no array of them longer than the block;
@@ -371,11 +355,11 @@ class IndependentSetSampler:
         A walked draw calls ``sample_config`` on the uniforms from its
         first one, and reads the comparisons of its free L-vertices from
         the block; no draw goes through ``sample`` or ``extend``.  Equal
-        draws of one call may be one shared frozenset: the rows keep a
-        memo of at most L_SET_MEMO L-sets past the current block's, and
-        the other draws one of at most L_SET_MEMO draws, only of states
-        with at most L_SET_MEMO L-sets.  ValueError when n is not a
-        nonnegative integer."""
+        draws of one call may be one shared frozenset, through a memo of at
+        most L_SET_MEMO draws.  It keeps a draw only when its state's
+        likeliest L-set has a chance of at least 1 / L_SET_MEMO:
+        max(p_in, 1 - p_in) ** f >= 1 / L_SET_MEMO with f L-vertices free.
+        ValueError when n is not a nonnegative integer."""
         try:
             n = operator.index(n)
         except TypeError:
@@ -399,10 +383,14 @@ class IndependentSetSampler:
         n_R, n_L = self.graph.n_R, self.graph.n_L
         k = n_R + n_L  # the most uniforms a draw reads
         vacant = self._vacant_chain()
-        p_none = float(np.prod(1.0 - vacant))
         adj_L, p_in = self.graph.adj_L, self._p_in
         l_names, r_names = self._names
-        memo: dict[tuple[int, bytes], frozenset[Vertex]] = {}
+        # a state with f L-vertices free is kept for sharing when its
+        # likeliest L-set has a chance of at least 1 / L_SET_MEMO: only
+        # then do its draws repeat
+        likeliest, least = max(p_in, 1.0 - p_in), 1.0 / L_SET_MEMO
+        memo: dict[bytes | tuple[int, bytes], frozenset[Vertex]] = {}
+        none_memo = memo if likeliest**n_L >= least else None
         # occupied R-mask -> its free L-vertices.  Like the configs of
         # sample_config, it pays when polymer draws repeat their occupied
         # set, as on a small R side: 99% of them on even_cycle(12)
@@ -419,65 +407,40 @@ class IndependentSetSampler:
             occupied = _occupied(self.sample_config(src))
             p += n_R - operator.length_hint(listed)
             free = frees.get(occupied)
-            if free is None:
+            shared = free is not None
+            if not shared:
                 free = tuple(u for u, nb in zip(l_names, adj_L) if not nb & occupied)
-                if 1 << len(free) <= L_SET_MEMO:  # only such states repeat
+                shared = likeliest ** len(free) >= least
+                if shared:
                     if len(frees) >= L_SET_MEMO:
                         frees.clear()
                     frees[occupied] = free
             end = p + len(free)
-            return end, _named(occupied, free, flags[p:end], r_names, memo)
+            return end, _named(occupied, free, flags[p:end], r_names, memo if shared else None)
 
+        size = max(4 * UNIFORM_BLOCK, 2 * k)
+        # the test reads about n_R * max(p_any) slices of the block.  It
+        # broke even with walking every draw near 2, where P(no polymer)
+        # was 0.1-0.2 on even cycles of 12 to 200 vertices, and was 14%
+        # slower at 5.5; past 2 every draw is walked
+        test = n_R * float(vacant.max(initial=0.0)) <= 2.0
         done = 0
-        if p_none < BATCH_CUTOVER:
-            size = max(4 * UNIFORM_BLOCK, 2 * k)
-            # the test reads about n_R * max(p_any) slices of the block.  It
-            # broke even with walking every draw near 2, where P(no
-            # polymer) was 0.1-0.2 on even cycles of 12 to 200 vertices,
-            # and was 14% slower at 5.5; past 2 every draw is walked
-            test = n_R * float(vacant.max()) <= 2.0
-            while done < n:
-                u = src.block(size)
-                flags = (u < p_in).tobytes()
-                vacancy = _vacancy_offsets(u, vacant, size - k + 1) if test else bytes(size - k + 1)
-                p = 0  # the next draw's first uniform
-                while done < n and p <= size - k:
-                    if vacancy[p]:
-                        yield _named(0, l_names, flags[p + n_R : p + k], r_names, memo)
-                        p += k
-                    else:
-                        p, draw = walked(u[p : p + n_R], flags, p)
-                        yield draw
-                    done += 1
-                src.skip(p)
-            return
-        per_block = _block_rows(p_none, k)
-        row_memo: dict[bytes, frozenset[Vertex]] = {}
         while done < n:
-            j = min(n - done, per_block)
-            rows = src.block(j * k).reshape(j, k)
-            walked_rows = np.flatnonzero((rows[:, :n_R] < vacant).any(axis=1))
-            m = int(walked_rows[0]) if len(walked_rows) else j  # rows before the first walked draw
-            if m:
-                bits = rows[:m, n_R:] < p_in
-                keys = _row_keys(bits)
-                new = set(keys).difference(row_memo)
-                if len(row_memo) + len(new) > L_SET_MEMO:
-                    row_memo.clear()
-                    new = set(keys)
-                if new:
-                    row_of = dict(zip(keys, range(m)))
-                    new = list(new)
-                    for key, row in zip(new, bits[[row_of[key] for key in new]].tolist()):
-                        row_memo[key] = frozenset({*itertools.compress(l_names, row)})
-                yield from map(row_memo.__getitem__, keys)
-                src.skip(m * k)
-                done += m
-            if m < j:
-                used, draw = walked(rows[m, :n_R], (rows[m] < p_in).tobytes(), 0)
-                src.skip(used)
-                yield draw
+            u = src.block(size)
+            flags = (u < p_in).tobytes()
+            vacancy = _vacancy_offsets(u, vacant, size - k + 1) if test else bytes(size - k + 1)
+            p = 0  # the next draw's first uniform
+            while done < n and p <= size - k:
+                if vacancy[p]:
+                    bits = flags[p + n_R : p + k]
+                    draw = memo.get(bits)
+                    yield draw if draw is not None else _named(0, l_names, bits, r_names, none_memo)
+                    p += k
+                else:
+                    p, draw = walked(u[p : p + n_R], flags, p)
+                    yield draw
                 done += 1
+            src.skip(p)
 
 
 def _vacancy_offsets(u: np.ndarray, vacant: np.ndarray, starts: int) -> bytes:
@@ -488,30 +451,15 @@ def _vacancy_offsets(u: np.ndarray, vacant: np.ndarray, starts: int) -> bytes:
     compared with every state, a slice of them at a time so that no array
     holds more than len(u) cells."""
     n_R = len(vacant)
-    q = np.flatnonzero(u[: starts + n_R - 1] < vacant.max())
+    q = np.flatnonzero(u[: starts + n_R - 1] < vacant.max(initial=0.0))
     out = np.ones(starts, dtype=bool)
-    step = max(1, len(u) // n_R)
+    step = max(1, len(u) // max(n_R, 1))
     states = np.arange(n_R)
     for lo in range(0, len(q), step):
         at = q[lo : lo + step]
         p = (at[:, None] - states)[u[at, None] < vacant]  # the draws that pick at u[at]
         out[p[(p >= 0) & (p < starts)]] = False
     return out.tobytes()
-
-
-def _block_rows(p_none: float, k: int) -> int:
-    """Rows per block: enough for about four runs of no-polymer draws, and
-    at most BATCH_DOUBLES uniforms of k per row."""
-    rows = max(1, BATCH_DOUBLES // max(k, 1))
-    return rows if p_none == 1.0 else max(1, min(rows, int(4.0 / (1.0 - p_none))))
-
-
-def _row_keys(bits: np.ndarray) -> list[bytes]:
-    """One bytes key per row of a boolean array, equal for equal rows."""
-    packed = np.packbits(bits, axis=1)
-    if not packed.shape[1]:
-        return [b""] * len(packed)
-    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
 
 
 _Names = tuple[tuple[Vertex, ...], tuple[Vertex, ...]]
@@ -527,20 +475,19 @@ def _named(
     free: tuple[Vertex, ...],
     bits: bytes,
     r_names: tuple[Vertex, ...],
-    memo: dict[tuple[int, bytes], frozenset[Vertex]],
+    memo: dict[bytes | tuple[int, bytes], frozenset[Vertex]] | None,
 ) -> frozenset[Vertex]:
     """The draw that occupies the R-vertices in ``occupied_R`` and each
-    L-vertex of ``free`` whose byte in ``bits`` is 1.  ``memo`` maps
-    (occupied_R, bits) to the draw, so that equal draws through one memo
-    share one frozenset, built from a set of the sampler's name tuples.  It
-    keeps only the draws of states with at most L_SET_MEMO L-sets,
-    2 ** len(free), and is emptied when it holds L_SET_MEMO draws."""
-    # a state with more L-sets than the memo holds rarely repeats one
-    key = (occupied_R, bits) if 1 << len(free) <= L_SET_MEMO else None
-    out = memo.get(key)
+    L-vertex of ``free`` whose byte in ``bits`` is 1, built from a set of
+    the sampler's name tuples.  ``memo``, when given, maps bits, or
+    (occupied_R, bits) when some R-vertex is occupied, to the draw, so that
+    equal draws through one memo share one frozenset; it is emptied when it
+    holds L_SET_MEMO draws."""
+    key = (occupied_R, bits) if occupied_R else bits
+    out = None if memo is None else memo.get(key)
     if out is None:
         out = frozenset({*itertools.compress(free, bits), *(r_names[v] for v in _bits(occupied_R))})
-        if key is not None:
+        if memo is not None:
             if len(memo) >= L_SET_MEMO:
                 memo.clear()
             memo[key] = out
@@ -557,14 +504,20 @@ def _extend(
     """Occupy the R-vertices in ``occupied_R``, then each unblocked L-vertex
     independently with probability ``p_in``: one uniform per unblocked
     L-vertex, in L order.  With no R-vertex occupied every L-vertex is
-    free, and the prebuilt name tuple is walked as it is."""
+    free, and the prebuilt name tuple is walked as it is.  ValueError when
+    ``occupied_R`` holds a vertex past g's R side."""
+    if occupied_R >> g.n_R:
+        raise ValueError(
+            f"the configuration occupies R-vertex {occupied_R.bit_length() - 1}, "
+            f"outside the graph's {g.n_R} R-vertices"
+        )
     l_names, r_names = names
     free = l_names
     if occupied_R:
         # an L-vertex with an occupied neighbour is blocked and reads no uniform
         free = tuple(u for u, nb in zip(l_names, g.adj_L) if not nb & occupied_R)
     random = rng.random
-    return _named(occupied_R, free, bytes([random() < p_in for _ in free]), r_names, {})
+    return _named(occupied_R, free, bytes([random() < p_in for _ in free]), r_names, None)
 
 
 def sample_polymer_config(

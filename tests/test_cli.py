@@ -533,11 +533,11 @@ STREAM_RSS_SLACK_MB = 4.0
 
 
 def test_sample_streams_in_bounded_memory(tmp_path):
-    # 16 L-vertices at p_in = 1/2 and P(no polymer) = 0.96: batched draws
-    # whose L-sets are nearly all distinct.  Blocks of rows, the L-set memo
-    # and the line-by-line writer are bounded, so 200,000 draws peak
-    # within a few MB of 1,000 draws; keeping the draws or every L-set
-    # would take tens of MB more
+    # 16 L-vertices at p_in = 1/2 and P(no polymer) = 0.96: no-polymer
+    # draws whose L-sets are nearly all distinct, none kept for sharing.
+    # Blocks of uniforms and the line-by-line writer are bounded, so
+    # 200,000 draws peak within a few MB of 1,000 draws; keeping the draws
+    # or every L-set would take tens of MB more
     graph = tmp_path / "c32.txt"
     graph.write_text(graph_to_text(bc.even_cycle(32)))
     path = [str(Path(bc.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]

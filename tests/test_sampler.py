@@ -28,14 +28,7 @@ from bipcore import (
 from bipcore import clusters
 from bipcore.graph import _bits, _components
 from bipcore.polymers import _two_linked_sets
-from bipcore.sampler import (
-    BATCH_CUTOVER,
-    L_SET_MEMO,
-    UNIFORM_BLOCK,
-    _block_rows,
-    _Uniforms,
-    _vacancy_offsets,
-)
+from bipcore.sampler import L_SET_MEMO, UNIFORM_BLOCK, _Uniforms, _vacancy_offsets
 
 from conftest import random_bipartite
 
@@ -200,6 +193,20 @@ def test_extend_star_center_blocked():
     assert out == frozenset({("R", 0), ("R", 1)})
 
 
+def test_extending_a_configuration_from_another_graph_names_the_vertex():
+    # R-vertex 3 of C_8 is past the two R-vertices of C_4
+    lam = Fugacities(1.0, 0.5)
+    cfg = bc.sampler.PolymerConfig(
+        chosen=(bc.make_polymer(bc.even_cycle(8), [3], lam),),
+        decided_vertices=frozenset({3}),
+    )
+    g = bc.even_cycle(4)
+    with pytest.raises(ValueError, match="R-vertex 3"):
+        IndependentSetSampler(g, lam).extend(cfg, np.random.Generator(np.random.Philox(0)))
+    with pytest.raises(ValueError, match="R-vertex 3"):
+        extend_to_independent_set(g, cfg, lam, rng_seed=0)
+
+
 def test_module_level_functions_deterministic():
     g = bc.even_cycle(6)
     lam = Fugacities(2.0, 0.5)
@@ -266,79 +273,85 @@ def test_draws_equal_repeated_sample_calls(g, lam, backend, n):
     assert list(s.draws(n, seed=8)) == [s.sample(rng) for _ in range(n)]
 
 
-# on both sides of the batching cut-over, for both backends; a K_{70,3}
-# row's 70 L-uniforms pack into a key of more than 64 bits
-_CUTOVER_CASES = [
-    (bc.even_cycle(12), Fugacities(1.0, 0.5), "exact", False),
-    (bc.even_cycle(12), Fugacities(1.0, 0.05), "exact", True),
-    (bc.complete_bipartite(70, 3), Fugacities(1.0, 1e7), "exact", False),
-    (bc.complete_bipartite(70, 3), Fugacities(1.0, 4e6), "exact", True),
-    (bc.even_cycle(16), Fugacities(2.0, 0.2), "truncated", False),
-    (bc.even_cycle(16), Fugacities(10.0, 0.05), "truncated", True),
+# P(no polymer) on both sides of 0.9, for both backends: the ids name the
+# two paths draws() took on either side before one block loop served every
+# P(no polymer), and are kept so that the test keeps its ids.  A K_{70,3}
+# draw reads 70 L-uniforms
+_P_NONE_CASES = [
+    (bc.even_cycle(12), Fugacities(1.0, 0.5), "exact", 0.4547),
+    (bc.even_cycle(12), Fugacities(1.0, 0.05), "exact", 0.9273),
+    (bc.complete_bipartite(70, 3), Fugacities(1.0, 1e7), "exact", 0.5414),
+    (bc.complete_bipartite(70, 3), Fugacities(1.0, 4e6), "exact", 0.9486),
+    (bc.even_cycle(16), Fugacities(2.0, 0.2), "truncated", 0.8322),
+    (bc.even_cycle(16), Fugacities(10.0, 0.05), "truncated", 0.9967),
 ]
 
 
 @pytest.mark.parametrize(
-    "g, lam, backend, batched",
-    _CUTOVER_CASES,
+    "g, lam, backend, p_none",
+    _P_NONE_CASES,
     ids=["C12-walk", "C12-batch", "K70,3-walk", "K70,3-batch", "C16-trunc-walk", "C16-trunc-batch"],
 )
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
-def test_draws_equal_sample_calls_on_both_sides_of_the_cutover(g, lam, backend, batched, data):
+def test_draws_equal_sample_calls_on_both_sides_of_the_cutover(g, lam, backend, p_none, data):
     s = IndependentSetSampler(g, lam, backend=backend)
-    p_none = math.prod(1.0 - p for p in s._vacant_chain())
-    assert (p_none >= BATCH_CUTOVER) == batched
+    assert math.prod(1.0 - p for p in s._vacant_chain()) == pytest.approx(p_none, abs=1e-4)
     k = g.n_R + g.n_L
-    rows = _block_rows(p_none, k)
-    # n may cross several blocks of rows, and UNIFORM_BLOCK uniforms
-    n = data.draw(st.integers(0, 2 * rows + 2 + UNIFORM_BLOCK // k), label="n")
+    size = max(4 * UNIFORM_BLOCK, 2 * k)  # the uniforms of one block of draws()
+    # a draw reads at most k uniforms: n may cross several blocks
+    n = data.draw(st.integers(0, 3 * size // k + 2), label="n")
     seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
     rng = np.random.Generator(np.random.Philox(seed))
     assert list(s.draws(n, seed)) == [s.sample(rng) for _ in range(n)]
 
 
-def test_batched_draws_with_no_l_vertices():
-    # rows of no L-uniforms: each batched draw has the empty L-set's key
+def test_no_polymer_draws_with_no_l_vertices():
+    # no L-uniforms: each no-polymer draw has the empty L-set's key
     g, lam = bc.BipartiteGraph(0, 3, []), Fugacities(1.0, 0.01)
     s = IndependentSetSampler(g, lam)
-    assert math.prod(1.0 - p for p in s._vacant_chain()) >= BATCH_CUTOVER
+    assert math.prod(1.0 - p for p in s._vacant_chain()) == pytest.approx(1 / 1.01**3)
     for seed in range(3):
         rng = np.random.Generator(np.random.Philox(seed))
         assert list(s.draws(3000, seed)) == [s.sample(rng) for _ in range(3000)]
 
 
-def test_batched_draws_clear_the_l_set_memo(monkeypatch):
-    # 256 possible L-sets against a memo of 4: every run of batched draws
-    # brings more new L-sets than the memo holds, so it is cleared, and the
-    # draws stay those of repeated sample calls
-    monkeypatch.setattr("bipcore.sampler.L_SET_MEMO", 4)
+def test_no_polymer_draws_clear_the_l_set_memo(monkeypatch):
+    # 256 possible L-sets, each of chance 1/256: against a memo of 256
+    # every no-polymer draw is kept, and the memo, which also holds the
+    # polymer draws, fills and is cleared; the draws stay those of
+    # repeated sample calls
+    monkeypatch.setattr("bipcore.sampler.L_SET_MEMO", 256)
     s = IndependentSetSampler(bc.even_cycle(16), Fugacities(1.0, 0.001), backend="exact")
-    assert math.prod(1.0 - p for p in s._vacant_chain()) >= BATCH_CUTOVER
+    assert math.prod(1.0 - p for p in s._vacant_chain()) == pytest.approx(0.9980, abs=1e-4)
     rng = np.random.Generator(np.random.Philox(5))
     draws = list(s.draws(2000, seed=5))
     assert draws == [s.sample(rng) for _ in range(2000)]
     assert len(set(draws)) > 100
+    # equal draws built before and after a clearing are two objects
+    assert len({id(d) for d in draws}) > len(set(draws))
 
 
-def test_batched_draws_share_identical_l_sets():
-    # a walked draw picks a polymer, so a draw with no R-vertex was batched;
+def test_no_polymer_draws_share_identical_l_sets():
+    # P(no polymer) = 0.997 and 12 L-vertices at p_in = 20/21: the
+    # likeliest L-set has chance 0.56, so every no-polymer draw is kept;
     # fewer distinct L-sets than L_SET_MEMO: each is one object
     s = IndependentSetSampler(bc.even_cycle(24), Fugacities(20.0, 0.1), backend="exact")
     draws = list(s.draws(2000, seed=2))
-    batched = [d for d in draws if not any(side == "R" for side, _ in d)]
-    assert len(batched) > 1900 and len(set(batched)) < 500
-    assert len({id(d) for d in batched}) == len(set(batched))
+    none = [d for d in draws if not any(side == "R" for side, _ in d)]
+    assert len(none) > 1900 and len(set(none)) < 500
+    assert len({id(d) for d in none}) == len(set(none))
     # built from a set: the table a copy of a set gets, not the larger one
     # a frozenset grown from an iterator may keep
-    assert all(sys.getsizeof(d) == sys.getsizeof(frozenset(set(d))) for d in set(batched))
+    assert all(sys.getsizeof(d) == sys.getsizeof(frozenset(set(d))) for d in set(none))
 
 
 def test_walked_draws_share_identical_sets():
-    # below the cut-over every draw is walked; C_12 has 322 independent
-    # sets, fewer than L_SET_MEMO, so equal draws are one object
+    # P(no polymer) = 0.455: more than half the draws are walked; C_12 has
+    # 322 independent sets, fewer than L_SET_MEMO, so equal draws are one
+    # object
     s = IndependentSetSampler(bc.even_cycle(12), Fugacities(1.0, 0.5), backend="exact")
-    assert math.prod(1.0 - p for p in s._vacant_chain()) < BATCH_CUTOVER
+    assert math.prod(1.0 - p for p in s._vacant_chain()) == pytest.approx(0.4547, abs=1e-4)
     draws = list(s.draws(2000, seed=2))
     assert len(set(draws)) < 322
     assert len({id(d) for d in draws}) == len(set(draws))
@@ -372,18 +385,18 @@ class _Counted:
 
 
 @pytest.mark.parametrize(
-    "g, lam, memo, n, seed, offsets",
+    "g, lam, memo, n, seed, p_none, offsets",
     [
-        (bc.even_cycle(12), Fugacities(1.0, 0.5), L_SET_MEMO, 2_000, 1, True),
-        (bc.even_cycle(12), Fugacities(1.0, 0.5), 4, 2_000, 1, True),
-        (bc.random_biregular(2, 4, 16, seed=0), Fugacities(1.0, 0.3), L_SET_MEMO, 1_200, 1, True),
-        (bc.BipartiteGraph(0, 3, []), Fugacities(1.0, 1.0), L_SET_MEMO, 6_000, 0, True),
-        (bc.even_cycle(12), Fugacities(1.0, 2.0), L_SET_MEMO, 2_000, 1, False),
+        (bc.even_cycle(12), Fugacities(1.0, 0.5), L_SET_MEMO, 2_000, 1, 0.4547, True),
+        (bc.even_cycle(12), Fugacities(1.0, 0.5), 4, 2_000, 1, 0.4547, True),
+        (bc.random_biregular(2, 4, 16, seed=0), Fugacities(1.0, 0.3), L_SET_MEMO, 1_200, 1, 0.8554, True),
+        (bc.BipartiteGraph(0, 3, []), Fugacities(1.0, 1.0), L_SET_MEMO, 6_000, 0, 0.125, True),
+        (bc.even_cycle(12), Fugacities(1.0, 2.0), L_SET_MEMO, 2_000, 1, 0.0404, False),
     ],
     ids=["C12", "C12-memo4", "rb16", "no-L", "C12-every-draw-walked"],
 )
 def test_draws_below_the_cutover_equal_sample_calls_across_blocks(
-    monkeypatch, g, lam, memo, n, seed, offsets
+    monkeypatch, g, lam, memo, n, seed, p_none, offsets
 ):
     # every offset of a block is tested as a draw's first uniform, or,
     # past n_R * max(p_any) = 2, every draw is walked; a draw that would
@@ -392,7 +405,7 @@ def test_draws_below_the_cutover_equal_sample_calls_across_blocks(
     # end
     monkeypatch.setattr("bipcore.sampler.L_SET_MEMO", memo)
     s = IndependentSetSampler(g, lam, backend="exact")
-    assert math.prod(1.0 - p for p in s._vacant_chain()) < BATCH_CUTOVER
+    assert math.prod(1.0 - p for p in s._vacant_chain()) == pytest.approx(p_none, abs=1e-4)
     assert (g.n_R * max(s._vacant_chain()) <= 2.0) == offsets
     read, ends = 0, []
     block, skip = _Uniforms.block, _Uniforms.skip
@@ -477,16 +490,15 @@ def test_shared_polymer_configs_equal_a_fresh_samplers(monkeypatch, memo):
         assert len({id(c) for c in configs if c.chosen}) == len(keys)
 
 
-def test_walked_draws_on_a_large_l_side_keep_no_draw():
-    # C_12 and 1,994 isolated L-vertices: P(no polymer) stays below the
-    # cut-over, and each walked draw holds about 1,000 L-vertices, so no two
-    # repeat.  No draw is kept for sharing: streaming 300 of them, 11 MB
-    # together, peaks below the size of ten
+def _streamed_peak_in_draws(lam: Fugacities, p_none: float) -> float:
+    """C_12 and 1,994 isolated L-vertices: each draw holds about 1,000
+    L-vertices, so no two repeat.  The traced peak of streaming 300 draws,
+    11 MB together, in units of the largest draw."""
     c = bc.even_cycle(12)
     edges = [(u, v) for u in range(6) for v in _bits(c.adj_L[u])]
     g = bc.BipartiteGraph(2000, 6, edges)
-    s = IndependentSetSampler(g, Fugacities(1.0, 0.5), backend="exact")
-    assert math.prod(1.0 - p for p in s._vacant_chain()) < BATCH_CUTOVER
+    s = IndependentSetSampler(g, lam, backend="exact")
+    assert math.prod(1.0 - p for p in s._vacant_chain()) == pytest.approx(p_none, abs=1e-4)
     rng = np.random.Generator(np.random.Philox(3))
     expected = [s.sample(rng) for _ in range(300)]
     tracemalloc.start()
@@ -498,7 +510,28 @@ def test_walked_draws_on_a_large_l_side_keep_no_draw():
         tracemalloc.stop()
     one = max(map(sys.getsizeof, expected))
     assert sum(map(sys.getsizeof, expected)) > 50 * one
-    assert peak < 10 * one
+    return peak / one
+
+
+def test_walked_draws_on_a_large_l_side_keep_no_draw():
+    # more than half the draws are walked; no draw is kept for sharing
+    assert _streamed_peak_in_draws(Fugacities(1.0, 0.5), 0.4547) < 10
+
+
+def test_no_polymer_draws_on_a_large_l_side_keep_no_draw():
+    # 98.5% of the draws pick no polymer, and the likeliest L-set of 2,000
+    # free L-vertices has chance 2**-2000: none is kept for sharing
+    assert _streamed_peak_in_draws(Fugacities(1.0, 0.01), 0.9851) < 10
+
+
+@pytest.mark.parametrize("n_L, n_R", [(3, 0), (0, 0), (0, 3)], ids=["no-R", "empty", "no-L"])
+def test_draws_on_an_empty_side_equal_sample_calls(n_L, n_R):
+    # no R-vertex leaves the all-vacant chain empty, and no vertex at all
+    # makes a draw read no uniform
+    s = IndependentSetSampler(bc.BipartiteGraph(n_L, n_R, []), Fugacities(1.0, 0.5))
+    for seed in range(3):
+        rng = np.random.Generator(np.random.Philox(seed))
+        assert list(s.draws(5000, seed)) == [s.sample(rng) for _ in range(5000)]
 
 
 @pytest.mark.parametrize(
